@@ -34,8 +34,19 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
     def uniforms(self, shape) -> np.ndarray:
+        """``uniform()`` drawn prod(shape) times, in C order, vectorized.
+
+        The k-th state is seed + k*gamma, so the whole block is computed in
+        wrapping uint64 arithmetic and gives the bits of the scalar loop.
+        """
         n = int(np.prod(shape))
-        out = np.fromiter((self.uniform() for _ in range(n)), dtype=float, count=n)
+        k = np.arange(1, n + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + k * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + n * _GAMMA) & _MASK
+        out = (z >> np.uint64(11)).astype(float) * (1.0 / (1 << 53))
         return out.reshape(shape)
 
     def spawn(self, key: int) -> "SplitMix64":

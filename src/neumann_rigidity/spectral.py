@@ -56,8 +56,7 @@ def spectral_gap(grid: Grid, tol: float = 1e-10,
     n = w.size
     # K + M is positive definite; the constant mode is projected away in
     # the M inner product, so the iteration converges to the gap mode.
-    shift = 1.0
-    lu = splu((K + shift * sparse.diags(w)).tocsc())
+    lu = grid.shifted_factor(1.0)
 
     rng = np.random.default_rng(12345)
     u = rng.standard_normal(n)

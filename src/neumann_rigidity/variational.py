@@ -8,12 +8,16 @@ for p < 1 the companion quotient
 
     lam(mu) = inf_u (||grad u||_2^2 + mu ||u||_{p+1}^2) / ||u||_2^2.
 
-Both are minimized by projected gradient descent on the relevant norm
-sphere with Barzilai-Borwein steps, Armijo backtracking and a small
-multi-start ladder (constant, eigenfunction perturbations, one seeded
-random field). Since quotients are invariant under u -> |u|, iterates are
-folded positive at every step, which also realizes the positivity of the
-returned minimizers.
+Both are minimized by projected Sobolev-gradient descent on the relevant
+norm sphere (Neuberger, LNM 1670): the L2 gradient g is replaced by its
+Riesz representative d = (K + sigma M)^-1 M g, sigma = max(1, parameter),
+with Barzilai-Borwein steps measured in that metric, Armijo backtracking
+and a small multi-start ladder (constant, eigenfunction perturbations, one
+seeded random field). Since quotients are invariant under u -> |u|,
+iterates are folded positive at every step, which also realizes the
+positivity of the returned minimizers. ``estimate_lambda_star`` descends
+in L2: its ratio has a 0/0 limit at the constant function, which the H^1
+descent reaches from every start and then stalls in.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import critical_exponent, theta_star
+from .constants import _check_subcritical, theta_star
 from .errors import ConvergenceError, PositivityError, RangeError
 from .grid import Field, Grid
 from .rng import SplitMix64
@@ -37,6 +41,15 @@ _F_WINDOW = 20
 _F_REL_TOL = 1e-10
 
 
+class StartRecord(NamedTuple):
+    """One start of a multistart solve; ``value`` is the objective reached."""
+
+    iterations: int
+    converged: bool
+    stalled: bool
+    value: float
+
+
 @dataclass
 class QuotientSolve:
     """Outcome of one quotient minimization.
@@ -44,6 +57,8 @@ class QuotientSolve:
     ``lambda_in`` is the input parameter (lam for p > 1, mu for p < 1) and
     ``mu_out`` the quotient value at the minimizer; the constant test
     function forces mu_out <= lambda_in up to solver tolerance.
+    ``iterations`` and ``converged`` belong to the best start; ``starts``
+    records every start, so one that hit the iteration cap stays visible.
     """
 
     lambda_in: float
@@ -53,6 +68,7 @@ class QuotientSolve:
     iterations: int
     converged: bool
     restarts_used: int
+    starts: Tuple[StartRecord, ...] = ()
 
 
 class Mu2Bracket(NamedTuple):
@@ -84,45 +100,62 @@ def j_lambda(u: Field, Lambda: float, p: float) -> float:
 
 # ----------------------------------------------------------------------
 # descent engine
-class _RunResult(NamedTuple):
-    u: np.ndarray
-    f: float
-    iterations: int
-    grad_norm: float
-    converged: bool
-    stalled: bool
+def _inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.sum(w * a * b))
 
 
-def _descend(grid: Grid, u0: np.ndarray, normalize, value, value_grad,
-             scale: float, max_iter: int = _MAX_ITER) -> _RunResult:
+def _metric(grid: Grid, sigma: Optional[float]):
+    """Riesz map, squared step length and first step of the descent metric.
+
+    ``sigma=None`` is the L2 metric. Otherwise it is the Sobolev metric
+    K + sigma*M with direction d = (K + sigma*M)^-1 M g, whose conditioning,
+    unlike that of L2, does not degrade as the grid is refined.
+    """
     w = grid.weights
+    if sigma is None:
+        return (lambda g: g), (lambda s: _inner(w, s, s)), 0.1 * grid.h_min**2
+    K = grid.sparse_stiffness()
+    lu = grid.shifted_factor(sigma)
 
-    def inner(a, b):
-        return float(np.sum(w * a * b))
+    def riesz(g):
+        return lu.solve((w * g).ravel()).reshape(g.shape)
 
+    def norm_sq(s):
+        return float(s.ravel() @ (K @ s.ravel())) + sigma * _inner(w, s, s)
+
+    return riesz, norm_sq, 1.0
+
+
+def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
+             max_iter: int = _MAX_ITER) -> Tuple[np.ndarray, StartRecord]:
+    normalize, value, value_grad = objective
+    riesz, norm_sq, alpha = metric
+    w = grid.weights
     u = normalize(u0)
     f, g = value_grad(u)
-    gg = inner(g, g)
-    alpha = 0.1 * grid.h_min**2
+    gg = _inner(w, g, g)
     hist = deque([f], maxlen=_F_WINDOW + 1)
     converged = False
     stalled = False
     it = 0
     for it in range(1, max_iter + 1):
+        # the stopping rule reads the L2 gradient whatever the metric
         gnorm = math.sqrt(max(gg, 0.0))
         flat = (len(hist) == _F_WINDOW + 1 and
                 hist[0] - f <= _F_REL_TOL * max(abs(f), 1e-30))
         if gnorm <= _GRAD_TOL * scale and flat:
             converged = True
             break
+        d = riesz(g)
+        gd = gg if d is g else _inner(w, g, d)  # the L2 map returns g
         a = alpha
         accepted = False
-        trial = u
-        ftrial = f
         for _ in range(60):
-            trial = normalize(u - a * g)
+            trial = normalize(u - a * d)
             ftrial = value(trial)
-            if ftrial <= f - 1e-4 * a * gg:
+            # Armijo plus a real decrease: below the rounding of f a step
+            # that leaves f unchanged is no progress, so the search fails
+            if ftrial < f and ftrial <= f - 1e-4 * a * gd:
                 accepted = True
                 break
             a *= 0.5
@@ -136,42 +169,39 @@ def _descend(grid: Grid, u0: np.ndarray, normalize, value, value_grad,
             break
         fnew, gnew = value_grad(trial)
         s = trial - u
-        y = gnew - g
-        sy = inner(s, y)
-        alpha = inner(s, s) / sy if sy > 1e-300 else 2.0 * a
+        sy = _inner(w, s, gnew - g)
+        alpha = norm_sq(s) / sy if sy > 1e-300 else 2.0 * a
         alpha = min(max(alpha, 1e-10 * grid.h_min**2), 1e10)
         u, f, g = trial, fnew, gnew
-        gg = inner(g, g)
+        gg = _inner(w, g, g)
         hist.append(f)
-    gnorm = math.sqrt(max(gg, 0.0))
-    return _RunResult(u, f, it, gnorm, converged, stalled)
+    return u, StartRecord(it, converged, stalled, f)
 
 
-def _starts(grid: Grid, seed: int, include_constant: bool = True
-            ) -> List[np.ndarray]:
+def _starts(grid: Grid, seed: int) -> List[np.ndarray]:
     u2 = spectral_gap(grid).eigenfunction.values
     rng = SplitMix64(seed).spawn(17)
-    rand = 0.3 + rng.uniforms(grid.shape)
-    starts = []
-    if include_constant:
-        starts.append(np.ones(grid.shape))
-    starts.append(np.maximum(1.0 + 0.2 * u2, 1e-3))
-    starts.append(np.maximum(1.0 - 0.2 * u2, 1e-3))
-    starts.append(rand)
-    return starts
+    return [np.ones(grid.shape), np.maximum(1.0 + 0.2 * u2, 1e-3),
+            np.maximum(1.0 - 0.2 * u2, 1e-3), 0.3 + rng.uniforms(grid.shape)]
 
 
 # objective factories ---------------------------------------------------
-def _quotient_p_gt1(grid: Grid, lam: float, p: float):
-    """mu(lam) objective on the unit ||.||_{p+1} sphere."""
-    w = grid.weights
-
+def _sphere(grid: Grid, exp: float = 2.0):
+    """Projection onto the unit ||.||_exp sphere, folded to |u|."""
     def normalize(u):
         u = np.abs(u)
-        nrm = grid.lp_norm(u, p + 1.0)
+        nrm = (math.sqrt(grid.integrate(u * u)) if exp == 2.0
+               else grid.lp_norm(u, exp))
         if nrm == 0.0:
             raise ConvergenceError("iterate collapsed to zero")
         return u / nrm
+
+    return normalize
+
+
+def _quotient_p_gt1(grid: Grid, lam: float, p: float):
+    """mu(lam) objective on the unit ||.||_{p+1} sphere."""
+    w = grid.weights
 
     def value(u):
         return grid.energy(u) + lam * grid.integrate(u * u)
@@ -182,83 +212,73 @@ def _quotient_p_gt1(grid: Grid, lam: float, p: float):
         grad = 2.0 * (ku / w + lam * u - f * u**p)
         return f, grad
 
-    return normalize, value, value_grad
+    return _sphere(grid, p + 1.0), value, value_grad
 
 
-def _quotient_p_lt1(grid: Grid, mu: float, p: float):
-    """lam(mu) objective on the unit L2 sphere (p < 1)."""
-    w = grid.weights
+def _quotient_l2(grid: Grid, c: float, p: float):
+    """energy + c ||u||_{p+1}^2 on the unit L2 sphere.
 
-    def normalize(u):
-        u = np.abs(u)
-        nrm = math.sqrt(grid.integrate(u * u))
-        if nrm == 0.0:
-            raise ConvergenceError("iterate collapsed to zero")
-        return u / nrm
-
-    def value(u):
-        return grid.energy(u) + mu * grid.lp_norm(u, p + 1.0) ** 2
-
-    def value_grad(u):
-        ku = grid.stiffness_apply(u)
-        np1 = grid.lp_norm(u, p + 1.0)
-        f = float(np.sum(u * ku)) + mu * np1**2
-        grad = 2.0 * (ku / w + mu * np1 ** (1.0 - p) * u**p - f * u)
-        return f, grad
-
-    return normalize, value, value_grad
-
-
-def _dual_p_gt1(grid: Grid, mu: float, p: float):
-    """lam(mu) for p > 1: maximize (mu||u||_{p+1}^2 - energy)/||u||_2^2.
-
-    Implemented as descent on its negative over the unit L2 sphere.
+    With c = mu (p < 1) this is the lam(mu) quotient. With c = -mu (p > 1)
+    it is minus the concave-side quotient (mu ||u||_{p+1}^2 - energy) /
+    ||u||_2^2, whose maximum is lam(mu).
     """
     w = grid.weights
 
-    def normalize(u):
-        u = np.abs(u)
-        nrm = math.sqrt(grid.integrate(u * u))
-        if nrm == 0.0:
-            raise ConvergenceError("iterate collapsed to zero")
-        return u / nrm
-
     def value(u):
-        return grid.energy(u) - mu * grid.lp_norm(u, p + 1.0) ** 2
+        return grid.energy(u) + c * grid.lp_norm(u, p + 1.0) ** 2
 
     def value_grad(u):
         ku = grid.stiffness_apply(u)
         np1 = grid.lp_norm(u, p + 1.0)
-        f = float(np.sum(u * ku)) - mu * np1**2
-        grad = 2.0 * (ku / w - mu * np1 ** (1.0 - p) * u**p - f * u)
+        f = float(np.sum(u * ku)) + c * np1**2
+        grad = 2.0 * (ku / w + c * np1 ** (1.0 - p) * u**p - f * u)
         return f, grad
 
-    return normalize, value, value_grad
+    return _sphere(grid), value, value_grad
 
 
 def _run_multistart(grid: Grid, objective, starts: Sequence[np.ndarray],
-                    scale: float, max_iter: int = _MAX_ITER):
-    normalize, value, value_grad = objective
-    best: Optional[_RunResult] = None
-    n_stalled = 0
-    for u0 in starts:
-        run = _descend(grid, u0, normalize, value, value_grad, scale,
-                       max_iter=max_iter)
-        n_stalled += run.stalled
-        if best is None or run.f < best.f:
-            best = run
-    if best is None or n_stalled == len(starts):
+                    scale: float, sigma: Optional[float],
+                    max_iter: int = _MAX_ITER):
+    """Best iterate, its record and the records of all ``starts``.
+
+    ``sigma`` selects the metric (see ``_metric``); the starts share it.
+    """
+    metric = _metric(grid, sigma)
+    runs = [_descend(grid, u0, objective, scale, metric, max_iter=max_iter)
+            for u0 in starts]
+    records = tuple(rec for _, rec in runs)
+    if all(rec.stalled for rec in records):
         raise ConvergenceError("every start failed its line search")
-    return best
+    u, best = min(runs, key=lambda run: run[1].value)
+    return u, best, records
 
 
 def _check_p(grid: Grid, p: float) -> None:
     if p == 1.0:
         raise RangeError("p = 1 is handled by estimate_lambda_star")
-    if not p > 0.0:
-        raise RangeError("p must be positive")
-    if grid.dim >= 3 and p >= critical_exponent(grid.dim) - 1.0:
-        raise RangeError("p must be sub-critical")
+    _check_subcritical(p, grid.dim)
+
+
+def _solve(grid: Grid, param: float, objective, sign: float, seed: int,
+           max_iter: int = _MAX_ITER) -> QuotientSolve:
+    """Multistart solve in the metric K + max(1, param)*M; ``sign`` maps
+    the minimum to ``mu_out``.
+
+    The shift follows the parameter so that the metric tracks the
+    zeroth-order term of the objective; with a unit shift the descent
+    slows down at large parameters.
+    """
+    scale = max(1.0, param)
+    starts = _starts(grid, seed)
+    u, best, records = _run_multistart(grid, objective, starts, scale, scale,
+                                       max_iter=max_iter)
+    u = np.maximum(u, 1e-300)
+    return QuotientSolve(
+        lambda_in=param, mu_out=sign * best.value, minimizer=Field(grid, u),
+        constant_deviation=grid.deviation(u), iterations=best.iterations,
+        converged=best.converged, restarts_used=len(starts),
+        starts=records)
 
 
 def minimize_quotient(grid: Grid, lam: float, p: float,
@@ -273,15 +293,8 @@ def minimize_quotient(grid: Grid, lam: float, p: float,
     if not lam > 0.0:
         raise RangeError("the quotient parameter must be positive")
     objective = (_quotient_p_gt1(grid, lam, p) if p > 1.0
-                 else _quotient_p_lt1(grid, lam, p))
-    starts = _starts(grid, seed)
-    best = _run_multistart(grid, objective, starts, scale=max(1.0, lam),
-                           max_iter=max_iter)
-    u = np.maximum(best.u, 1e-300)
-    return QuotientSolve(
-        lambda_in=lam, mu_out=best.f, minimizer=Field(grid, u),
-        constant_deviation=grid.deviation(u), iterations=best.iterations,
-        converged=best.converged, restarts_used=len(starts))
+                 else _quotient_l2(grid, lam, p))
+    return _solve(grid, lam, objective, 1.0, seed, max_iter=max_iter)
 
 
 def lambda_of_mu(grid: Grid, mu: float, p: float, seed: int = 0
@@ -297,14 +310,7 @@ def lambda_of_mu(grid: Grid, mu: float, p: float, seed: int = 0
         raise RangeError("mu must be positive")
     if p < 1.0:
         return minimize_quotient(grid, mu, p, seed=seed)
-    objective = _dual_p_gt1(grid, mu, p)
-    starts = _starts(grid, seed)
-    best = _run_multistart(grid, objective, starts, scale=max(1.0, mu))
-    u = np.maximum(best.u, 1e-300)
-    return QuotientSolve(
-        lambda_in=mu, mu_out=-best.f, minimizer=Field(grid, u),
-        constant_deviation=grid.deviation(u), iterations=best.iterations,
-        converged=best.converged, restarts_used=len(starts))
+    return _solve(grid, mu, _quotient_l2(grid, -mu, p), -1.0, seed)
 
 
 def estimate_mu2(grid: Grid, p: float, tol: float = 0.01,
@@ -370,13 +376,11 @@ def fit_scaling_exponent(grid: Grid, p: float,
     prev: Optional[np.ndarray] = None
     base = _starts(grid, seed)
     for lam in lams:
-        starts = list(base)
-        if prev is not None:
-            starts.insert(0, prev)
-        best = _run_multistart(grid, _quotient_p_gt1(grid, lam, p), starts,
-                               scale=max(1.0, lam))
-        prev = best.u
-        mus.append(best.f)
+        starts = base if prev is None else [prev] + base
+        scale = max(1.0, lam)
+        prev, best, _ = _run_multistart(
+            grid, _quotient_p_gt1(grid, lam, p), starts, scale, scale)
+        mus.append(best.value)
     slope = np.polyfit(np.log(lams), np.log(np.asarray(mus)), 1)[0]
     return float(slope)
 
@@ -387,19 +391,12 @@ def _lambda_star_ratio(grid: Grid, p: float):
     """(p-1) * energy / (||u||_{p+1}^2 - ||u||_2^2) on the unit L2 sphere."""
     w = grid.weights
 
-    def normalize(u):
-        u = np.abs(u)
-        nrm = math.sqrt(grid.integrate(u * u))
-        if nrm == 0.0:
-            raise ConvergenceError("iterate collapsed to zero")
-        return u / nrm
-
     def denom(u):
         np1 = grid.lp_norm(u, p + 1.0)
-        return (np1**2 - grid.integrate(u * u)) / (p - 1.0)
+        return np1, (np1**2 - grid.integrate(u * u)) / (p - 1.0)
 
     def value(u):
-        d = denom(u)
+        d = denom(u)[1]
         if d <= 1e-15:
             return math.inf
         return grid.energy(u) / d
@@ -407,8 +404,7 @@ def _lambda_star_ratio(grid: Grid, p: float):
     def value_grad(u):
         ku = grid.stiffness_apply(u)
         e = float(np.sum(u * ku))
-        np1 = grid.lp_norm(u, p + 1.0)
-        d = (np1**2 - grid.integrate(u * u)) / (p - 1.0)
+        np1, d = denom(u)
         if d <= 1e-15:
             return math.inf, np.zeros_like(u)
         f = e / d
@@ -416,7 +412,7 @@ def _lambda_star_ratio(grid: Grid, p: float):
         grad = (2.0 * ku / w - f * ddenom) / d
         return f, grad
 
-    return normalize, value, value_grad
+    return _sphere(grid), value, value_grad
 
 
 def _lambda_star_lsi(grid: Grid):
@@ -470,5 +466,5 @@ def estimate_lambda_star(grid: Grid, p: float, seed: int = 0) -> float:
               1.0 + 0.5 * rng.uniforms(grid.shape)]
     objective = _lambda_star_lsi(grid) if p == 1.0 else _lambda_star_ratio(grid, p)
     lam2 = spectral_gap(grid).eigenvalue
-    best = _run_multistart(grid, objective, starts, scale=max(1.0, lam2))
-    return best.f
+    _, best, _ = _run_multistart(grid, objective, starts, max(1.0, lam2), None)
+    return best.value

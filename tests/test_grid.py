@@ -171,3 +171,16 @@ def test_nodal_grad_sq_matches_energy_for_smooth(interval256):
     f = np.cos(np.pi * g.axes[0])
     nodal = g.integrate(g.nodal_grad_sq(f))
     assert nodal == pytest.approx(g.energy(f), rel=1e-3)
+
+
+def test_cache_clear_keeps_grid_data():
+    # the cache holds memoized results only, so every operator rebuilds
+    for dom, n in ((Domain.interval(1.0), 32), (Domain.rectangle(2.0, 1.0), 16),
+                   (Domain.ball(2), 32)):
+        g = build_grid(dom, n)
+        K = g.sparse_stiffness().toarray()
+        lu = g.shifted_factor(1.0)
+        g._cache.clear()
+        assert np.array_equal(g.sparse_stiffness().toarray(), K)
+        b = np.arange(g.n_nodes, dtype=float)
+        assert np.array_equal(g.shifted_factor(1.0).solve(b), lu.solve(b))

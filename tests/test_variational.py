@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from neumann_rigidity import (Field, PositivityError, RangeError,
                               constant_field, estimate_lambda_star,
@@ -147,11 +148,50 @@ def test_fit_scaling_exponent_interval():
     assert abs(slope - 0.75) / 0.75 < 0.10
 
 
+# estimate_lambda_star descends in the L2 metric; these are its values on
+# interval256 (an H^1 descent reaches 9.8695 from every start instead)
+_LAMBDA_STAR_256 = {1.0: 9.897691398491682, 0.25: 9.900501065169273,
+                    0.75: 9.924163535911768}
+
+
 def test_estimate_lambda_star_interval(interval256):
     g = interval256
     lam2 = spectral_gap(g).eigenvalue
     est1 = estimate_lambda_star(g, 1.0)
     assert 0.99 * lam2 <= est1 <= 1.02 * lam2
+    assert est1 == pytest.approx(_LAMBDA_STAR_256[1.0], rel=1e-9)
     for p in (0.25, 0.75):
         est = estimate_lambda_star(g, p)
         assert 0.99 * lam2 <= est <= 1.03 * lam2
+        assert est == pytest.approx(_LAMBDA_STAR_256[p], rel=1e-9)
+
+
+@pytest.mark.parametrize("grid_name", ["interval256", "square32", "ball256"])
+def test_riesz_map_solves_shifted_system(grid_name, request):
+    # d = (K + sigma M)^-1 M g, checked by its normwise backward error
+    g = request.getfixturevalue(grid_name)
+    grad = 1.0 + np.random.default_rng(5).standard_normal(g.shape)
+    rhs = (g.weights * grad).ravel()
+    for sigma in (1.0, 12.5):
+        riesz, _, _ = vmod._metric(g, sigma)
+        d = riesz(grad)
+        assert d.shape == g.shape
+        A = g.sparse_stiffness() + sigma * sparse.diags(g.mass_vector())
+        res = np.abs(A @ d.ravel() - rhs).max()
+        scale = abs(A).sum(axis=1).max() * np.abs(d).max() + np.abs(rhs).max()
+        assert res <= 1e-12 * scale
+
+
+def test_sobolev_descent_converges_past_threshold(interval256):
+    # 10.355994998230598: best value of the L2 descent, capped at 4000 steps
+    g = interval256
+    lam = 1.05 * spectral_gap(g).eigenvalue
+    sol = minimize_quotient(g, lam, 2.0)
+    assert sol.converged
+    assert sol.mu_out <= 10.355994998230598 * (1.0 + 1e-12)
+    # one record per start; the best one is what the solve reports
+    assert len(sol.starts) == sol.restarts_used == 4
+    best = min(sol.starts, key=lambda rec: rec.value)
+    assert best.value == sol.mu_out
+    assert (best.iterations, best.converged) == (sol.iterations, True)
+    assert all(rec.iterations < vmod._MAX_ITER for rec in sol.starts)
