@@ -10,6 +10,12 @@ the linearization around the constant loses definiteness on the gap mode.
 A damped Newton iteration handles single solves and a pseudo-arclength
 corrector traces the non-constant branch after switching along the gap
 eigenfunction.
+
+Every Jacobian has the pattern of eps K + diag, whatever u and lam are.
+The sparse LU therefore works under one symmetric fill-reducing ordering
+per grid: a minimum-degree ordering of K + M, computed once and kept in
+the grid's cache along with K in that order. Each Jacobian is assembled
+directly in permuted order and factored without reordering.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from .constants import epsilon
 from .errors import (ConvergenceError, DampingError, PositivityError,
                      RangeError, SingularJacobianError)
 from .grid import Field, Grid
@@ -49,14 +56,8 @@ class BranchTrace:
     truncated: bool = False
 
 
-def _epsilon(p: float) -> int:
-    if p == 1.0:
-        raise RangeError("the equation needs p != 1")
-    return 1 if p > 1.0 else -1
-
-
 def _residual(grid: Grid, p: float, lam: float, u: np.ndarray) -> np.ndarray:
-    return -_epsilon(p) * grid.laplacian(u) + lam * u - u**p
+    return -epsilon(p) * grid.laplacian(u) + lam * u - u**p
 
 
 def _scaled_norm(grid: Grid, p: float, lam: float, u: np.ndarray,
@@ -65,16 +66,69 @@ def _scaled_norm(grid: Grid, p: float, lam: float, u: np.ndarray,
     return math.sqrt(grid.integrate(F * F)) / scale
 
 
-def _jacobian_matrix(grid: Grid, p: float, lam: float,
-                     u: np.ndarray) -> sparse.csc_matrix:
-    """Quadrature-weighted Jacobian: A s = M * (dF/du) s, symmetric."""
-    K = grid.sparse_stiffness()
+class _Ordering:
+    """The grid's Jacobian ordering, K under it (CSC) and K's diagonal slots."""
+
+    def __init__(self, grid: Grid):
+        K = grid.sparse_stiffness()
+        # the pattern of K + M is that of every Jacobian; the probe factor
+        # is dropped before any Jacobian is factored
+        probe = splu((K + sparse.diags(grid.mass_vector())).tocsc(),
+                     permc_spec="MMD_AT_PLUS_A")
+        self.perm = np.argsort(probe.perm_c)
+        del probe
+        self.K = K.tocsc()[self.perm][:, self.perm].tocsc()
+        # each Jacobian shares these index arrays, and splu sorts the
+        # indices of its input in place unless they are sorted already
+        self.K.sort_indices()
+        # every node has a face, so K stores its whole (positive) diagonal
+        cols = np.repeat(np.arange(K.shape[1]), np.diff(self.K.indptr))
+        self.diag_pos = np.flatnonzero(self.K.indices == cols)
+
+
+def _ordering(grid: Grid) -> _Ordering:
+    if "jacobian_ordering" not in grid._cache:
+        grid._cache["jacobian_ordering"] = _Ordering(grid)
+    return grid._cache["jacobian_ordering"]
+
+
+class _JacobianLU:
+    """LU of the permuted Jacobian; ``solve`` maps natural order to itself."""
+
+    def __init__(self, lu, perm: np.ndarray):
+        self._lu = lu
+        self._perm = perm
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        out = np.empty_like(rhs)
+        out[self._perm] = self._lu.solve(rhs[self._perm])
+        return out
+
+
+def _factor_jacobian(grid: Grid, p: float, lam: float,
+                     u: np.ndarray) -> _JacobianLU:
+    """LU of the quadrature-weighted Jacobian A = M dF/du (symmetric).
+
+    A = eps K + diag(w (lam - p u^(p-1))) is built in the grid's ordering
+    (see the module docstring). A failed factorization raises
+    SingularJacobianError.
+    """
+    order = _ordering(grid)
     w = grid.mass_vector()
     diag = w * (lam - p * u.ravel() ** (p - 1.0))
-    return (_epsilon(p) * K + sparse.diags(diag)).tocsc()
+    data = epsilon(p) * order.K.data
+    data[order.diag_pos] += diag[order.perm]
+    A = sparse.csc_matrix((data, order.K.indices, order.K.indptr),
+                          shape=order.K.shape)
+    try:
+        lu = splu(A, permc_spec="NATURAL")
+    except RuntimeError as exc:
+        raise SingularJacobianError(str(exc)) from exc
+    return _JacobianLU(lu, order.perm)
 
 
-def _jac_solve(lu, grid: Grid, rhs_field: np.ndarray) -> np.ndarray:
+def _jac_solve(lu: _JacobianLU, grid: Grid,
+               rhs_field: np.ndarray) -> np.ndarray:
     w = grid.mass_vector()
     out = lu.solve(w * rhs_field.ravel())
     if not np.all(np.isfinite(out)):
@@ -113,11 +167,7 @@ def _newton_plain(grid: Grid, p: float, lam: float, u: np.ndarray,
         if res <= tol:
             return BranchPoint(lam, Field(grid, u), grid.deviation(u),
                                res, 0.0)
-        try:
-            lu = splu(_jacobian_matrix(grid, p, lam, u))
-            s = -_jac_solve(lu, grid, F)
-        except (RuntimeError, SingularJacobianError) as exc:
-            raise SingularJacobianError(str(exc)) from exc
+        s = -_jac_solve(_factor_jacobian(grid, p, lam, u), grid, F)
         norm_s = math.sqrt(grid.integrate(s * s))
         norm_u = math.sqrt(grid.integrate(u * u))
         if norm_s > 1e10 * max(1.0, norm_u):
@@ -151,12 +201,8 @@ def _newton_log(grid: Grid, p: float, lam: float, u0: np.ndarray,
         if res <= tol:
             return BranchPoint(lam, Field(grid, u), grid.deviation(u),
                                res, 0.0)
-        try:
-            A = _jacobian_matrix(grid, p, lam, u) @ sparse.diags(u.ravel())
-            lu = splu(A.tocsc())
-            s = -_jac_solve(lu, grid, F)
-        except (RuntimeError, SingularJacobianError) as exc:
-            raise SingularJacobianError(str(exc)) from exc
+        # the step of the log variables solves (J diag(u)) s = -F
+        s = -_jac_solve(_factor_jacobian(grid, p, lam, u), grid, F) / u
         smax = np.abs(s).max()
         if smax > 5.0:
             s = s * (5.0 / smax)   # cap the multiplicative update
@@ -212,10 +258,7 @@ def _arc_correct(grid: Grid, p: float, u0: np.ndarray, ell0: float,
                + tl * (ell - base_ell) - ds)
         if res <= tol and abs(con) <= 1e-10 * max(1.0, abs(ds)):
             return u, ell, res, it
-        try:
-            lu = splu(_jacobian_matrix(grid, p, lam, u))
-        except RuntimeError as exc:
-            raise SingularJacobianError(str(exc)) from exc
+        lu = _factor_jacobian(grid, p, lam, u)
         x1 = _jac_solve(lu, grid, F)
         x2 = _jac_solve(lu, grid, lam_ref * u)  # dF/d(ell)
         tux1 = float(np.sum(w * tu * x1))
@@ -247,7 +290,7 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
     continuation follows the non-constant branch until the lam cap, the
     point budget, or repeated step failures (flagged as truncated).
     """
-    _epsilon(p)
+    epsilon(p)
     if direction not in (-1, 1):
         raise RangeError("direction must be +1 or -1")
     gap = spectral_gap(grid)
@@ -366,7 +409,7 @@ def el_normalization(u: Field, p: float,
     is not supplied it defaults to the field's own ||u||_{p+1}^(p-1), the
     convention under which the input is already normalized.
     """
-    _epsilon(p)
+    epsilon(p)
     grid = u.grid
     vals = u.values
     norm = grid.lp_norm(np.abs(vals), p + 1.0)

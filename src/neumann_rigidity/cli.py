@@ -25,7 +25,7 @@ from . import constants as constants_mod
 from . import flow as flow_mod
 from . import klt as klt_mod
 from . import variational as variational_mod
-from .errors import RangeError, ToolkitError
+from .errors import ConvergenceError, RangeError, ToolkitError
 from .grid import Domain, Field, build_grid, field_to_csv
 from .spectral import spectral_gap
 
@@ -412,7 +412,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ToolkitError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
-        _write_failure_diagnostics(args, exc)
+        _write_failure_diagnostics(cfg, exc)
         return 1
     return 0
 
@@ -427,13 +427,20 @@ def _validate(cfg: RunConfig) -> None:
         raise RangeError("--n must be at least 8")
 
 
-def _write_failure_diagnostics(args: argparse.Namespace, exc: Exception) -> None:
-    out = getattr(args, "out", "") or ""
-    if not out:
+def _write_failure_diagnostics(cfg: RunConfig, exc: Exception) -> None:
+    """Leave the failure, the run's parameters and the solver state in --out."""
+    if not cfg.out:
         return
+    lines = [f"# config_sha256={cfg.digest()}",
+             f"# FAILED: {type(exc).__name__}: {exc}",
+             f"# command={cfg.command} p={cfg.p!r} domain={cfg.domain} "
+             f"n={cfg.n}"]
+    if isinstance(exc, ConvergenceError):
+        lines.append(f"# residual={exc.residual!r} "
+                     f"iterations={exc.iterations!r}")
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(f"# FAILED: {type(exc).__name__}: {exc}\n")
+        with open(cfg.out, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
     except OSError:
         pass
 

@@ -50,6 +50,18 @@ def p_sharp(d: int) -> float:
     return d * (d + 2.0) / (d - 1.0) ** 2
 
 
+def epsilon(p: float) -> int:
+    """The sign epsilon(p) = (p-1)/|p-1|; p = 1 has none."""
+    if p == 1.0:
+        raise RangeError("p = 1 has no sign epsilon(p) (the log-Sobolev case)")
+    return 1 if p > 1.0 else -1
+
+
+def delta_exponent(p: float, beta: float) -> float:
+    """Flow exponent delta = (p+1+beta(p-3)) / (2 beta (p-1))."""
+    return (p + 1.0 + beta * (p - 3.0)) / (2.0 * beta * (p - 1.0))
+
+
 def _check_subcritical(p: float, d: int) -> None:
     if not p > 0.0:
         raise RangeError("p must be positive")
@@ -92,15 +104,13 @@ def make_exponents(p: float, d: int, beta: float = 0.0,
             raise RangeError("the log-Sobolev flag fixes p = 1")
         eps = None
     else:
-        if p == 1.0:
-            raise RangeError("p = 1 requires the log-Sobolev flag")
+        eps = epsilon(p)
         _check_subcritical(p, d)
-        eps = 1 if p > 1.0 else -1
 
     kappa = beta * (p - 1.0) + 1.0
     delta = None
     if beta > 1.0 and p != 1.0:
-        delta = (p + 1.0 + beta * (p - 3.0)) / (2.0 * beta * (p - 1.0))
+        delta = delta_exponent(p, beta)
     q = None if p == 1.0 else (p + 1.0) / abs(p - 1.0)
     return ExponentSet(
         p=float(p), d=d, epsilon=eps, two_star=critical_exponent(d),

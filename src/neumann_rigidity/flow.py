@@ -28,7 +28,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .constants import r_coefficient, theta_star
+from .constants import delta_exponent, r_coefficient, theta_star
 from .errors import ConvergenceError, PositivityError, RangeError
 from .grid import Field, Grid
 from .spectral import spectral_gap
@@ -253,7 +253,7 @@ def demange_check(v: Field, beta: float, p: float):
     grad_u_sq = beta**2 * grid.integrate(vv ** (2.0 * beta - 2.0) * g)
     grad_v_sq = grid.integrate(g)
     u_sq = grid.integrate(vv ** (2.0 * beta))
-    delta = (p + 1.0 + beta * (p - 3.0)) / (2.0 * beta * (p - 1.0))
+    delta = delta_exponent(p, beta)
     rhs = grad_u_sq * grad_v_sq / (beta**2 * u_sq**delta)
     return lhs, rhs
 
@@ -293,7 +293,7 @@ def entropy_production_inequality_check(trace: FlowTrace, exponents,
     if beta in (0.0, 1.0) or p == 1.0:
         raise RangeError("the inequality needs beta not in {0,1} and p != 1")
     R = r_coefficient(theta, beta, p, d)
-    delta = (p + 1.0 + beta * (p - 3.0)) / (2.0 * beta * (p - 1.0))
+    delta = delta_exponent(p, beta)
     Lam = (1.0 - theta) * lambda2
 
     t, e, i = trace.times, trace.entropy_e, trace.production_i

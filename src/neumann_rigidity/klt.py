@@ -19,16 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import epsilon
 from .errors import PositivityError, RangeError
 from .grid import Field, Grid
 from .spectral import schrodinger_ground_state
 from .variational import QuotientSolve, lambda_of_mu
-
-
-def _epsilon(p: float) -> int:
-    if p == 1.0:
-        raise RangeError("the duality needs p != 1")
-    return 1 if p > 1.0 else -1
 
 
 @dataclass
@@ -52,7 +47,7 @@ def optimal_potential(u: Field, mu: float, p: float) -> Field:
     construction (q = (p+1)/(p-1)), for p < 1 the reciprocal carries the
     norm: ||phi^(-1)||_q = 1/mu.
     """
-    _epsilon(p)
+    epsilon(p)
     if not mu > 0.0:
         raise RangeError("mu must be positive")
     grid = u.grid
@@ -74,7 +69,7 @@ def klt_duality_check(grid: Grid, p: float, mu: float,
     optimization of the quotient versus inverse iteration on the discrete
     Schrodinger operator with the constructed optimal potential.
     """
-    eps = _epsilon(p)
+    eps = epsilon(p)
     sol: QuotientSolve = lambda_of_mu(grid, mu, p, seed=seed)
     u = sol.minimizer
     phi = optimal_potential(u, mu, p)
@@ -98,7 +93,7 @@ def holder_pairing_check(phi: Field, u: Field, p: float):
     with q = (p+1)/|p-1|. Equality holds exactly for the saturating
     potential built from u.
     """
-    eps = _epsilon(p)
+    eps = epsilon(p)
     if phi.values.min() < 0.0:
         raise PositivityError("the potential must be nonnegative")
     grid = u.grid

@@ -39,6 +39,7 @@ _MAX_ITER = 4000
 _GRAD_TOL = 1e-8
 _F_WINDOW = 20
 _F_REL_TOL = 1e-10
+_TIE_REL = 1e-12     # starts this close in value count as the same minimum
 
 
 class StartRecord(NamedTuple):
@@ -250,8 +251,21 @@ def _run_multistart(grid: Grid, objective, starts: Sequence[np.ndarray],
     records = tuple(rec for _, rec in runs)
     if all(rec.stalled for rec in records):
         raise ConvergenceError("every start failed its line search")
-    u, best = min(runs, key=lambda run: run[1].value)
+    u, best = _best_run(runs)
     return u, best, records
+
+
+def _best_run(runs):
+    """The (iterate, record) of least value, converged among near-ties.
+
+    A start that stalls can end at the value converged starts reach; the
+    lowest converged start within 1e-12 (relative) of the least value is
+    returned in its place.
+    """
+    least = min(rec.value for _, rec in runs)
+    ties = [run for run in runs if run[1].converged
+            and run[1].value - least <= _TIE_REL * abs(least)]
+    return min(ties or runs, key=lambda run: run[1].value)
 
 
 def _check_p(grid: Grid, p: float) -> None:

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
-from neumann_rigidity import (Field, PositivityError, constant_field,
+from neumann_rigidity import branch as bmod
+from neumann_rigidity import (Domain, Field, PositivityError, build_grid,
+                              constant_field,
                               constant_solution, el_normalization,
                               estimate_mu1, lambda_of_mu, newton_solve,
                               smooth_random_field, spectral_gap, trace_branch)
@@ -117,6 +121,68 @@ def test_trace_branch_radial_ball(ball256):
     # a non-constant radial branch exists; its smallest lam is recorded
     assert mu1 <= tr.bifurcation_lambda * 1.01
     assert max(pt.deviation for pt in tr.points) > 1e-2
+
+
+def _nonconstant_state(g, p):
+    # a positive, non-constant u past the bifurcation value
+    lam = 1.3 * spectral_gap(g).eigenvalue / abs(p - 1.0)
+    u2 = spectral_gap(g).eigenfunction.values
+    u = lam ** (1.0 / (p - 1.0)) * (1.0 + 0.2 * u2 / np.abs(u2).max())
+    return lam, u
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0])
+@pytest.mark.parametrize("grid_name", ["interval256", "square32", "ball256"])
+def test_jacobian_factor_backward_error(grid_name, p, request):
+    g = request.getfixturevalue(grid_name)
+    lam, u = _nonconstant_state(g, p)
+    lu = bmod._factor_jacobian(g, p, lam, u)
+    w = g.mass_vector()
+    sign = 1.0 if p > 1.0 else -1.0
+    A = sign * g.sparse_stiffness() + sparse.diags(
+        w * (lam - p * u.ravel() ** (p - 1.0)))
+    rhs = np.random.default_rng(7).standard_normal(g.n_nodes)
+    x = lu.solve(rhs)
+    res = np.abs(A @ x - rhs).max()
+    scale = abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
+    assert res <= 1e-12 * scale
+
+
+def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
+    g = build_grid(Domain.rectangle(1.0, 1.0), 16)
+    specs = []
+
+    def counting_splu(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(bmod, "splu", counting_splu)
+    perms = []
+    for p, lam_scale in ((2.0, 1.0), (0.5, 1.0), (2.0, 3.0)):
+        lam, u = _nonconstant_state(g, p)
+        lu = bmod._factor_jacobian(g, p, lam_scale * lam, u)
+        perms.append(lu._perm)
+    assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL", "NATURAL"]
+    assert all(perm is perms[0] for perm in perms)
+    assert np.array_equal(np.sort(perms[0]), np.arange(g.n_nodes))
+
+
+# (points, first non-constant lam, last lam) of trace_branch on square32,
+# from 0.8 * lambda2/|p-1|, as computed with a fresh ordering per factor
+_SQUARE32_TRACE = {0.5: (400, 19.722326228585512, 27.68446780807565),
+                   2.0: (47, 9.86115878780355, 104.82703830355588)}
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0])
+def test_trace_branch_square32_pins(square32, p):
+    g = square32
+    lam2 = spectral_gap(g).eigenvalue
+    tr = trace_branch(g, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
+    n_points, first_lam, last_lam = _SQUARE32_TRACE[p]
+    assert len(tr.points) == n_points
+    first = next(pt for pt in tr.points if pt.deviation > 0.0)
+    assert first.lam == pytest.approx(first_lam, rel=1e-10)
+    assert tr.points[-1].lam == pytest.approx(last_lam, rel=1e-10)
 
 
 def test_el_normalization_examples(interval256):

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from neumann_rigidity import cli
 from neumann_rigidity.cli import main, parse_sweep
-from neumann_rigidity.errors import RangeError
+from neumann_rigidity.errors import ConvergenceError, DampingError, RangeError
 
 
 def run(capsys, *argv):
@@ -165,3 +166,39 @@ def test_bad_sweep_is_usage_error(capsys):
         parse_sweep("1:2", "lambda")
     assert parse_sweep("3.5", "lambda") == [3.5]
     assert len(parse_sweep("1:100:5", "lambda")) == 5
+
+
+def _fail_with(exc):
+    def solver(*args, **kwargs):
+        raise exc
+    return solver
+
+
+def test_failure_diagnostics_record_run_and_solver_state(
+        tmp_path, capsys, monkeypatch):
+    out = tmp_path / "mu1.csv"
+    monkeypatch.setattr(cli.branch_mod, "trace_branch", _fail_with(
+        ConvergenceError("corrector stuck", 3.25e-7, 30)))
+    code, _, err = run(capsys, "mu1", "--domain", "rectangle", "--n", "16",
+                       "--p", "0.5", "--out", str(out))
+    assert code == 1
+    assert "corrector stuck" in err
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("# config_sha256=")
+    assert lines[1:] == [
+        "# FAILED: ConvergenceError: corrector stuck",
+        "# command=mu1 p=0.5 domain=rectangle n=16",
+        "# residual=3.25e-07 iterations=30"]
+
+
+def test_failure_diagnostics_without_solver_state(
+        tmp_path, capsys, monkeypatch):
+    out = tmp_path / "mu1.csv"
+    monkeypatch.setattr(cli.branch_mod, "trace_branch",
+                        _fail_with(DampingError("positivity lost")))
+    code, _, _ = run(capsys, "mu1", "--domain", "interval", "--n", "32",
+                     "--out", str(out))
+    assert code == 1
+    assert out.read_text().splitlines()[1:] == [
+        "# FAILED: DampingError: positivity lost",
+        "# command=mu1 p=2.0 domain=interval n=32"]

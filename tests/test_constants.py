@@ -7,7 +7,7 @@ from neumann_rigidity import (NoRealRootsError, RangeError, beckner_bound,
                               beta_roots, improvement_phi, make_exponents,
                               r_coefficient, rigidity_bounds,
                               scaling_exponent, theta_star, vartheta)
-from neumann_rigidity.constants import p_sharp
+from neumann_rigidity.constants import delta_exponent, epsilon, p_sharp
 
 
 def test_theta_star_hand_values():
@@ -57,6 +57,15 @@ def test_make_exponents_guards():
     # delta needs beta > 1: marked absent, not an error
     assert make_exponents(2.0, 3, beta=0.5).delta is None
     assert make_exponents(2.0, 3, beta=0.0).kappa_flow == 1.0
+
+
+def test_epsilon_and_delta_exponent():
+    assert (epsilon(2.0), epsilon(0.5)) == (1, -1)
+    with pytest.raises(RangeError):
+        epsilon(1.0)
+    # (p+1+beta(p-3)) / (2 beta (p-1)) at p=2, beta=5/3 is 2/5
+    assert delta_exponent(2.0, 5.0 / 3.0) == pytest.approx(0.4, abs=1e-14)
+    assert make_exponents(0.5, 2, beta=1.5).delta == delta_exponent(0.5, 1.5)
 
 
 def test_r_coefficient_hand_substitution():

@@ -195,3 +195,22 @@ def test_sobolev_descent_converges_past_threshold(interval256):
     assert best.value == sol.mu_out
     assert (best.iterations, best.converged) == (sol.iterations, True)
     assert all(rec.iterations < vmod._MAX_ITER for rec in sol.starts)
+
+
+def test_best_run_prefers_converged_start_among_ties():
+    # interval256, p=2, 1.01*lambda2: a stalled start ended 4e-15 (relative)
+    # below the two converged ones
+    rec = vmod.StartRecord
+    stalled = ("stalled", rec(144, False, True, 9.9678820189452))
+    conv_a = ("a", rec(90, True, False, 9.967882018945236))
+    conv_b = ("b", rec(80, True, False, 9.967882018945245))
+    assert vmod._best_run([stalled, conv_b, conv_a])[0] == "a"
+    # a converged start outside the tie tolerance does not displace it
+    far = ("far", rec(50, True, False, 9.9678820189452 * (1.0 + 1e-9)))
+    assert vmod._best_run([far, stalled])[0] == "stalled"
+    # without a converged start the least value wins
+    capped = ("capped", rec(4000, False, False, 9.96789))
+    assert vmod._best_run([capped, stalled])[0] == "stalled"
+    # a converged start of least value is the answer
+    low = ("low", rec(30, True, False, 9.9678820189))
+    assert vmod._best_run([stalled, conv_a, low])[0] == "low"
