@@ -167,8 +167,9 @@ def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
     assert np.array_equal(np.sort(perms[0]), np.arange(g.n_nodes))
 
 
-# (points, first non-constant lam, last lam) of trace_branch on square32,
-# from 0.8 * lambda2/|p-1|, as computed with a fresh ordering per factor
+# (points, first non-constant lam, last lam) of trace_branch on square32
+# from 0.8 * lambda2/|p-1|, computed with splu's default column ordering
+# for every factor; the shared ordering must reproduce them
 _SQUARE32_TRACE = {0.5: (400, 19.722326228585512, 27.68446780807565),
                    2.0: (47, 9.86115878780355, 104.82703830355588)}
 
