@@ -438,6 +438,8 @@ def _write_failure_diagnostics(cfg: RunConfig, exc: Exception) -> None:
     if isinstance(exc, ConvergenceError):
         lines.append(f"# residual={exc.residual!r} "
                      f"iterations={exc.iterations!r}")
+    if getattr(exc, "t", None) is not None:
+        lines.append(f"# t={exc.t!r} dt={exc.dt!r}")
     try:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

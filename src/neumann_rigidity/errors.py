@@ -14,16 +14,27 @@ class NoRealRootsError(RangeError):
 
 
 class PositivityError(ToolkitError, ValueError):
-    """An operation required a positive field and did not get one."""
+    """An operation required a positive field and did not get one.
+
+    A flow that fails records the time ``t`` and step ``dt`` of the failure.
+    """
+
+    def __init__(self, message, t=None, dt=None):
+        super().__init__(message)
+        self.t = t
+        self.dt = dt
 
 
 class ConvergenceError(ToolkitError, RuntimeError):
     """An iterative solver failed to reach its tolerance."""
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None, iterations=None, t=None,
+                 dt=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.t = t
+        self.dt = dt
 
 
 class SingularJacobianError(ToolkitError, RuntimeError):

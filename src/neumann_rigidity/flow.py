@@ -1,9 +1,9 @@
 """Diffusion flows and the monotone quantities they carry.
 
 Heat flow: v_t = lap v with Neumann conditions, monitored through
-u = v^(1/(p+1)) for p in (0, 1). The quadrature mass of v is conserved
-exactly by the explicit scheme (the stiffness annihilates constants), the
-Dirichlet energy of u decays exponentially, and the spectral-gap deficit
+u = v^(1/(p+1)) for p in (0, 1). The quadrature mass of v is conserved to
+round-off (the stiffness annihilates constants), the Dirichlet energy of u
+decays exponentially, and the spectral-gap deficit
 
     ||grad u||^2 - lambda2 (||u||_2^2 - ||u||_{p+1}^2)
 
@@ -18,6 +18,14 @@ m = v^(beta(p+1)), whose equation is the divergence form
 so the quadrature mass of m is conserved to round-off for every step
 size. The deficit functional of u = v^beta with constant (1-theta) times
 the discrete spectral gap is nonincreasing along the flow.
+
+Both flows take one second-order Runge-Kutta-Legendre super-time-step
+(RKL2; Meyer, Balsara & Aslam, J. Comput. Phys. 257 (2014) 594-626) from
+each stored time t_k = k t_end / n_store to the next. A step of s stages
+is stable up to (s^2+s-2)/4 forward-Euler steps; s is the least stage
+count that keeps every stage within cfl times the forward-Euler bound.
+Every stage adds multiples of the divergence-form right-hand side to an
+affine combination of earlier stages, so mass stays exact to round-off.
 """
 
 from __future__ import annotations
@@ -34,6 +42,8 @@ from .grid import Field, Grid
 from .spectral import spectral_gap
 
 _STORE_TARGET = 400
+_CFL = 0.5           # each stage's share of the forward-Euler step bound
+_MAX_HALVINGS = 40   # consecutive rejected trials before a step gives up
 
 
 @dataclass
@@ -56,6 +66,11 @@ class FlowTrace:
     dim: int = 0
     # nonlinear runs also record int |grad v|^4 / v^2 per stored step
     quartic: Optional[np.ndarray] = None
+    # work record: accepted RKL2 steps, right-hand-side evaluations (of
+    # accepted and rejected trials) and rejected trials
+    steps: int = 0
+    rhs_evals: int = 0
+    halvings: int = 0
 
 
 class _Recorder:
@@ -78,13 +93,90 @@ def _entropy_pair(grid: Grid, u: np.ndarray, p: float):
     return e, i
 
 
+def _rkl2_stages(dt: float, dt_stage: float) -> int:
+    """Least s >= 2 with (s^2+s-2)/4 * dt_stage >= dt."""
+    s = 2
+    while (s * s + s - 2) * dt_stage < 4.0 * dt:
+        s += 1
+    return s
+
+
+def _rkl2_step(rhs, y0: np.ndarray, dt: float, s: int) -> np.ndarray:
+    """One s-stage RKL2 step of y' = rhs(y); s evaluations of rhs.
+
+    Stage j is Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + (1-mu_j-nu_j) Y_0
+    + mu~_j dt rhs(Y_{j-1}) + gamma~_j dt rhs(Y_0). It is carried as the
+    increment D_j = Y_j - Y_0, which keeps a constant state exactly fixed.
+    """
+    w1 = 4.0 / (s * s + s - 2.0)
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2.0) / (2.0 * j * (j + 1.0))
+                           for j in range(3, s + 1)]
+    f0 = dt * rhs(y0)
+    d_prev2 = np.zeros_like(y0)
+    d_prev = (b[1] * w1) * f0
+    for j in range(2, s + 1):
+        mu = (2.0 * j - 1.0) / j * b[j] / b[j - 1]
+        nu = -(j - 1.0) / j * b[j] / b[j - 2]
+        mu_t = mu * w1
+        gamma_t = -(1.0 - b[j - 1]) * mu_t
+        d = (mu * d_prev + nu * d_prev2 + (mu_t * dt) * rhs(y0 + d_prev)
+             + gamma_t * f0)
+        d_prev2, d_prev = d_prev, d
+    return y0 + d_prev
+
+
+def _advance(rhs, y: np.ndarray, t_end: float, n_store: int, stage_dt,
+             check, record):
+    """RKL2 steps from each t_k = k t_end / n_store to the next.
+
+    ``stage_dt(y)`` is the step bound of one stage; ``check(y)`` returns
+    None for an acceptable state, else the (exception type, message) of
+    the failure. A rejected trial halves the step and sub-steps to the
+    same t_k. ``record(t, dt, y)`` runs at t = 0 (dt = 0) and at every
+    t_k. Returns (steps, rhs_evals, halvings).
+    """
+    steps = rhs_evals = halvings = 0
+    record(0.0, 0.0, y)
+    t = 0.0
+    for k in range(1, n_store + 1):
+        t_k = k * t_end / n_store
+        dt_try = t_k - t
+        failed = 0
+        while t < t_k:
+            left = t_k - t
+            dt = left if left <= dt_try * (1.0 + 1e-9) else dt_try
+            s = _rkl2_stages(dt, stage_dt(y))
+            with np.errstate(invalid="ignore", divide="ignore",
+                             over="ignore"):
+                y_new = _rkl2_step(rhs, y, dt, s)
+                problem = check(y_new)
+            rhs_evals += s
+            if problem is not None:
+                halvings += 1
+                failed += 1
+                if failed == _MAX_HALVINGS:
+                    kind, message = problem
+                    raise kind(f"{message} at t={t:.6e} with dt={dt:.3e}",
+                               t=t, dt=dt)
+                dt_try = 0.5 * dt
+                continue
+            failed = 0
+            y = y_new
+            t = t_k if dt == left else t + dt
+            steps += 1
+        record(t_k, dt, y)
+    return steps, rhs_evals, halvings
+
+
 def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
                   n_store: int = _STORE_TARGET) -> FlowTrace:
     """Integrate the Neumann heat equation and record the u-quantities.
 
-    Requires p in (0, 1) and strictly positive data. Explicit stepping at
-    a fixed parabolic step keeps positivity (a loss flags a discretization
-    bug, since the heat flow preserves positivity).
+    Requires p in (0, 1) and strictly positive data. Each sample interval
+    t_end / n_store is one RKL2 step whose stages stay within half the
+    forward-Euler bound h^2 / (2d). A loss of positivity (the heat flow
+    preserves it) halves the step; if halving cannot restore it, the
+    spatial operator is mis-assembled.
     """
     if not 0.0 < p < 1.0:
         raise RangeError("the heat-flow estimate needs p in (0, 1)")
@@ -96,45 +188,41 @@ def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
 
     lam2 = spectral_gap(grid).eigenvalue
     Lam = (1.0 - p) * lam2
-    d = grid.dim
-    dt = 0.25 * grid.h_min**2 / d
-    n_steps = max(1, int(math.ceil(t_end / dt)))
-    dt = t_end / n_steps
-    every = max(1, n_steps // n_store)
+    dt_stage = _CFL * grid.h_min**2 / (2.0 * grid.dim)
 
     rec = _Recorder()
 
-    def record(t, dt_now):
+    def record(t, dt, v):
         u = v ** (1.0 / (p + 1.0))
         e, i = _entropy_pair(grid, u, p)
-        rec.add(t, e, i, i - Lam * e, grid.integrate(v), float(v.min()), dt_now)
+        rec.add(t, e, i, i - Lam * e, grid.integrate(v), float(v.min()), dt)
 
-    record(0.0, dt)
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        v += dt * grid.laplacian(v)
-        t = k * dt
-        if v.min() <= 0.0:
-            raise PositivityError(
+    def check(v):
+        if v.min() > 0.0:
+            return None
+        return (PositivityError,
                 "heat flow lost positivity: the spatial operator is "
-                "mis-assembled or the step exceeds the parabolic bound")
-        if k % every == 0 or k == n_steps:
-            record(t, dt)
-    arrays = rec.arrays()
-    return FlowTrace(*arrays, p=p, beta=None, theta=None,
-                     lambda2=lam2, Lambda=Lam, dim=grid.dim)
+                "mis-assembled")
+
+    steps, rhs_evals, halvings = _advance(grid.laplacian, v, t_end, n_store,
+                                          lambda v: dt_stage, check, record)
+    return FlowTrace(*rec.arrays(), p=p, beta=None, theta=None,
+                     lambda2=lam2, Lambda=Lam, dim=grid.dim,
+                     steps=steps, rhs_evals=rhs_evals, halvings=halvings)
 
 
 def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
-                       v0: Field, t_end: float, cfl: float = 0.2,
+                       v0: Field, t_end: float, cfl: float = _CFL,
                        n_store: int = _STORE_TARGET) -> FlowTrace:
     """Integrate the nonlinear flow in its conserved density.
 
-    The step density m = v^(beta(p+1)) is advanced with face-averaged
+    The density m = v^(beta(p+1)) is advanced with face-averaged
     coefficients v^kappa, conserving the quadrature mass of m to round-off.
-    The step size respects dt <= cfl * h^2 * min(v^(2 beta - 2)) / (2 d),
-    recomputed adaptively; positivity below 1e-10 of the initial maximum
-    aborts with a diagnostic.
+    Each sample interval t_end / n_store is one RKL2 step; ``cfl`` bounds
+    each of its stages by cfl * h^2 * min(v^(2 beta - 2)) / (2 d), taken at
+    the start of the step. A trial that leaves m non-positive or v below
+    1e-10 of the initial maximum is halved and sub-stepped to the same
+    sample time; forty halvings in a row abort with the time and step.
     """
     if p == 1.0 or not p > 0.0:
         raise RangeError("the nonlinear flow needs p > 0, p != 1")
@@ -144,60 +232,54 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
         raise RangeError("beta must be nonzero")
     if not t_end > 0.0:
         raise RangeError("t_end must be positive")
-    v = np.asarray(v0.values, dtype=float).copy()
-    if v.min() <= 0.0:
+    v0 = np.asarray(v0.values, dtype=float).copy()
+    if v0.min() <= 0.0:
         raise PositivityError("initial data must be strictly positive")
 
     kappa = beta * (p - 1.0) + 1.0
     m_exp = beta * (p + 1.0)
     lam2 = spectral_gap(grid).eigenvalue
     Lam = (1.0 - theta) * lam2
-    d = grid.dim
-    floor = 1e-10 * float(v.max())
+    bound = cfl * grid.h_min**2 / (2.0 * grid.dim)
+    floor = 1e-10 * float(v0.max())
 
     rec = _Recorder()
     quartic: List[float] = []
 
-    def record(t, dt_now):
+    def record(t, dt, m):
+        v = m ** (1.0 / m_exp)
         u = v**beta
         e, i = _entropy_pair(grid, u, p)
         rec.add(t, e, i, i - Lam * e, grid.integrate(v**m_exp),
-                float(v.min()), dt_now)
+                float(v.min()), dt)
         g = grid.nodal_grad_sq(v)
         quartic.append(grid.integrate(g * g / (v * v)))
 
-    m = v**m_exp
-    record(0.0, 0.0)
-    t = 0.0
-    t_next_store = t_end / n_store
-    while t < t_end * (1.0 - 1e-14):
-        dt = cfl * grid.h_min**2 * float((v ** (2.0 * beta - 2.0)).min()) / (2.0 * d)
-        dt = min(dt, t_end - t)
-        ok = False
-        for _ in range(40):
-            coeff = v**kappa
-            m_new = m - dt * m_exp * grid.weighted_stiffness_apply(coeff, v) / grid.weights
-            if np.all(np.isfinite(m_new)) and np.all(m_new > 0.0):
-                v_new = m_new ** (1.0 / m_exp)
-                if np.all(np.isfinite(v_new)) and v_new.min() > floor:
-                    ok = True
-                    break
-            dt *= 0.5
-        if not ok:
-            if v.min() <= floor:
-                raise PositivityError(
-                    f"flow hit the positivity floor at t={t:.3e}; "
-                    f"retry with dt <= {dt:.3e}")
-            raise ConvergenceError("step-size halving reached its floor")
-        m, v = m_new, v_new
-        t += dt
-        if t >= t_next_store or t >= t_end * (1.0 - 1e-14):
-            record(t, dt)
-            t_next_store += t_end / n_store
-    arrays = rec.arrays()
-    return FlowTrace(*arrays, p=p, beta=beta, theta=theta,
+    def rhs(m):
+        v = m ** (1.0 / m_exp)
+        return -m_exp * grid.weighted_stiffness_apply(v**kappa, v) / grid.weights
+
+    def stage_dt(m):
+        return bound * float((m ** ((2.0 * beta - 2.0) / m_exp)).min())
+
+    def check(m):
+        if not np.all(np.isfinite(m)):
+            return ConvergenceError, "step produced non-finite values"
+        if not m.min() > 0.0:
+            return PositivityError, "flow lost positivity"
+        v = m ** (1.0 / m_exp)
+        if not np.all(np.isfinite(v)):
+            return ConvergenceError, "step produced non-finite values"
+        if not v.min() > floor:
+            return PositivityError, "flow hit the positivity floor"
+        return None
+
+    steps, rhs_evals, halvings = _advance(rhs, v0**m_exp, t_end, n_store,
+                                          stage_dt, check, record)
+    return FlowTrace(*rec.arrays(), p=p, beta=beta, theta=theta,
                      lambda2=lam2, Lambda=Lam, dim=grid.dim,
-                     quartic=np.asarray(quartic))
+                     quartic=np.asarray(quartic), steps=steps,
+                     rhs_evals=rhs_evals, halvings=halvings)
 
 
 def accumulated_dissipation_bound(trace: FlowTrace):

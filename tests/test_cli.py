@@ -202,3 +202,21 @@ def test_failure_diagnostics_without_solver_state(
     assert out.read_text().splitlines()[1:] == [
         "# FAILED: DampingError: positivity lost",
         "# command=mu1 p=2.0 domain=interval n=32"]
+
+
+def test_failure_diagnostics_record_flow_time_and_step(
+        tmp_path, capsys, monkeypatch):
+    out = tmp_path / "flow.csv"
+    monkeypatch.setattr(cli.flow_mod, "_rkl2_step",
+                        lambda rhs, y, dt, s: -abs(y))
+    code, _, err = run(capsys, "flow", "nonlinear", "--domain", "rectangle",
+                       "--n", "16", "--p", "2", "--theta", "0.9",
+                       "--beta", "-0.6923", "--t-end", "0.25",
+                       "--out", str(out))
+    assert code == 1
+    assert "lost positivity" in err
+    lines = out.read_text().splitlines()
+    assert lines[1].startswith("# FAILED: PositivityError: ")
+    assert lines[2:] == [
+        "# command=flow p=2.0 domain=rectangle n=16",
+        f"# t=0.0 dt={0.25 / 400 / 2**39!r}"]

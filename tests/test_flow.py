@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from neumann_rigidity import flow
 from neumann_rigidity import (Field, PositivityError, RangeError,
                               accumulated_dissipation_bound, constant_field,
                               demange_check,
@@ -177,3 +178,143 @@ def test_entropy_production_short_trace_guard(square32):
     ex = make_exponents(p, 2, beta=beta)
     with pytest.raises(RangeError):
         entropy_production_inequality_check(tr, ex, theta, 1.0)
+
+
+def _checkerboard(grid):
+    i, j = np.indices(grid.shape)
+    return (-1.0) ** (i + j)
+
+
+def test_rkl2_checkerboard_stability_edge(square32):
+    # the checkerboard is an exact eigenvector of the Neumann Laplacian with
+    # eigenvalue -8/h^2, where forward Euler is stable up to dt = h^2/4;
+    # s stages are stable up to (s^2+s-2)/4 of that step and no further
+    g = square32
+    h2 = g.h_min**2
+    y0 = _checkerboard(g)
+    assert np.allclose(g.laplacian(y0), -8.0 / h2 * y0, rtol=1e-12)
+    for s in range(2, 16):
+        dt = (s * s + s - 2) / 4.0 * h2 / 4.0
+        edge = np.abs(flow._rkl2_step(g.laplacian, y0, dt, s)).max()
+        assert edge <= 1.0 + 1e-12
+        beyond = np.abs(flow._rkl2_step(g.laplacian, y0, 1.05 * dt, s)).max()
+        if s % 2 == 0:
+            assert beyond > 1.0
+
+
+def test_rkl2_stage_count_is_least():
+    for ratio in (0.3, 1.0, 1.0001, 7.5, 36.7, 1e4):
+        s = flow._rkl2_stages(ratio, 1.0)
+        assert (s * s + s - 2) / 4.0 >= ratio
+        assert s == 2 or ((s - 1) ** 2 + (s - 1) - 2) / 4.0 < ratio
+
+
+def _max_rel_dev(a, b):
+    return max(float(np.abs(x - y).max() / np.abs(y).max())
+               for x, y in zip(a, b))
+
+
+def _heat_series(tr, every=1):
+    return [tr.production_i[::every], tr.entropy_e[::every],
+            tr.j_lambda[::every]]
+
+
+def test_heat_flow_second_order(square32):
+    g = square32
+    v0 = _perturbed(g, 0.1, squared=True)
+    t_end = 0.05
+    ref = heat_flow_run(g, 0.5, v0, t_end, n_store=640)
+    coarse = heat_flow_run(g, 0.5, v0, t_end, n_store=10)
+    fine = heat_flow_run(g, 0.5, v0, t_end, n_store=20)
+    dev_coarse = _max_rel_dev(_heat_series(coarse), _heat_series(ref, 64))
+    dev_fine = _max_rel_dev(_heat_series(fine, 2), _heat_series(ref, 64))
+    assert dev_fine * 3.0 <= dev_coarse
+
+
+def test_flows_store_each_sample_time(square32):
+    g = square32
+    p, theta = 2.0, 0.9
+    roots = beta_roots(theta, p, 2)
+    beta = 0.5 * (roots.beta_minus + roots.beta_plus)
+    t_end, n = 0.03, 37
+    expected = np.arange(n + 1) * t_end / n
+    heat = heat_flow_run(g, 0.5, _perturbed(g, 0.2, squared=True), t_end,
+                         n_store=n)
+    nonlin = nonlinear_flow_run(g, p, beta, theta, _perturbed(g, 0.2), t_end,
+                                n_store=n)
+    for tr in (heat, nonlin):
+        assert np.array_equal(tr.times, expected)
+        assert tr.steps == n and tr.halvings == 0
+        assert np.abs(tr.mass - tr.mass[0]).max() / tr.mass[0] <= 1e-12
+
+
+def test_nonlinear_flow_matches_forward_euler(square32):
+    g = square32
+    p, theta = 2.0, 0.9
+    roots = beta_roots(theta, p, 2)
+    beta = 0.5 * (roots.beta_minus + roots.beta_plus)
+    v0 = _perturbed(g, 0.2)
+    t_end, n = 0.04, 40
+    tr = nonlinear_flow_run(g, p, beta, theta, v0, t_end, n_store=n)
+
+    # forward Euler in the same density at a tenth of the default stage bound
+    kappa, m_exp = beta * (p - 1.0) + 1.0, beta * (p + 1.0)
+    lam = (1.0 - theta) * spectral_gap(g).eigenvalue
+    m = v0.values**m_exp
+    rows, t = [], 0.0
+    for k in range(n + 1):
+        t_k = k * t_end / n
+        while t < t_k:
+            v = m ** (1.0 / m_exp)
+            left = t_k - t
+            dt = min(left, 0.05 * g.h_min**2
+                     * (v ** (2.0 * beta - 2.0)).min() / (2.0 * g.dim))
+            m = m - dt * m_exp * g.weighted_stiffness_apply(v**kappa, v) / g.weights
+            t = t_k if dt == left else t + dt
+        u = (m ** (1.0 / m_exp)) ** beta
+        e, i = flow._entropy_pair(g, u, p)
+        rows.append((i, e, i - lam * e))
+    ref = np.asarray(rows).T
+    got = [tr.production_i, tr.entropy_e, tr.j_lambda]
+    assert _max_rel_dev(got, ref) <= 1e-5
+
+
+def test_work_record_on_benchmark_configs(square64, monkeypatch):
+    # the flow-square64 benchmark ops, with every step's stage count logged
+    g = square64
+    stages = []
+    step = flow._rkl2_step
+
+    def logged(rhs, y, dt, s):
+        stages.append(s)
+        return step(rhs, y, dt, s)
+
+    monkeypatch.setattr(flow, "_rkl2_step", logged)
+    runs = [nonlinear_flow_run(g, 2.0, -0.6923, 0.9, _perturbed(g, 0.1),
+                               0.25),
+            heat_flow_run(g, 0.5, _perturbed(g, 0.1, squared=True), 0.35)]
+    counted = 0
+    for tr in runs:
+        assert tr.halvings == 0
+        assert tr.steps == 400 and tr.times.size == 401
+        assert tr.rhs_evals == sum(stages[counted:counted + tr.steps])
+        counted += tr.steps
+    assert counted == len(stages)
+
+
+def test_flow_failure_carries_time_and_step(square32, monkeypatch):
+    step = flow._rkl2_step
+    calls = []
+
+    def failing_after_three(rhs, y, dt, s):
+        calls.append(dt)
+        return step(rhs, y, dt, s) if len(calls) <= 3 else -np.abs(y)
+
+    monkeypatch.setattr(flow, "_rkl2_step", failing_after_three)
+    t_end, n = 0.02, 10
+    with pytest.raises(PositivityError) as info:
+        heat_flow_run(square32, 0.5, _perturbed(square32, 0.1, squared=True),
+                      t_end, n_store=n)
+    assert info.value.t == 3 * t_end / n
+    assert info.value.dt == calls[-1]
+    assert info.value.dt == pytest.approx(t_end / n / 2**39, rel=1e-12)
