@@ -11,6 +11,15 @@ A damped Newton iteration handles single solves and a pseudo-arclength
 corrector traces the non-constant branch after switching along the gap
 eigenfunction.
 
+The continuation measures the branch in the dimensionless pair
+(u/c*, ell), with c* = lam_bif^(1/(p-1)) the constant at the bifurcation
+and ell = lam/lam_bif, so one step length serves every p: for p < 1 the
+constant c* is tiny while ell stays of order one. The step grows 2x after
+a corrector that needed at most two iterations, 1.3x after three or four,
+and halves after each rejected step. The trace allows 40 rejected steps
+in all, not 40 in a row, and ends at the next one or once the step falls
+below 1e-8.
+
 Every Jacobian has the pattern of eps K + diag, whatever u and lam are.
 The sparse LU therefore works under one symmetric fill-reducing ordering
 per grid: a minimum-degree ordering of K + M, computed once and kept in
@@ -49,11 +58,25 @@ class BranchPoint:
 
 @dataclass
 class BranchTrace:
-    """Ordered branch points plus bookkeeping flags."""
+    """Ordered branch points, bookkeeping flags and the work of the trace.
+
+    ``factorizations`` counts the Jacobian factorizations of the
+    arclength corrector (the grid's one ordering probe is not among them),
+    ``corrector_iterations`` its iterations over all calls, accepted or
+    not, and ``rejected_steps`` the continuation steps it rejected.
+    ``stop`` names why the trace ended: ``"no_crossing"`` (the constant
+    walk never crossed lambda2/|p-1|), ``"no_first_point"`` (no
+    non-constant point found off the bifurcation), ``"lam_cap"``,
+    ``"n_max"`` (the point budget) or ``"step_failures"``.
+    """
 
     points: List[BranchPoint]
     bifurcation_lambda: Optional[float]
     truncated: bool = False
+    factorizations: int = 0
+    corrector_iterations: int = 0
+    rejected_steps: int = 0
+    stop: str = ""
 
 
 def _residual(grid: Grid, p: float, lam: float, u: np.ndarray) -> np.ndarray:
@@ -236,12 +259,14 @@ def constant_solution(grid: Grid, p: float, lam: float) -> BranchPoint:
 def _arc_correct(grid: Grid, p: float, u0: np.ndarray, ell0: float,
                  tu: np.ndarray, tl: float, ds: float, lam_ref: float,
                  base_u: np.ndarray, base_ell: float,
-                 tol: float = _NEWTON_TOL, max_iter: int = 30):
+                 tol: float = _NEWTON_TOL, max_iter: int = 30,
+                 work: Optional[BranchTrace] = None):
     """Correct a predictor onto the branch under an arclength constraint.
 
     Unknowns are (u, ell) with lam = lam_ref * ell; the constraint is
     <tu, u - base_u> + tl (ell - base_ell) = ds in the quadrature metric.
-    Returns (u, ell, residual, n_iter) or raises.
+    Returns (u, ell, residual, n_iter) or raises. Iterations and
+    factorizations are added to the counts of ``work`` when given.
     """
     w = grid.weights
     u = u0.copy()
@@ -249,6 +274,8 @@ def _arc_correct(grid: Grid, p: float, u0: np.ndarray, ell0: float,
         raise DampingError("predictor left the positive cone")
     ell = ell0
     for it in range(1, max_iter + 1):
+        if work is not None:
+            work.corrector_iterations += 1
         lam = lam_ref * ell
         if lam <= 0.0:
             raise DampingError("corrector left lam > 0")
@@ -258,6 +285,8 @@ def _arc_correct(grid: Grid, p: float, u0: np.ndarray, ell0: float,
                + tl * (ell - base_ell) - ds)
         if res <= tol and abs(con) <= 1e-10 * max(1.0, abs(ds)):
             return u, ell, res, it
+        if work is not None:
+            work.factorizations += 1
         lu = _factor_jacobian(grid, p, lam, u)
         x1 = _jac_solve(lu, grid, F)
         x2 = _jac_solve(lu, grid, lam_ref * u)  # dF/d(ell)
@@ -289,6 +318,14 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
     branch is switched along the gap eigenfunction, and pseudo-arclength
     continuation follows the non-constant branch until the lam cap, the
     point budget, or repeated step failures (flagged as truncated).
+
+    Steps are measured in the scaled metric sqrt(||du||^2/c*^2 + dell^2)
+    of the module docstring, start at the switching amplitude over c* and
+    stay at most 0.5; a step grows 2x after a corrector that needed at
+    most two iterations and 1.3x after three or four. Each rejected step
+    halves it, and the 41st rejection overall (not the 41st in a row) or
+    a step below 1e-8 ends the trace. ``arclength`` accumulates the steps
+    times c*, in the units of u.
     """
     epsilon(p)
     if direction not in (-1, 1):
@@ -301,6 +338,7 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
         lam_cap = _LAM_CAP_FACTOR * lam_star
 
     points: List[BranchPoint] = []
+    trace = BranchTrace(points, None, stop="no_crossing")
     lam = float(lambda_start)
     step = 0.02 * lam_star * direction
     crossed = False
@@ -314,10 +352,11 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
             break
         lam = nxt
     if not crossed:
-        return BranchTrace(points, None, truncated=False)
+        return trace
 
     # gap-mode eigenvalue of the constant-branch Jacobian vanishes here
     bif = lam_star
+    trace.bifurcation_lambda = bif
     points.append(constant_solution(grid, p, bif))
 
     c_star = bif ** (1.0 / (p - 1.0))
@@ -331,14 +370,15 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
         try:
             u, ell, res, _ = _arc_correct(
                 grid, p, base_u + ds * tu, 1.0, tu, tl, ds, bif,
-                base_u, 1.0)
+                base_u, 1.0, work=trace)
         except (ConvergenceError, DampingError, SingularJacobianError):
             continue
         if grid.deviation(u) > 0.3 * ds:
             first = (u, ell, res)
             break
     if first is None:
-        return BranchTrace(points, bif, truncated=True)
+        trace.truncated, trace.stop = True, "no_first_point"
+        return trace
 
     u, ell, res = first
     arclen = ds
@@ -346,36 +386,43 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
                               grid.deviation(u), res, arclen))
     prev_u, prev_ell = base_u, 1.0
     scale = max(c_star, 1e-6)
-    ds_max = 0.5 * scale
-    ds_min = 1e-8 * scale
-    fails = 0
+    ds = amp
+    ds_max = 0.5
+    ds_min = 1e-8
+    trace.stop = "n_max"
     while len(points) < n_max:
         lam = bif * ell
         if not 0.0 < lam <= lam_cap:
+            trace.stop = "lam_cap"
             break
-        dm = u - prev_u
+        dm = (u - prev_u) / scale
         dl = ell - prev_ell
         nrm = math.sqrt(grid.integrate(dm * dm) + dl * dl)
         if nrm == 0.0:
+            trace.truncated, trace.stop = True, "step_failures"
             break
         tu, tl = dm / nrm, dl / nrm
         try:
             unew, ellnew, res, nit = _arc_correct(
-                grid, p, u + ds * tu, ell + ds * tl, tu, tl, ds, bif, u, ell)
+                grid, p, u + ds * scale * tu, ell + ds * tl, tu / scale, tl,
+                ds, bif, u, ell, work=trace)
         except (ConvergenceError, DampingError, SingularJacobianError):
             ds *= 0.5
-            fails += 1
-            if ds < ds_min or fails > 40:
-                return BranchTrace(points, bif, truncated=True)
+            trace.rejected_steps += 1
+            if ds < ds_min or trace.rejected_steps > 40:
+                trace.truncated, trace.stop = True, "step_failures"
+                break
             continue
         prev_u, prev_ell = u, ell
         u, ell = unew, ellnew
-        arclen += ds
+        arclen += ds * scale
         points.append(BranchPoint(bif * ell, Field(grid, u.copy()),
                                   grid.deviation(u), res, arclen))
-        if nit <= 4:
+        if nit <= 2:
+            ds = min(2.0 * ds, ds_max)
+        elif nit <= 4:
             ds = min(1.3 * ds, ds_max)
-    return BranchTrace(points, bif, truncated=False)
+    return trace
 
 
 def estimate_mu1(branches: Union[BranchTrace, Sequence],

@@ -251,7 +251,13 @@ def cmd_mu1(cfg: RunConfig) -> None:
         write_json(cfg, {"mu1_estimate": est,
                          "bifurcation_lambda": trace.bifurcation_lambda,
                          "truncated": trace.truncated,
-                         "n_points": len(trace.points)})
+                         "n_points": len(trace.points),
+                         "solver": {
+                             "factorizations": trace.factorizations,
+                             "corrector_iterations":
+                                 trace.corrector_iterations,
+                             "rejected_steps": trace.rejected_steps,
+                             "stop": trace.stop}})
 
 
 def _initial_datum(grid, amp: float, squared: bool) -> Field:
@@ -440,6 +446,9 @@ def _write_failure_diagnostics(cfg: RunConfig, exc: Exception) -> None:
                      f"iterations={exc.iterations!r}")
     if getattr(exc, "t", None) is not None:
         lines.append(f"# t={exc.t!r} dt={exc.dt!r}")
+    if getattr(exc, "stage", None) is not None:
+        lines.append(f"# stage={exc.stage} lam={exc.lam!r} "
+                     f"step={exc.step!r}")
     try:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -26,15 +26,23 @@ class PositivityError(ToolkitError, ValueError):
 
 
 class ConvergenceError(ToolkitError, RuntimeError):
-    """An iterative solver failed to reach its tolerance."""
+    """An iterative solver failed to reach its tolerance.
+
+    A failure inside a parameter search also records the ``stage`` of the
+    search, its parameter ``lam`` and the index ``step`` of the failed
+    solve within it.
+    """
 
     def __init__(self, message, residual=None, iterations=None, t=None,
-                 dt=None):
+                 dt=None, stage=None, lam=None, step=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
         self.t = t
         self.dt = dt
+        self.stage = stage
+        self.lam = lam
+        self.step = step
 
 
 class SingularJacobianError(ToolkitError, RuntimeError):

@@ -339,22 +339,34 @@ def estimate_mu2(grid: Grid, p: float, tol: float = 0.01,
     detection tolerance must sit well below the target bracket accuracy;
     1e-6 keeps the systematic overshoot of the detected threshold near
     0.3% while staying far above the solver's 1e-10 resolution.
+
+    A ConvergenceError raised here carries the stage ``"mu2 bisection"``,
+    the parameter of the failed solve and its step: the number of
+    quotient solves of the search before it (0 is the lower end).
     """
     _check_p(grid, p)
     if not tol > 0.0:
         raise RangeError("tol must be positive")
     lam2 = spectral_gap(grid).eigenvalue
     scale = lam2 / abs(p - 1.0)
+    solves = 0
 
     def broken(x: float) -> bool:
-        sol = minimize_quotient(grid, x, p, seed=seed)
+        nonlocal solves
+        try:
+            sol = minimize_quotient(grid, x, p, seed=seed)
+        except ConvergenceError as exc:
+            exc.stage, exc.lam, exc.step = "mu2 bisection", x, solves
+            raise
+        solves += 1
         return sol.mu_out < x * (1.0 - rel_gap_tol)
 
     lo = 0.5 * (1.0 - theta_star(p, grid.dim)) * scale
     if broken(lo):
         raise ConvergenceError(
             "symmetry breaking below the explicit rigidity bound: "
-            "the discretization is too coarse")
+            "the discretization is too coarse",
+            stage="mu2 bisection", lam=lo, step=0)
     hi = 1.05 * scale
     cap = 3.0 * scale
     while not broken(hi):

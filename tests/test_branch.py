@@ -168,10 +168,12 @@ def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
 
 
 # (points, first non-constant lam, last lam) of trace_branch on square32
-# from 0.8 * lambda2/|p-1|, computed with splu's default column ordering
-# for every factor; the shared ordering must reproduce them
-_SQUARE32_TRACE = {0.5: (400, 19.722326228585512, 27.68446780807565),
-                   2.0: (47, 9.86115878780355, 104.82703830355588)}
+# from 0.8 * lambda2/|p-1|. The first non-constant lam comes from the
+# branch switch alone and was computed with splu's default column ordering
+# for every factor; the point counts and last lam record the step sequence
+# of the continuation in the scaled metric (u/c*, ell)
+_SQUARE32_TRACE = {0.5: (78, 19.722326228585512, 26.98756475090543),
+                   2.0: (49, 9.86115878780355, 99.75523797208271)}
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0])
@@ -184,6 +186,75 @@ def test_trace_branch_square32_pins(square32, p):
     first = next(pt for pt in tr.points if pt.deviation > 0.0)
     assert first.lam == pytest.approx(first_lam, rel=1e-10)
     assert tr.points[-1].lam == pytest.approx(last_lam, rel=1e-10)
+
+
+def _scaled_steps(g, tr, p):
+    # sqrt(||du||^2/c*^2 + dell^2) between consecutive non-constant points
+    bif = tr.bifurcation_lambda
+    c_star = bif ** (1.0 / (p - 1.0))
+    pts = [pt for pt in tr.points if pt.deviation > 0.0]
+    out = []
+    for a, b in zip(pts, pts[1:]):
+        d = (b.solution.values - a.solution.values) / c_star
+        out.append(math.sqrt(g.integrate(d * d) + ((b.lam - a.lam) / bif)**2))
+    return out
+
+
+def test_trace_branch_sublinear_reaches_dead_core(square32, monkeypatch):
+    g = square32
+    specs = []
+
+    def counting_splu(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(bmod, "splu", counting_splu)
+    p = 0.5
+    lam2 = spectral_gap(g).eigenvalue
+    tr = trace_branch(g, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
+    assert tr.stop == "step_failures"
+    assert tr.truncated
+    assert tr.rejected_steps == 41
+    last = tr.points[-1].solution.values
+    assert last.min() / last.max() < 1e-10
+    assert len(specs) <= 200
+    assert specs.count("NATURAL") == tr.factorizations
+    assert tr.corrector_iterations > tr.factorizations
+    assert all(pt.newton_residual <= 1e-9 for pt in tr.points)
+
+
+def test_trace_branch_sublinear_interval_passes_budget_cap(interval256):
+    g = interval256
+    p = 0.5
+    lam2 = spectral_gap(g).eigenvalue
+    tr = trace_branch(g, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
+    assert max(pt.lam for pt in tr.points) > 35.0
+    assert len(tr.points) < 400
+    assert all(pt.newton_residual <= 1e-9 for pt in tr.points)
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0])
+@pytest.mark.parametrize("grid_name", ["interval256", "square32"])
+def test_trace_branch_scaled_step_budget(grid_name, p, request):
+    g = request.getfixturevalue(grid_name)
+    lam2 = spectral_gap(g).eigenvalue
+    tr = trace_branch(g, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
+    steps = _scaled_steps(g, tr, p)
+    assert len(steps) > 10
+    assert max(steps) <= 2.0 * 0.5
+
+
+def test_trace_branch_stop_reasons(interval128):
+    g = interval128
+    lam2 = spectral_gap(g).eigenvalue
+    walk = trace_branch(g, 2.0, 0.5 * lam2, direction=-1)
+    assert (walk.stop, walk.truncated, walk.factorizations) == (
+        "no_crossing", False, 0)
+    tr = trace_branch(g, 2.0, 0.8 * lam2, direction=1)
+    assert (tr.stop, tr.truncated, tr.rejected_steps) == ("lam_cap", False, 0)
+    assert tr.points[-1].lam > 10.0 * tr.bifurcation_lambda
+    budget = trace_branch(g, 2.0, 0.8 * lam2, direction=1, n_max=30)
+    assert (budget.stop, len(budget.points)) == ("n_max", 30)
 
 
 def test_el_normalization_examples(interval256):

@@ -129,6 +129,20 @@ def test_mu1_json(capsys):
                                                 rel=0.02)
 
 
+def test_mu1_json_solver_block(capsys):
+    code, out, _ = run(capsys, "mu1", "--domain", "interval", "--n", "64",
+                       "--p", "0.5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mu1_estimate"] is not None
+    solver = doc["solver"]
+    assert sorted(solver) == ["corrector_iterations", "factorizations",
+                              "rejected_steps", "stop"]
+    assert solver["stop"] in ("lam_cap", "n_max", "step_failures")
+    assert 0 < solver["factorizations"] < solver["corrector_iterations"]
+    assert doc["truncated"] == (solver["stop"] == "step_failures")
+
+
 def test_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p=1\nlog_sobolev=true\nd=2\nlambda2=1.0\n")
@@ -220,3 +234,29 @@ def test_failure_diagnostics_record_flow_time_and_step(
     assert lines[2:] == [
         "# command=flow p=2.0 domain=rectangle n=16",
         f"# t=0.0 dt={0.25 / 400 / 2**39!r}"]
+
+
+def test_failure_diagnostics_record_bisection_stage(
+        tmp_path, capsys, monkeypatch):
+    out = tmp_path / "mu2.json"
+    real = cli.variational_mod.minimize_quotient
+    params = []
+
+    def failing_third_solve(grid, lam, p, **kwargs):
+        params.append(lam)
+        if len(params) == 3:
+            raise ConvergenceError("every start failed its line search",
+                                   1.5e-3, 4000)
+        return real(grid, lam, p, **kwargs)
+
+    monkeypatch.setattr(cli.variational_mod, "minimize_quotient",
+                        failing_third_solve)
+    code, _, err = run(capsys, "mu2", "--domain", "interval", "--n", "32",
+                       "--p", "2", "--out", str(out))
+    assert code == 1
+    assert "every start failed" in err
+    assert out.read_text().splitlines()[1:] == [
+        "# FAILED: ConvergenceError: every start failed its line search",
+        "# command=mu2 p=2.0 domain=interval n=32",
+        "# residual=0.0015 iterations=4000",
+        f"# stage=mu2 bisection lam={params[2]!r} step=2"]
