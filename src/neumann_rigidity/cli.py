@@ -254,6 +254,7 @@ def cmd_mu1(cfg: RunConfig) -> None:
                          "n_points": len(trace.points),
                          "solver": {
                              "factorizations": trace.factorizations,
+                             "refactorizations": trace.refactorizations,
                              "corrector_iterations":
                                  trace.corrector_iterations,
                              "rejected_steps": trace.rejected_steps,

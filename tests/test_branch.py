@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -169,11 +170,11 @@ def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
 
 # (points, first non-constant lam, last lam) of trace_branch on square32
 # from 0.8 * lambda2/|p-1|. The first non-constant lam comes from the
-# branch switch alone and was computed with splu's default column ordering
-# for every factor; the point counts and last lam record the step sequence
-# of the continuation in the scaled metric (u/c*, ell)
-_SQUARE32_TRACE = {0.5: (78, 19.722326228585512, 26.98756475090543),
-                   2.0: (49, 9.86115878780355, 99.75523797208271)}
+# branch switch alone; the point counts and last lam record the step
+# sequence of the continuation in the scaled metric (u/c*, ell) under the
+# Newton-chord corrector and its growth thresholds
+_SQUARE32_TRACE = {0.5: (76, 19.722326228585516, 27.01479516372236),
+                   2.0: (48, 9.86115878780357, 100.76859742552848)}
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0])
@@ -186,6 +187,96 @@ def test_trace_branch_square32_pins(square32, p):
     first = next(pt for pt in tr.points if pt.deviation > 0.0)
     assert first.lam == pytest.approx(first_lam, rel=1e-10)
     assert tr.points[-1].lam == pytest.approx(last_lam, rel=1e-10)
+
+
+def _counting_splu(monkeypatch):
+    # every splu call made through the name bound in the branch module
+    specs = []
+
+    def counting_splu(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(bmod, "splu", counting_splu)
+    return specs
+
+
+@pytest.mark.parametrize("p, budget", [(2.0, 50), (0.5, 90)])
+def test_trace_branch_square32_factor_budget(square32, monkeypatch, p,
+                                             budget):
+    specs = _counting_splu(monkeypatch)
+    lam2 = spectral_gap(square32).eigenvalue
+    tr = trace_branch(square32, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
+    assert len(specs) <= budget
+    assert specs.count("NATURAL") == tr.factorizations
+    assert 0 < tr.refactorizations < tr.factorizations
+
+
+def test_trace_branch_square64_stays_on_axis_branch(square64):
+    # lambda2 of the square is double; the trace follows the supercritical
+    # axis branch that the gap eigenfunction picks, so lam rises at every
+    # point and mu1 is the first non-constant lam. A corrector that drifts
+    # along the second eigenfunction lands on the diagonal branch, where
+    # lam first falls below that value
+    lam2 = spectral_gap(square64).eigenvalue
+    tr = trace_branch(square64, 2.0, 0.8 * lam2, direction=1)
+    pts = [pt for pt in tr.points if pt.deviation > 0.0]
+    assert all(b.lam > a.lam for a, b in zip(pts, pts[1:]))
+    assert estimate_mu1(tr, 2.0) == pts[0].lam
+
+
+def _corrector_problem(g, p, k=10):
+    # the arguments of a half-length continuation step from the k-th
+    # non-constant point of the square32 trace, as trace_branch makes them
+    lam2 = spectral_gap(g).eigenvalue
+    tr = trace_branch(g, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
+    bif = tr.bifurcation_lambda
+    scale = bif ** (1.0 / (p - 1.0))
+    pts = [pt for pt in tr.points if pt.deviation > 0.0]
+    u, ell = pts[k].solution.values, pts[k].lam / bif
+    dm = (u - pts[k - 1].solution.values) / scale
+    dl = ell - pts[k - 1].lam / bif
+    nrm = math.sqrt(g.integrate(dm * dm) + dl * dl)
+    tu, tl = dm / nrm, dl / nrm
+    ds = 0.5 * nrm
+    return (g, p, u + ds * scale * tu, ell + ds * tl, tu / scale, tl, ds,
+            bif, u, ell)
+
+
+def test_arc_correct_refreshes_stale_factor(square32):
+    # at p = 2 such a factor still contracts 4x per step; at p = 0.5 the
+    # monitor has to refresh it
+    args = _corrector_problem(square32, 0.5)
+    (g, p, u0, ell0), lam_ref = args[:4], args[7]
+    fresh = bmod.BranchTrace([], None)
+    _, ell_fresh, res_fresh, _ = bmod._arc_correct(*args, work=fresh)
+    # a factor built at a lam 20% away from the predictor's
+    chord = bmod._Chord(bmod._factor_jacobian(g, p, 1.2 * lam_ref * ell0, u0))
+    stale = bmod.BranchTrace([], None)
+    _, ell_stale, res_stale, _ = bmod._arc_correct(*args, work=stale,
+                                                   chord=chord)
+    assert ell_stale == pytest.approx(ell_fresh, rel=1e-8)
+    assert max(res_fresh, res_stale) <= 1e-9
+    assert stale.refactorizations >= 1
+    assert chord.lu is not None
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0])
+def test_trace_branch_keeps_one_factor_alive(square32, monkeypatch, p):
+    refs = []
+    alive_at_build = []
+
+    class TrackedLU(bmod._JacobianLU):
+        def __init__(self, lu, perm):
+            alive_at_build.append(sum(r() is not None for r in refs))
+            super().__init__(lu, perm)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(bmod, "_JacobianLU", TrackedLU)
+    lam2 = spectral_gap(square32).eigenvalue
+    tr = trace_branch(square32, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
+    assert len(refs) == tr.factorizations > 0
+    assert alive_at_build == [0] * tr.factorizations
 
 
 def _scaled_steps(g, tr, p):

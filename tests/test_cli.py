@@ -137,10 +137,21 @@ def test_mu1_json_solver_block(capsys):
     assert doc["mu1_estimate"] is not None
     solver = doc["solver"]
     assert sorted(solver) == ["corrector_iterations", "factorizations",
-                              "rejected_steps", "stop"]
+                              "refactorizations", "rejected_steps", "stop"]
     assert solver["stop"] in ("lam_cap", "n_max", "step_failures")
     assert 0 < solver["factorizations"] < solver["corrector_iterations"]
     assert doc["truncated"] == (solver["stop"] == "step_failures")
+
+
+def test_mu1_csv_is_deterministic(tmp_path, capsys):
+    # the corrector carries a Jacobian factor from point to point; none of
+    # that state may survive into a second run
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        code, _, _ = run(capsys, "mu1", "--domain", "rectangle", "--n", "32",
+                         "--p", "0.5", "--out", str(out))
+        assert code == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_config_file_and_override(tmp_path, capsys):
