@@ -213,71 +213,66 @@ def newton_solve(grid: Grid, p: float, lam: float, initial: Field,
     if u.min() <= 0.0:
         raise PositivityError("the initial field must be positive")
     try:
-        return _newton_plain(grid, p, lam, u, tol, max_iter)
+        return _newton(grid, p, lam, u, _identity, _guarded_step(grid),
+                       tol, max_iter)
     except DampingError:
-        return _newton_log(grid, p, lam, u, tol, max_iter)
+        return _newton(grid, p, lam, np.log(u), np.exp, _log_step,
+                       tol, max_iter)
 
 
-def _newton_plain(grid: Grid, p: float, lam: float, u: np.ndarray,
-                  tol: float, max_iter: int) -> BranchPoint:
-    res = math.inf
-    for _ in range(max_iter):
-        F = _residual(grid, p, lam, u)
-        res = _scaled_norm(grid, p, lam, u, F)
-        if res <= tol:
-            return BranchPoint(lam, Field(grid, u), grid.deviation(u),
-                               res, 0.0)
-        s = -_jac_solve(_factor_jacobian(grid, p, lam, u), grid, F)
+def _identity(x: np.ndarray) -> np.ndarray:
+    return x
+
+
+def _guarded_step(grid: Grid):
+    """Step transform of the plain iteration: a blow-up means singular."""
+    def step(u: np.ndarray, s: np.ndarray) -> np.ndarray:
         norm_s = math.sqrt(grid.integrate(s * s))
         norm_u = math.sqrt(grid.integrate(u * u))
         if norm_s > 1e10 * max(1.0, norm_u):
             raise SingularJacobianError("Newton step blew up (singular system)")
-        alpha = 1.0
-        accepted = False
-        while alpha >= 1e-12:
-            cand = u + alpha * s
-            if cand.min() > 0.0:
-                Fc = _residual(grid, p, lam, cand)
-                if (_scaled_norm(grid, p, lam, cand, Fc)
-                        <= (1.0 - 1e-4 * alpha) * res):
-                    u = cand
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            raise DampingError(
-                f"Newton damping failed at lam={lam:g} (residual {res:.3e})")
-    raise ConvergenceError("Newton did not converge", res, max_iter)
+        return s
+
+    return step
 
 
-def _newton_log(grid: Grid, p: float, lam: float, u0: np.ndarray,
-                tol: float, max_iter: int) -> BranchPoint:
-    w = np.log(u0)
+def _log_step(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Step transform in log variables: (J diag(u)) t = -F gives t = s / u."""
+    t = s / u
+    tmax = np.abs(t).max()
+    if tmax > 5.0:
+        t = t * (5.0 / tmax)   # cap the multiplicative update
+    return t
+
+
+def _newton(grid: Grid, p: float, lam: float, x: np.ndarray, to_u, step,
+            tol: float, max_iter: int) -> BranchPoint:
+    """Damped Newton in the variables x with u = to_u(x).
+
+    ``step(u, s)`` maps the Newton step s of u to a step of x. Each step is
+    halved until the candidate is positive and the residual decreases.
+    """
     res = math.inf
     for _ in range(max_iter):
-        u = np.exp(w)
+        u = to_u(x)
         F = _residual(grid, p, lam, u)
         res = _scaled_norm(grid, p, lam, u, F)
         if res <= tol:
             return BranchPoint(lam, Field(grid, u), grid.deviation(u),
                                res, 0.0)
-        # the step of the log variables solves (J diag(u)) s = -F
-        s = -_jac_solve(_factor_jacobian(grid, p, lam, u), grid, F) / u
-        smax = np.abs(s).max()
-        if smax > 5.0:
-            s = s * (5.0 / smax)   # cap the multiplicative update
+        s = step(u, -_jac_solve(_factor_jacobian(grid, p, lam, u), grid, F))
         alpha = 1.0
-        accepted = False
         while alpha >= 1e-12:
-            cand = np.exp(w + alpha * s)
-            Fc = _residual(grid, p, lam, cand)
-            if (_scaled_norm(grid, p, lam, cand, Fc)
-                    <= (1.0 - 1e-4 * alpha) * res):
-                w = w + alpha * s
-                accepted = True
-                break
+            cand_x = x + alpha * s
+            cand = to_u(cand_x)
+            if cand.min() > 0.0:
+                Fc = _residual(grid, p, lam, cand)
+                if (_scaled_norm(grid, p, lam, cand, Fc)
+                        <= (1.0 - 1e-4 * alpha) * res):
+                    x = cand_x
+                    break
             alpha *= 0.5
-        if not accepted:
+        else:
             raise DampingError(
                 f"Newton damping failed at lam={lam:g} (residual {res:.3e})")
     raise ConvergenceError("Newton did not converge", res, max_iter)

@@ -223,12 +223,24 @@ def cmd_quotient(cfg: RunConfig) -> None:
     write_csv(cfg, ("lambda", "mu", "constant_deviation", "iterations"), rows)
 
 
-def cmd_mu2(cfg: RunConfig) -> None:
-    grid = make_grid(cfg)
+def _mu2(cfg: RunConfig, grid):
+    """lambda2, the explicit bounds and the measured mu2 bracket."""
     bracket = variational_mod.estimate_mu2(grid, cfg.p, tol=cfg.tol,
                                            seed=cfg.seed)
     lam2 = spectral_gap(grid).eigenvalue
     rep = constants_mod.rigidity_bounds(cfg.p, grid.dim, lam2)
+    return lam2, rep, bracket
+
+
+def _mu1(cfg: RunConfig, grid):
+    """The branch traced from 0.8 lambda2/|p-1| upward and its mu1."""
+    lam_star = spectral_gap(grid).eigenvalue / abs(cfg.p - 1.0)
+    trace = branch_mod.trace_branch(grid, cfg.p, 0.8 * lam_star, direction=1)
+    return trace, branch_mod.estimate_mu1(trace, cfg.p)
+
+
+def cmd_mu2(cfg: RunConfig) -> None:
+    lam2, rep, bracket = _mu2(cfg, make_grid(cfg))
     lo, hi = rep.threshold_window()
     write_json(cfg, {
         "mu2_lo": bracket.mu2_lo, "mu2_hi": bracket.mu2_hi,
@@ -237,11 +249,7 @@ def cmd_mu2(cfg: RunConfig) -> None:
 
 
 def cmd_mu1(cfg: RunConfig) -> None:
-    grid = make_grid(cfg)
-    lam2 = spectral_gap(grid).eigenvalue
-    lam_star = lam2 / abs(cfg.p - 1.0)
-    trace = branch_mod.trace_branch(grid, cfg.p, 0.8 * lam_star, direction=1)
-    est = branch_mod.estimate_mu1(trace, cfg.p)
+    trace, est = _mu1(cfg, make_grid(cfg))
     if cfg.out:
         rows = [(pt.lam, pt.deviation, float(np.max(np.abs(pt.solution.values))),
                  pt.arclength) for pt in trace.points]
@@ -310,14 +318,8 @@ def cmd_klt(cfg: RunConfig) -> None:
 def cmd_report(cfg: RunConfig) -> None:
     """Headline summary: explicit bounds vs measured thresholds and duality."""
     grid = make_grid(cfg)
-    lam2 = spectral_gap(grid).eigenvalue
-    rep = constants_mod.rigidity_bounds(cfg.p, grid.dim, lam2)
-    win_lo, win_hi = rep.threshold_window()
-    bracket = variational_mod.estimate_mu2(grid, cfg.p, tol=cfg.tol,
-                                           seed=cfg.seed)
-    lam_star = lam2 / abs(cfg.p - 1.0)
-    trace = branch_mod.trace_branch(grid, cfg.p, 0.8 * lam_star, direction=1)
-    mu1 = branch_mod.estimate_mu1(trace, cfg.p)
+    lam2, rep, bracket = _mu2(cfg, grid)
+    trace, mu1 = _mu1(cfg, grid)
     mu_mid = 0.5 * (bracket.mu2_lo + bracket.mu2_hi)
     gaps = {}
     for label, mu in (("half", 0.5 * mu_mid), ("one", mu_mid),
@@ -330,7 +332,7 @@ def cmd_report(cfg: RunConfig) -> None:
         "lambda2": lam2,
         "bounds": {k: v for k, v in asdict(rep).items()
                    if k not in ("p", "d")},
-        "threshold_window": [win_lo, win_hi],
+        "threshold_window": list(rep.threshold_window()),
         "mu2_bracket": [bracket.mu2_lo, bracket.mu2_hi],
         "mu2_open_upper": bracket.open_upper,
         "mu1_estimate": mu1,

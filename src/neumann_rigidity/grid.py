@@ -21,6 +21,7 @@ hold in exact arithmetic, mirroring their continuum counterparts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import IO, List, Tuple
@@ -165,12 +166,9 @@ class Grid:
         out = np.zeros_like(u, dtype=float)
         for a, fw in enumerate(self.face_weights):
             g = fw * np.diff(u, axis=a)
-            lo = [slice(None)] * u.ndim
-            hi = [slice(None)] * u.ndim
-            lo[a] = slice(None, -1)
-            hi[a] = slice(1, None)
-            out[tuple(lo)] -= g
-            out[tuple(hi)] += g
+            lo, hi = _along(u.ndim, a, "faces")
+            out[lo] -= g
+            out[hi] += g
         return out
 
     def weighted_stiffness_apply(self, coeff: np.ndarray,
@@ -178,14 +176,11 @@ class Grid:
         """K_c u for the form sum over faces of face_weight * mean(c) * du dv."""
         out = np.zeros_like(u, dtype=float)
         for a, fw in enumerate(self.face_weights):
-            lo = [slice(None)] * u.ndim
-            hi = [slice(None)] * u.ndim
-            lo[a] = slice(None, -1)
-            hi[a] = slice(1, None)
-            cbar = 0.5 * (coeff[tuple(lo)] + coeff[tuple(hi)])
+            lo, hi = _along(u.ndim, a, "faces")
+            cbar = 0.5 * (coeff[lo] + coeff[hi])
             g = fw * cbar * np.diff(u, axis=a)
-            out[tuple(lo)] -= g
-            out[tuple(hi)] += g
+            out[lo] -= g
+            out[hi] += g
         return out
 
     def laplacian(self, u: np.ndarray) -> np.ndarray:
@@ -197,23 +192,11 @@ class Grid:
         out = np.zeros_like(u, dtype=float)
         for a, h in enumerate(self.spacing):
             g = np.empty_like(u, dtype=float)
-            mid = [slice(None)] * u.ndim
-            up = [slice(None)] * u.ndim
-            dn = [slice(None)] * u.ndim
-            mid[a] = slice(1, -1)
-            up[a] = slice(2, None)
-            dn[a] = slice(None, -2)
-            g[tuple(mid)] = (u[tuple(up)] - u[tuple(dn)]) / (2.0 * h)
-            first = [slice(None)] * u.ndim
-            second = [slice(None)] * u.ndim
-            first[a] = 0
-            second[a] = 1
-            g[tuple(first)] = (u[tuple(second)] - u[tuple(first)]) / h
-            last = [slice(None)] * u.ndim
-            prev = [slice(None)] * u.ndim
-            last[a] = -1
-            prev[a] = -2
-            g[tuple(last)] = (u[tuple(last)] - u[tuple(prev)]) / h
+            mid, up, dn, first, second, last, prev = _along(
+                u.ndim, a, "stencil")
+            g[mid] = (u[up] - u[dn]) / (2.0 * h)
+            g[first] = (u[second] - u[first]) / h
+            g[last] = (u[last] - u[prev]) / h
             out += g * g
         return out
 
@@ -223,36 +206,18 @@ class Grid:
         """Mirrored second difference along axis a (ghost u[-1] = u[1])."""
         h = self.spacing[a]
         out = np.empty_like(u, dtype=float)
-        mid = [slice(None)] * u.ndim
-        up = [slice(None)] * u.ndim
-        dn = [slice(None)] * u.ndim
-        mid[a] = slice(1, -1)
-        up[a] = slice(2, None)
-        dn[a] = slice(None, -2)
-        out[tuple(mid)] = (u[tuple(up)] - 2.0 * u[tuple(mid)] + u[tuple(dn)]) / h**2
-        first = [slice(None)] * u.ndim
-        second = [slice(None)] * u.ndim
-        first[a] = 0
-        second[a] = 1
-        out[tuple(first)] = 2.0 * (u[tuple(second)] - u[tuple(first)]) / h**2
-        last = [slice(None)] * u.ndim
-        prev = [slice(None)] * u.ndim
-        last[a] = -1
-        prev[a] = -2
-        out[tuple(last)] = 2.0 * (u[tuple(prev)] - u[tuple(last)]) / h**2
+        mid, up, dn, first, second, last, prev = _along(u.ndim, a, "stencil")
+        out[mid] = (u[up] - 2.0 * u[mid] + u[dn]) / h**2
+        out[first] = 2.0 * (u[second] - u[first]) / h**2
+        out[last] = 2.0 * (u[prev] - u[last]) / h**2
         return out
 
     def _first_diff_odd(self, u: np.ndarray, a: int) -> np.ndarray:
         """Centered first difference, zero at faces (odd mirror reflection)."""
         h = self.spacing[a]
         out = np.zeros_like(u, dtype=float)
-        mid = [slice(None)] * u.ndim
-        up = [slice(None)] * u.ndim
-        dn = [slice(None)] * u.ndim
-        mid[a] = slice(1, -1)
-        up[a] = slice(2, None)
-        dn[a] = slice(None, -2)
-        out[tuple(mid)] = (u[tuple(up)] - u[tuple(dn)]) / (2.0 * h)
+        mid, up, dn = _along(u.ndim, a, "stencil")[:3]
+        out[mid] = (u[up] - u[dn]) / (2.0 * h)
         return out
 
     def hessian_frobenius(self, u: np.ndarray) -> float:
@@ -318,6 +283,22 @@ class Grid:
         kx, ky = mats
         return (sparse.kron(kx, sparse.diags(wy)) +
                 sparse.kron(sparse.diags(wx), ky)).tocsr()
+
+
+_PICKS = {
+    # the lower and upper node of every face
+    "faces": (slice(None, -1), slice(1, None)),
+    # three-point stencil: interior nodes, their upper and lower neighbours,
+    # then each boundary node followed by its inner neighbour
+    "stencil": (slice(1, -1), slice(2, None), slice(None, -2), 0, 1, -1, -2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _along(ndim: int, a: int, which: str) -> Tuple[tuple, ...]:
+    """Index tuples of the ``which`` picks along axis a, whole other axes."""
+    return tuple(tuple(pick if b == a else slice(None) for b in range(ndim))
+                 for pick in _PICKS[which])
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:

@@ -39,6 +39,34 @@ def _fix_sign(u: np.ndarray) -> np.ndarray:
     return -u if u[k] < 0.0 else u
 
 
+def _inverse_iteration(lu, A, w: np.ndarray, u: np.ndarray, tol: float,
+                       max_iter: int, project: bool, what: str):
+    """Shifted inverse iteration for A u = lambda M u from the start ``u``.
+
+    ``lu`` factors the shifted pencil. With ``project`` every iterate is
+    M-projected onto mean zero, which removes the constant mode. Returns
+    (lambda, u, residual, iterations); the relative operator residual is
+    at most ``tol``.
+    """
+    res = math.inf
+    iters = 0
+    for iters in range(1, max_iter + 1):
+        u = lu.solve(w * u)
+        if project:
+            u -= np.dot(w, u)
+        nrm = _m_norm(w, u)
+        if nrm == 0.0:
+            raise ConvergenceError("inverse iteration collapsed", res, iters)
+        u /= nrm
+        Au = A @ u
+        lam = float(np.dot(u, Au))
+        res = _m_norm(w, Au / w - lam * u)
+        if res <= tol * max(abs(lam), 1.0):
+            return lam, u, res, iters
+    raise ConvergenceError(
+        f"{what} iteration did not reach tol={tol:g}", res, iters)
+
+
 def spectral_gap(grid: Grid, tol: float = 1e-10,
                  max_iter: int = _MAX_OUTER) -> EigenPair:
     """Smallest nonzero Neumann eigenvalue with its eigenfunction.
@@ -51,36 +79,16 @@ def spectral_gap(grid: Grid, tol: float = 1e-10,
     if key in grid._cache:
         return grid._cache[key]
 
-    K = grid.sparse_stiffness()
     w = grid.mass_vector()
-    n = w.size
     # K + M is positive definite; the constant mode is projected away in
     # the M inner product, so the iteration converges to the gap mode.
-    lu = grid.shifted_factor(1.0)
-
     rng = np.random.default_rng(12345)
-    u = rng.standard_normal(n)
+    u = rng.standard_normal(w.size)
     u -= np.dot(w, u)  # unit measure: M-projection onto mean zero
     u /= _m_norm(w, u)
-
-    lam = 0.0
-    res = math.inf
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        u = lu.solve(w * u)
-        u -= np.dot(w, u)
-        nrm = _m_norm(w, u)
-        if nrm == 0.0:
-            raise ConvergenceError("inverse iteration collapsed", res, iters)
-        u /= nrm
-        Ku = K @ u
-        lam = float(np.dot(u, Ku))
-        res = _m_norm(w, Ku / w - lam * u)
-        if res <= tol * max(lam, 1.0):
-            break
-    else:
-        raise ConvergenceError(
-            f"spectral gap iteration did not reach tol={tol:g}", res, iters)
+    lam, u, res, iters = _inverse_iteration(
+        grid.shifted_factor(1.0), grid.sparse_stiffness(), w, u, tol,
+        max_iter, True, "spectral gap")
 
     u = _fix_sign(u)
     pair = EigenPair(lam, Field(grid, u.reshape(grid.shape)), res, iters)
@@ -105,30 +113,16 @@ def schrodinger_ground_state(grid: Grid, potential, sign: int,
     if not np.all(np.isfinite(phi)):
         raise RangeError("potential must be finite")
 
-    K = grid.sparse_stiffness()
     w = grid.mass_vector()
     v = sign * phi.ravel()
-    A = K + sparse.diags(w * v)
+    A = grid.sparse_stiffness() + sparse.diags(w * v)
     # -lap >= 0, so the spectrum is bounded below by min(sign*phi)
     sigma = float(v.min()) - 1.0
     lu = splu((A - sigma * sparse.diags(w)).tocsc())
-
     u = np.full(w.size, 1.0)
     u /= _m_norm(w, u)
-    lam = 0.0
-    res = math.inf
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        u = lu.solve(w * u)
-        u /= _m_norm(w, u)
-        Au = A @ u
-        lam = float(np.dot(u, Au))
-        res = _m_norm(w, Au / w - lam * u)
-        if res <= tol * max(abs(lam), 1.0):
-            break
-    else:
-        raise ConvergenceError(
-            f"ground-state iteration did not reach tol={tol:g}", res, iters)
+    lam, u, res, iters = _inverse_iteration(lu, A, w, u, tol, max_iter,
+                                            False, "ground-state")
 
     if grid.integrate(u.reshape(grid.shape)) < 0.0:
         u = -u

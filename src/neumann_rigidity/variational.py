@@ -8,16 +8,21 @@ for p < 1 the companion quotient
 
     lam(mu) = inf_u (||grad u||_2^2 + mu ||u||_{p+1}^2) / ||u||_2^2.
 
-Both are minimized by projected Sobolev-gradient descent on the relevant
-norm sphere (Neuberger, LNM 1670): the L2 gradient g is replaced by its
-Riesz representative d = (K + sigma M)^-1 M g, sigma = max(1, parameter),
-with Barzilai-Borwein steps measured in that metric, Armijo backtracking
-and a small multi-start ladder (constant, eigenfunction perturbations, one
-seeded random field). Since quotients are invariant under u -> |u|,
-iterates are folded positive at every step, which also realizes the
-positivity of the returned minimizers. ``estimate_lambda_star`` descends
-in L2: its ratio has a 0/0 limit at the constant function, which the H^1
-descent reaches from every start and then stalls in.
+Every objective is minimized by one engine, projected Sobolev-gradient
+descent on a norm sphere in one metric (Neuberger, LNM 1670): the L2
+gradient g is replaced by its Riesz representative d = (K + sigma M)^-1 M g,
+sigma = max(1, parameter), with Barzilai-Borwein steps measured in that
+metric, Armijo backtracking and a small multi-start ladder (constant,
+eigenfunction perturbations, one seeded random field). Since the
+objectives are invariant under u -> |u|, iterates are folded positive at
+every step, which also realizes the positivity of the returned minimizers.
+
+Thresholds come from one bisection on the parameter. A parameter counts
+as broken when a positive function beats the constants there, so the
+upper end of each bracket is witnessed by the minimizer that broke it.
+The optimal interpolation constant is lam* = |p-1| mu2 for p != 1; at
+p = 1 (log-Sobolev) the bisection runs on c with the objective
+energy - c Ent, which vanishes at the constants.
 """
 
 from __future__ import annotations
@@ -105,16 +110,14 @@ def _inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(w * a * b))
 
 
-def _metric(grid: Grid, sigma: Optional[float]):
+def _metric(grid: Grid, sigma: float):
     """Riesz map, squared step length and first step of the descent metric.
 
-    ``sigma=None`` is the L2 metric. Otherwise it is the Sobolev metric
-    K + sigma*M with direction d = (K + sigma*M)^-1 M g, whose conditioning,
-    unlike that of L2, does not degrade as the grid is refined.
+    The metric is K + sigma*M with direction d = (K + sigma*M)^-1 M g,
+    whose conditioning, unlike that of L2, does not degrade as the grid is
+    refined.
     """
     w = grid.weights
-    if sigma is None:
-        return (lambda g: g), (lambda s: _inner(w, s, s)), 0.1 * grid.h_min**2
     K = grid.sparse_stiffness()
     lu = grid.shifted_factor(sigma)
 
@@ -140,7 +143,7 @@ def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
     stalled = False
     it = 0
     for it in range(1, max_iter + 1):
-        # the stopping rule reads the L2 gradient whatever the metric
+        # the stopping rule reads the L2 gradient, not the metric's
         gnorm = math.sqrt(max(gg, 0.0))
         flat = (len(hist) == _F_WINDOW + 1 and
                 hist[0] - f <= _F_REL_TOL * max(abs(f), 1e-30))
@@ -148,7 +151,7 @@ def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
             converged = True
             break
         d = riesz(g)
-        gd = gg if d is g else _inner(w, g, d)  # the L2 map returns g
+        gd = _inner(w, g, d)
         a = alpha
         accepted = False
         for _ in range(60):
@@ -239,13 +242,13 @@ def _quotient_l2(grid: Grid, c: float, p: float):
 
 
 def _run_multistart(grid: Grid, objective, starts: Sequence[np.ndarray],
-                    scale: float, sigma: Optional[float],
-                    max_iter: int = _MAX_ITER):
+                    scale: float, max_iter: int = _MAX_ITER):
     """Best iterate, its record and the records of all ``starts``.
 
-    ``sigma`` selects the metric (see ``_metric``); the starts share it.
+    ``scale`` is both the shift of the metric (see ``_metric``), which the
+    starts share, and the scale of the gradient tolerance.
     """
-    metric = _metric(grid, sigma)
+    metric = _metric(grid, scale)
     runs = [_descend(grid, u0, objective, scale, metric, max_iter=max_iter)
             for u0 in starts]
     records = tuple(rec for _, rec in runs)
@@ -285,7 +288,7 @@ def _solve(grid: Grid, param: float, objective, sign: float, seed: int,
     """
     scale = max(1.0, param)
     starts = _starts(grid, seed)
-    u, best, records = _run_multistart(grid, objective, starts, scale, scale,
+    u, best, records = _run_multistart(grid, objective, starts, scale,
                                        max_iter=max_iter)
     u = np.maximum(u, 1e-300)
     return QuotientSolve(
@@ -327,6 +330,51 @@ def lambda_of_mu(grid: Grid, mu: float, p: float, seed: int = 0
     return _solve(grid, mu, _quotient_l2(grid, -mu, p), -1.0, seed)
 
 
+def _threshold_bracket(grid: Grid, p: float, scale: float, tol: float,
+                       broken, stage: str) -> Tuple[float, float, bool]:
+    """Bisection bracket (lo, hi, open_upper) of the parameter where
+    ``broken`` starts to hold.
+
+    ``broken(x)`` runs one solve. The search starts from half the explicit
+    rigidity bound, 0.5 (1 - theta*) ``scale``, which must not be broken,
+    and from 1.05 ``scale``; the upper end grows 1.25x until ``broken`` holds,
+    and is flagged open at the cap 3 ``scale``. Halving then narrows the
+    bracket to width ``tol * scale``. A ConvergenceError raised here
+    carries ``stage``, the parameter of the failed solve and its step:
+    the number of solves of the search before it (0 is the lower end).
+    """
+    solves = 0
+
+    def check(x: float) -> bool:
+        nonlocal solves
+        try:
+            out = broken(x)
+        except ConvergenceError as exc:
+            exc.stage, exc.lam, exc.step = stage, x, solves
+            raise
+        solves += 1
+        return out
+
+    lo = 0.5 * (1.0 - theta_star(p, grid.dim)) * scale
+    if check(lo):
+        raise ConvergenceError(
+            "symmetry breaking below the explicit rigidity bound: "
+            "the discretization is too coarse", stage=stage, lam=lo, step=0)
+    hi = 1.05 * scale
+    cap = 3.0 * scale
+    while not check(hi):
+        hi *= 1.25
+        if hi > cap:
+            return lo, cap, True
+    while hi - lo > tol * scale:
+        mid = 0.5 * (lo + hi)
+        if check(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, False
+
+
 def estimate_mu2(grid: Grid, p: float, tol: float = 0.01,
                  rel_gap_tol: float = 1e-6, seed: int = 0) -> Mu2Bracket:
     """Bisection bracket for the threshold where the quotient leaves y = x.
@@ -340,46 +388,20 @@ def estimate_mu2(grid: Grid, p: float, tol: float = 0.01,
     1e-6 keeps the systematic overshoot of the detected threshold near
     0.3% while staying far above the solver's 1e-10 resolution.
 
-    A ConvergenceError raised here carries the stage ``"mu2 bisection"``,
-    the parameter of the failed solve and its step: the number of
-    quotient solves of the search before it (0 is the lower end).
+    A ConvergenceError raised here carries the stage ``"mu2 bisection"``
+    (see ``_threshold_bracket``).
     """
     _check_p(grid, p)
     if not tol > 0.0:
         raise RangeError("tol must be positive")
-    lam2 = spectral_gap(grid).eigenvalue
-    scale = lam2 / abs(p - 1.0)
-    solves = 0
+    scale = spectral_gap(grid).eigenvalue / abs(p - 1.0)
 
     def broken(x: float) -> bool:
-        nonlocal solves
-        try:
-            sol = minimize_quotient(grid, x, p, seed=seed)
-        except ConvergenceError as exc:
-            exc.stage, exc.lam, exc.step = "mu2 bisection", x, solves
-            raise
-        solves += 1
+        sol = minimize_quotient(grid, x, p, seed=seed)
         return sol.mu_out < x * (1.0 - rel_gap_tol)
 
-    lo = 0.5 * (1.0 - theta_star(p, grid.dim)) * scale
-    if broken(lo):
-        raise ConvergenceError(
-            "symmetry breaking below the explicit rigidity bound: "
-            "the discretization is too coarse",
-            stage="mu2 bisection", lam=lo, step=0)
-    hi = 1.05 * scale
-    cap = 3.0 * scale
-    while not broken(hi):
-        hi *= 1.25
-        if hi > cap:
-            return Mu2Bracket(lo, cap, open_upper=True)
-    while hi - lo > tol * scale:
-        mid = 0.5 * (lo + hi)
-        if broken(mid):
-            hi = mid
-        else:
-            lo = mid
-    return Mu2Bracket(lo, hi, open_upper=False)
+    return Mu2Bracket(*_threshold_bracket(grid, p, scale, tol, broken,
+                                          "mu2 bisection"))
 
 
 def fit_scaling_exponent(grid: Grid, p: float,
@@ -403,94 +425,71 @@ def fit_scaling_exponent(grid: Grid, p: float,
     base = _starts(grid, seed)
     for lam in lams:
         starts = base if prev is None else [prev] + base
-        scale = max(1.0, lam)
         prev, best, _ = _run_multistart(
-            grid, _quotient_p_gt1(grid, lam, p), starts, scale, scale)
+            grid, _quotient_p_gt1(grid, lam, p), starts, max(1.0, lam))
         mus.append(best.value)
     slope = np.polyfit(np.log(lams), np.log(np.asarray(mus)), 1)[0]
     return float(slope)
 
 
 # ----------------------------------------------------------------------
-# direct estimates of the optimal interpolation constant
-def _lambda_star_ratio(grid: Grid, p: float):
-    """(p-1) * energy / (||u||_{p+1}^2 - ||u||_2^2) on the unit L2 sphere."""
+# the optimal interpolation constant
+def _lsi_deficit(grid: Grid, c: float):
+    """The p = 1 deficit energy - c Ent (``j_lambda``) on the unit L2 sphere.
+
+    The constants give 0. Iterates are floored at 1e-12 of their maximum,
+    which keeps the logarithm finite.
+    """
     w = grid.weights
-
-    def denom(u):
-        np1 = grid.lp_norm(u, p + 1.0)
-        return np1, (np1**2 - grid.integrate(u * u)) / (p - 1.0)
-
-    def value(u):
-        d = denom(u)[1]
-        if d <= 1e-15:
-            return math.inf
-        return grid.energy(u) / d
-
-    def value_grad(u):
-        ku = grid.stiffness_apply(u)
-        e = float(np.sum(u * ku))
-        np1, d = denom(u)
-        if d <= 1e-15:
-            return math.inf, np.zeros_like(u)
-        f = e / d
-        ddenom = 2.0 * (np1 ** (1.0 - p) * u**p - u) / (p - 1.0)
-        grad = (2.0 * ku / w - f * ddenom) / d
-        return f, grad
-
-    return _sphere(grid), value, value_grad
-
-
-def _lambda_star_lsi(grid: Grid):
-    """energy / entropy quotient for the logarithmic Sobolev constant."""
-    w = grid.weights
+    sphere = _sphere(grid)
 
     def normalize(u):
         u = np.abs(u)
-        u = np.maximum(u, 1e-12 * u.max())
-        nrm = math.sqrt(grid.integrate(u * u))
-        return u / nrm
-
-    def entropy(u):
-        sq = grid.integrate(u * u)
-        return 0.5 * grid.integrate(u * u * np.log(u * u / sq))
+        return sphere(np.maximum(u, 1e-12 * u.max()))
 
     def value(u):
-        ent = entropy(u)
-        if ent <= 1e-15:
-            return math.inf
-        return grid.energy(u) / ent
+        return j_lambda(Field(grid, u), c, 1.0)
 
     def value_grad(u):
         ku = grid.stiffness_apply(u)
-        ent = entropy(u)
-        if ent <= 1e-15:
-            return math.inf, np.zeros_like(u)
-        f = float(np.sum(u * ku)) / ent
-        sq = grid.integrate(u * u)
-        dent = u * np.log(u * u / sq)
-        grad = (2.0 * ku / w - f * dent) / ent
-        return f, grad
+        dent = u * np.log(u * u / grid.integrate(u * u))  # L2 gradient of Ent
+        f = float(np.sum(u * ku)) - 0.5 * c * grid.integrate(u * dent)
+        return f, 2.0 * (ku / w - f * u) - c * dent
 
     return normalize, value, value_grad
 
 
 def estimate_lambda_star(grid: Grid, p: float, seed: int = 0) -> float:
-    """Numerical estimate of the optimal interpolation constant.
+    """Witnessed upper bound on the optimal interpolation constant.
 
-    p = 1 estimates the logarithmic Sobolev constant. The estimate is the
-    best quotient value reached from eigenfunction-perturbed and random
-    starts; it upper-bounds the discrete optimal constant and approaches
-    the spectral gap when constants are optimal.
+    For p != 1 the constant is lam* = |p-1| mu2, and the estimate is |p-1|
+    times the upper end of the ``estimate_mu2`` bracket. p = 1 estimates
+    the logarithmic Sobolev constant: c is bisected on the sign of the
+    minimum of energy - c Ent over the unit L2 sphere, broken meaning a
+    minimum below -1e-6 c, and the estimate is the upper end of the
+    bracket. Either way a positive function beats the inequality at the
+    returned constant, and the bracket is 0.01 lambda2 wide. Both descend
+    in the Sobolev metric of the quotient solves.
+
+    A bracket left open at its cap holds no witness and raises
+    ConvergenceError with the stage ``"lambda_star bracket"``.
     """
-    if p != 1.0:
-        _check_p(grid, p)
-    u2 = spectral_gap(grid).eigenfunction.values
-    rng = SplitMix64(seed).spawn(23)
-    starts = [np.maximum(1.0 + 0.3 * u2, 1e-3),
-              np.maximum(1.0 - 0.3 * u2, 1e-3),
-              1.0 + 0.5 * rng.uniforms(grid.shape)]
-    objective = _lambda_star_lsi(grid) if p == 1.0 else _lambda_star_ratio(grid, p)
-    lam2 = spectral_gap(grid).eigenvalue
-    _, best, _ = _run_multistart(grid, objective, starts, max(1.0, lam2), None)
-    return best.value
+    if p == 1.0:
+        lam2 = spectral_gap(grid).eigenvalue
+
+        def broken(c: float) -> bool:
+            sol = _solve(grid, c, _lsi_deficit(grid, c), 1.0, seed)
+            return sol.mu_out < -1e-6 * c
+
+        _, hi, open_upper = _threshold_bracket(
+            grid, p, lam2, 0.01, broken, "lambda_star bisection")
+        factor = 1.0
+    else:
+        bracket = estimate_mu2(grid, p, seed=seed)
+        hi, open_upper = bracket.mu2_hi, bracket.open_upper
+        factor = abs(p - 1.0)
+    if open_upper:
+        raise ConvergenceError(
+            f"no positive function breaks the inequality below {hi:g}",
+            stage="lambda_star bracket", lam=hi)
+    return factor * hi

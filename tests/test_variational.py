@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from neumann_rigidity import (Field, PositivityError, RangeError,
-                              constant_field, estimate_lambda_star,
+from neumann_rigidity import (ConvergenceError, Field, PositivityError,
+                              RangeError, constant_field, estimate_lambda_star,
                               estimate_mu2, fit_scaling_exponent, j_lambda,
                               lambda_of_mu, minimize_quotient, spectral_gap)
 from neumann_rigidity import variational as vmod
@@ -148,22 +148,35 @@ def test_fit_scaling_exponent_interval():
     assert abs(slope - 0.75) / 0.75 < 0.10
 
 
-# estimate_lambda_star descends in the L2 metric; these are its values on
-# interval256 (an H^1 descent reaches 9.8695 from every start instead)
-_LAMBDA_STAR_256 = {1.0: 9.897691398491682, 0.25: 9.900501065169273,
-                    0.75: 9.924163535911768}
+def _lsi_deficit_min(g, c):
+    return vmod._solve(g, c, vmod._lsi_deficit(g, c), 1.0, 0).mu_out
 
 
 def test_estimate_lambda_star_interval(interval256):
+    # lam* = |p-1| mu2 for p != 1, so the estimate is the witnessed upper
+    # end of the mu2 bracket; at p = 1 it is the upper end of a bisection
+    # on the sign of min(energy - c Ent), and the minimizer found there
+    # witnesses it
     g = interval256
     lam2 = spectral_gap(g).eigenvalue
     est1 = estimate_lambda_star(g, 1.0)
     assert 0.99 * lam2 <= est1 <= 1.02 * lam2
-    assert est1 == pytest.approx(_LAMBDA_STAR_256[1.0], rel=1e-9)
+    assert _lsi_deficit_min(g, 0.95 * lam2) >= -1e-12
+    assert _lsi_deficit_min(g, est1) < 0.0
     for p in (0.25, 0.75):
         est = estimate_lambda_star(g, p)
         assert 0.99 * lam2 <= est <= 1.03 * lam2
-        assert est == pytest.approx(_LAMBDA_STAR_256[p], rel=1e-9)
+        assert est == abs(p - 1.0) * estimate_mu2(g, p).mu2_hi
+
+
+def test_estimate_lambda_star_open_bracket(monkeypatch, interval128):
+    # an open mu2 bracket has no witness at its cap, so there is no estimate
+    def open_bracket(grid, p, seed=0):
+        return vmod.Mu2Bracket(1.0, 30.0, open_upper=True)
+    monkeypatch.setattr(vmod, "estimate_mu2", open_bracket)
+    with pytest.raises(ConvergenceError) as info:
+        estimate_lambda_star(interval128, 0.5)
+    assert (info.value.stage, info.value.lam) == ("lambda_star bracket", 30.0)
 
 
 @pytest.mark.parametrize("grid_name", ["interval256", "square32", "ball256"])
