@@ -489,7 +489,7 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
 
 
 def estimate_mu1(branches: Union[BranchTrace, Sequence],
-                 p: float, deviation_rel: float = 1e-4) -> Optional[float]:
+                 deviation_rel: float = 1e-4) -> Optional[float]:
     """Smallest lam carrying a genuinely non-constant branch point.
 
     Points count as non-constant when their deviation exceeds

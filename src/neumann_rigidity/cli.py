@@ -236,7 +236,7 @@ def _mu1(cfg: RunConfig, grid):
     """The branch traced from 0.8 lambda2/|p-1| upward and its mu1."""
     lam_star = spectral_gap(grid).eigenvalue / abs(cfg.p - 1.0)
     trace = branch_mod.trace_branch(grid, cfg.p, 0.8 * lam_star, direction=1)
-    return trace, branch_mod.estimate_mu1(trace, cfg.p)
+    return trace, branch_mod.estimate_mu1(trace)
 
 
 def cmd_mu2(cfg: RunConfig) -> None:

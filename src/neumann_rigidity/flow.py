@@ -19,13 +19,21 @@ so the quadrature mass of m is conserved to round-off for every step
 size. The deficit functional of u = v^beta with constant (1-theta) times
 the discrete spectral gap is nonincreasing along the flow.
 
-Both flows take one second-order Runge-Kutta-Legendre super-time-step
-(RKL2; Meyer, Balsara & Aslam, J. Comput. Phys. 257 (2014) 594-626) from
-each stored time t_k = k t_end / n_store to the next. A step of s stages
-is stable up to (s^2+s-2)/4 forward-Euler steps; s is the least stage
-count that keeps every stage within cfl times the forward-Euler bound.
-Every stage adds multiples of the divergence-form right-hand side to an
-affine combination of earlier stages, so mass stays exact to round-off.
+The heat flow is exact in time. Its semi-discrete system v' = -M^-1 K v
+is linear with constant coefficients, and the (K, M) pencil of every grid
+is a Kronecker sum of 1-D tridiagonal pencils (``Grid.heat_modes``). So
+v is moved into the M-orthonormal modal basis once, each stored time
+t_k = k t_end / n_store multiplies the modal coefficients by
+exp(-(t_end / n_store) Lambda), and the result is mapped back to node
+values. The constant mode has eigenvalue exactly 0.
+
+The nonlinear flow takes one second-order Runge-Kutta-Legendre
+super-time-step (RKL2; Meyer, Balsara & Aslam, J. Comput. Phys. 257
+(2014) 594-626) from each stored time to the next. A step of s stages is
+stable up to (s^2+s-2)/4 forward-Euler steps; s is the least stage count
+that keeps every stage within cfl times the forward-Euler bound. Every
+stage adds multiples of the divergence-form right-hand side to an affine
+combination of earlier stages, so mass stays exact to round-off.
 """
 
 from __future__ import annotations
@@ -66,8 +74,10 @@ class FlowTrace:
     dim: int = 0
     # nonlinear runs also record int |grad v|^4 / v^2 per stored step
     quartic: Optional[np.ndarray] = None
-    # work record: accepted RKL2 steps, right-hand-side evaluations (of
-    # accepted and rejected trials) and rejected trials
+    # work record: accepted steps (RKL2 steps of the nonlinear flow, one
+    # exact modal propagation per sample of the heat flow), right-hand-side
+    # evaluations of accepted and rejected trials (0 for the heat flow) and
+    # rejected trials (0 for the heat flow)
     steps: int = 0
     rhs_evals: int = 0
     halvings: int = 0
@@ -107,6 +117,8 @@ def _rkl2_step(rhs, y0: np.ndarray, dt: float, s: int) -> np.ndarray:
     Stage j is Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + (1-mu_j-nu_j) Y_0
     + mu~_j dt rhs(Y_{j-1}) + gamma~_j dt rhs(Y_0). It is carried as the
     increment D_j = Y_j - Y_0, which keeps a constant state exactly fixed.
+    The stages are combined in buffers allocated once per step, so ``rhs``
+    may return the same buffer at every call.
     """
     w1 = 4.0 / (s * s + s - 2.0)
     b = [1.0 / 3.0] * 3 + [(j * j + j - 2.0) / (2.0 * j * (j + 1.0))
@@ -114,15 +126,21 @@ def _rkl2_step(rhs, y0: np.ndarray, dt: float, s: int) -> np.ndarray:
     f0 = dt * rhs(y0)
     d_prev2 = np.zeros_like(y0)
     d_prev = (b[1] * w1) * f0
+    d, stage, term = (np.empty_like(y0) for _ in range(3))
     for j in range(2, s + 1):
         mu = (2.0 * j - 1.0) / j * b[j] / b[j - 1]
         nu = -(j - 1.0) / j * b[j] / b[j - 2]
         mu_t = mu * w1
         gamma_t = -(1.0 - b[j - 1]) * mu_t
-        d = (mu * d_prev + nu * d_prev2 + (mu_t * dt) * rhs(y0 + d_prev)
-             + gamma_t * f0)
-        d_prev2, d_prev = d_prev, d
-    return y0 + d_prev
+        # d = mu d_prev + nu d_prev2 + mu_t dt rhs(y0 + d_prev) + gamma_t f0,
+        # summed left to right
+        np.multiply(rhs(np.add(y0, d_prev, out=stage)), mu_t * dt, out=term)
+        np.multiply(mu, d_prev, out=d)
+        d += np.multiply(nu, d_prev2, out=stage)
+        d += term
+        d += np.multiply(gamma_t, f0, out=term)
+        d_prev2, d_prev, d = d_prev, d, d_prev2
+    return np.add(y0, d_prev, out=d_prev)
 
 
 def _advance(rhs, y: np.ndarray, t_end: float, n_store: int, stage_dt,
@@ -168,27 +186,35 @@ def _advance(rhs, y: np.ndarray, t_end: float, n_store: int, stage_dt,
     return steps, rhs_evals, halvings
 
 
+def _axis_products(mats, x: np.ndarray) -> np.ndarray:
+    """x multiplied by the matrix mats[a] along each data axis a."""
+    for a, mat in enumerate(mats):
+        x = np.moveaxis(mat @ np.moveaxis(x, a, 0), 0, a)
+    return x
+
+
 def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
                   n_store: int = _STORE_TARGET) -> FlowTrace:
-    """Integrate the Neumann heat equation and record the u-quantities.
+    """Solve the semi-discrete Neumann heat equation; record the u-quantities.
 
-    Requires p in (0, 1) and strictly positive data. Each sample interval
-    t_end / n_store is one RKL2 step whose stages stay within half the
-    forward-Euler bound h^2 / (2d). A loss of positivity (the heat flow
-    preserves it) halves the step; if halving cannot restore it, the
-    spatial operator is mis-assembled.
+    Requires p in (0, 1) and strictly positive data. The solution is exact
+    in time: the modal coefficients of v0 in ``grid.heat_modes()`` are
+    multiplied by exp(-dt Lambda), dt = t_end / n_store, once per stored
+    sample and mapped back to node values. The heat flow preserves
+    positivity, so a sample that loses it means the spatial operator is
+    mis-assembled; the error carries the start and length of that sample
+    interval.
     """
     if not 0.0 < p < 1.0:
         raise RangeError("the heat-flow estimate needs p in (0, 1)")
     if not t_end > 0.0:
         raise RangeError("t_end must be positive")
-    v = np.asarray(v0.values, dtype=float).copy()
+    v = np.asarray(v0.values, dtype=float)
     if v.min() <= 0.0:
         raise PositivityError("initial data must be strictly positive")
 
     lam2 = spectral_gap(grid).eigenvalue
     Lam = (1.0 - p) * lam2
-    dt_stage = _CFL * grid.h_min**2 / (2.0 * grid.dim)
 
     rec = _Recorder()
 
@@ -197,18 +223,27 @@ def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
         e, i = _entropy_pair(grid, u, p)
         rec.add(t, e, i, i - Lam * e, grid.integrate(v), float(v.min()), dt)
 
-    def check(v):
-        if v.min() > 0.0:
-            return None
-        return (PositivityError,
-                "heat flow lost positivity: the spatial operator is "
-                "mis-assembled")
-
-    steps, rhs_evals, halvings = _advance(grid.laplacian, v, t_end, n_store,
-                                          lambda v: dt_stage, check, record)
+    modes = grid.heat_modes()
+    to_nodes = [c for _, c in modes]
+    eig = np.zeros(grid.shape)
+    for a, (lam, _) in enumerate(modes):
+        eig += lam.reshape([-1 if b == a else 1 for b in range(eig.ndim)])
+    dt = t_end / n_store
+    decay = np.exp(-dt * eig)
+    coeffs = _axis_products([c.T for c in to_nodes], grid.weights * v)
+    record(0.0, 0.0, v)
+    for k in range(1, n_store + 1):
+        coeffs *= decay
+        v = _axis_products(to_nodes, coeffs)
+        if not v.min() > 0.0:
+            t = (k - 1) * t_end / n_store
+            raise PositivityError(
+                f"heat flow lost positivity at t={t:.6e} with dt={dt:.3e}: "
+                "the spatial operator is mis-assembled", t=t, dt=dt)
+        record(k * t_end / n_store, dt, v)
     return FlowTrace(*rec.arrays(), p=p, beta=None, theta=None,
                      lambda2=lam2, Lambda=Lam, dim=grid.dim,
-                     steps=steps, rhs_evals=rhs_evals, halvings=halvings)
+                     steps=n_store, rhs_evals=0, halvings=0)
 
 
 def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
@@ -255,9 +290,14 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
         g = grid.nodal_grad_sq(v)
         quartic.append(grid.integrate(g * g / (v * v)))
 
+    rhs_buffer = np.empty_like(v0)
+
     def rhs(m):
         v = m ** (1.0 / m_exp)
-        return -m_exp * grid.weighted_stiffness_apply(v**kappa, v) / grid.weights
+        out = grid.weighted_stiffness_apply(v**kappa, v, out=rhs_buffer)
+        out *= -m_exp
+        out /= grid.weights
+        return out
 
     def stage_dt(m):
         return bound * float((m ** ((2.0 * beta - 2.0) / m_exp)).min())

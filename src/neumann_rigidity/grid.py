@@ -24,10 +24,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import IO, List, Tuple
+from typing import IO, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 
 from .errors import PositivityError, RangeError
@@ -92,8 +93,9 @@ class Grid:
     """Nodes, quadrature weights and difference operators on a Domain.
 
     Construct through :func:`build_grid`. Grids are immutable from the
-    caller's perspective; all operators return new arrays. ``_cache`` holds
-    only memoized results, so clearing it never loses grid data.
+    caller's perspective; all operators return new arrays unless given an
+    ``out`` buffer. ``_cache`` holds only memoized results, so clearing it
+    never loses grid data.
     """
 
     def __init__(self, domain: Domain, axes: List[np.ndarray],
@@ -171,14 +173,24 @@ class Grid:
             out[hi] += g
         return out
 
-    def weighted_stiffness_apply(self, coeff: np.ndarray,
-                                 u: np.ndarray) -> np.ndarray:
-        """K_c u for the form sum over faces of face_weight * mean(c) * du dv."""
-        out = np.zeros_like(u, dtype=float)
+    def weighted_stiffness_apply(self, coeff: np.ndarray, u: np.ndarray,
+                                 out: Optional[np.ndarray] = None
+                                 ) -> np.ndarray:
+        """K_c u for the form sum over faces of face_weight * mean(c) * du dv.
+
+        The result goes into ``out`` when given (it is overwritten).
+        """
+        if out is None:
+            out = np.zeros_like(u, dtype=float)
+        else:
+            out.fill(0.0)
         for a, fw in enumerate(self.face_weights):
             lo, hi = _along(u.ndim, a, "faces")
-            cbar = 0.5 * (coeff[lo] + coeff[hi])
-            g = fw * cbar * np.diff(u, axis=a)
+            # g = fw * (0.5 (c_lo + c_hi)) * (u_hi - u_lo), in place
+            g = np.add(coeff[lo], coeff[hi])
+            g *= 0.5
+            g *= fw
+            g *= np.subtract(u[hi], u[lo])
             out[lo] -= g
             out[hi] += g
         return out
@@ -262,10 +274,30 @@ class Grid:
             self.mass_vector())
         return splu(shifted.tocsc())
 
+    def heat_modes(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """Generalized eigenpairs (lam_a, C_a) of each data axis's pencil.
+
+        Axis a carries the 1-D pencil (k_a, diag w_a): the radial stiffness
+        and cell volumes of a ball, or the per-axis stiffness with face
+        weight 1/h_a and trapezoid weights of an interval or rectangle.
+        Their Kronecker sum is the grid's (K, M), so the products of the
+        columns of the C_a are the grid's Neumann modes, with eigenvalue
+        the sum of the lam_a. Each C_a is n_a x n_a with
+        k_a C_a = diag(w_a) C_a diag(lam_a) and C_a^T diag(w_a) C_a = I;
+        lam_a is ascending and the constant mode's lam_a[0] is exactly 0.
+        """
+        if "heat_modes" not in self._cache:
+            if self.domain.kind == RADIAL_BALL:
+                pencils = [(self.face_weights[0], self.weights)]
+            else:
+                pencils = [(np.full(n - 1, 1.0 / h), w) for n, h, w in
+                           zip(self.shape, self.spacing, self.axis_weights)]
+            self._cache["heat_modes"] = tuple(_pencil_modes(fc, w)
+                                              for fc, w in pencils)
+        return self._cache["heat_modes"]
+
     def _axis_tridiag(self, fc: np.ndarray, n: int) -> sparse.csr_matrix:
-        main = np.zeros(n)
-        main[:-1] += fc
-        main[1:] += fc
+        main = _tridiag_main(fc, n)
         return sparse.diags([-fc, main, -fc], offsets=(-1, 0, 1),
                             format="csr")
 
@@ -292,6 +324,28 @@ _PICKS = {
     # then each boundary node followed by its inner neighbour
     "stencil": (slice(1, -1), slice(2, None), slice(None, -2), 0, 1, -1, -2),
 }
+
+
+def _tridiag_main(fc: np.ndarray, n: int) -> np.ndarray:
+    """Diagonal of the 1-D stiffness with face weights fc on n nodes."""
+    main = np.zeros(n)
+    main[:-1] += fc
+    main[1:] += fc
+    return main
+
+
+def _pencil_modes(fc: np.ndarray, w: np.ndarray):
+    """(lam, C) of the tridiagonal pencil (k, diag w), k built from fc.
+
+    Solves the symmetric tridiagonal problem W^-1/2 k W^-1/2 q = lam q
+    and maps back, C = W^-1/2 Q, so C^T W C = I.
+    """
+    s = 1.0 / np.sqrt(w)
+    main = _tridiag_main(fc, w.size) * s * s
+    off = -fc * s[:-1] * s[1:]
+    lam, q = eigh_tridiagonal(main, off)
+    lam[0] = 0.0  # k annihilates constants
+    return lam, s[:, None] * q
 
 
 @functools.lru_cache(maxsize=None)

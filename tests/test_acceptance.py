@@ -114,7 +114,7 @@ def test_criterion_05_mu_ordering(square64):
             assert bracket.mu2_lo >= lo_win
             assert bracket.mu2_hi <= hi_win
             trace = trace_branch(g, p, 0.8 * lam2 / s, direction=1, n_max=120)
-            mu1 = estimate_mu1(trace, p)
+            mu1 = estimate_mu1(trace)
             assert mu1 is not None
             mu2_est = 0.5 * (bracket.mu2_lo + bracket.mu2_hi)
             assert mu1 <= mu2_est * 1.02

@@ -107,17 +107,17 @@ def test_estimate_mu1_interval(interval256):
     g = interval256
     lam2 = spectral_gap(g).eigenvalue
     tr = trace_branch(g, 2.0, 0.8 * lam2, direction=1)
-    mu1 = estimate_mu1(tr, 2.0)
+    mu1 = estimate_mu1(tr)
     assert mu1 is not None
     assert mu1 <= PI2 * 1.02
-    assert estimate_mu1([], 2.0) is None
+    assert estimate_mu1([]) is None
 
 
 def test_trace_branch_radial_ball(ball256):
     g = ball256
     lam2 = spectral_gap(g).eigenvalue
     tr = trace_branch(g, 2.0, 0.8 * lam2, direction=1, n_max=120)
-    mu1 = estimate_mu1(tr, 2.0)
+    mu1 = estimate_mu1(tr)
     assert mu1 is not None
     # a non-constant radial branch exists; its smallest lam is recorded
     assert mu1 <= tr.bifurcation_lambda * 1.01
@@ -222,7 +222,7 @@ def test_trace_branch_square64_stays_on_axis_branch(square64):
     tr = trace_branch(square64, 2.0, 0.8 * lam2, direction=1)
     pts = [pt for pt in tr.points if pt.deviation > 0.0]
     assert all(b.lam > a.lam for a, b in zip(pts, pts[1:]))
-    assert estimate_mu1(tr, 2.0) == pts[0].lam
+    assert estimate_mu1(tr) == pts[0].lam
 
 
 def _corrector_problem(g, p, k=10):

@@ -154,6 +154,20 @@ def test_mu1_csv_is_deterministic(tmp_path, capsys):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ("flow", "heat", "--domain", "rectangle", "--n", "16", "--p", "0.5",
+     "--t-end", "0.05"),
+    ("flow", "nonlinear", "--domain", "rectangle", "--n", "16", "--p", "2",
+     "--theta", "0.9", "--beta", "-0.6923", "--t-end", "0.05"),
+], ids=["heat", "nonlinear"])
+def test_flow_csv_is_deterministic(tmp_path, capsys, argv):
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        code, _, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p=1\nlog_sobolev=true\nd=2\nlambda2=1.0\n")

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from neumann_rigidity import flow
-from neumann_rigidity import (Field, PositivityError, RangeError,
-                              accumulated_dissipation_bound, constant_field,
+from neumann_rigidity import (Domain, Field, PositivityError, RangeError,
+                              accumulated_dissipation_bound, build_grid,
+                              constant_field,
                               demange_check,
                               entropy_production_inequality_check,
                               fitted_decay_rate, heat_flow_run,
@@ -202,6 +203,47 @@ def test_rkl2_checkerboard_stability_edge(square32):
             assert beyond > 1.0
 
 
+def _rkl2_step_reference(rhs, y0, dt, s):
+    # the stage recursion written with a fresh array per term
+    w1 = 4.0 / (s * s + s - 2.0)
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2.0) / (2.0 * j * (j + 1.0))
+                           for j in range(3, s + 1)]
+    f0 = dt * rhs(y0)
+    d_prev2 = np.zeros_like(y0)
+    d_prev = (b[1] * w1) * f0
+    for j in range(2, s + 1):
+        mu = (2.0 * j - 1.0) / j * b[j] / b[j - 1]
+        nu = -(j - 1.0) / j * b[j] / b[j - 2]
+        mu_t = mu * w1
+        gamma_t = -(1.0 - b[j - 1]) * mu_t
+        d = (mu * d_prev + nu * d_prev2 + (mu_t * dt) * rhs(y0 + d_prev)
+             + gamma_t * f0)
+        d_prev2, d_prev = d_prev, d
+    return y0 + d_prev
+
+
+def test_rkl2_step_buffers_keep_the_arithmetic(square32):
+    # the in-place stage combination rounds exactly as the plain one, also
+    # when rhs hands back one shared buffer (as the nonlinear flow's does)
+    g = square32
+    y0 = _perturbed(g, 0.2).values
+    shared = np.empty_like(y0)
+
+    def rhs_shared(y):
+        out = g.weighted_stiffness_apply(y**0.3, y, out=shared)
+        out /= g.weights
+        return out
+
+    def rhs_fresh(y):
+        return g.weighted_stiffness_apply(y**0.3, y) / g.weights
+
+    for s in (2, 3, 7, 12):
+        dt = 0.1 * s * s * g.h_min**2
+        ref = _rkl2_step_reference(rhs_fresh, y0, dt, s)
+        assert np.array_equal(flow._rkl2_step(rhs_shared, y0, dt, s), ref)
+        assert np.array_equal(flow._rkl2_step(rhs_fresh, y0, dt, s), ref)
+
+
 def test_rkl2_stage_count_is_least():
     for ratio in (0.3, 1.0, 1.0001, 7.5, 36.7, 1e4):
         s = flow._rkl2_stages(ratio, 1.0)
@@ -219,16 +261,120 @@ def _heat_series(tr, every=1):
             tr.j_lambda[::every]]
 
 
+def _rkl2_heat_series(g, p, v0, t_end, n_store):
+    # the heat flow integrated with RKL2 steps on the Laplacian, one step
+    # per stored sample, recorded as heat_flow_run records it
+    lam = (1.0 - p) * spectral_gap(g).eigenvalue
+    dt_stage = flow._CFL * g.h_min**2 / (2.0 * g.dim)
+    rows = []
+
+    def record(t, dt, v):
+        e, i = flow._entropy_pair(g, v ** (1.0 / (p + 1.0)), p)
+        rows.append((i, e, i - lam * e))
+
+    flow._advance(g.laplacian, v0.values.copy(), t_end, n_store,
+                  lambda v: dt_stage, lambda v: None, record)
+    return [np.asarray(c) for c in zip(*rows)]
+
+
+# an interval, a non-square rectangle and a radial 3-ball
+_MODAL_GRIDS = [lambda: build_grid(Domain.interval(1.0), 96),
+                lambda: build_grid(Domain.rectangle(1.0, 1.7), (24, 40)),
+                lambda: build_grid(Domain.ball(3, 1.0), 128)]
+_MODAL_IDS = ["interval", "rectangle24x40", "ball3"]
+
+
 def test_heat_flow_second_order(square32):
+    # RKL2 on the heat flow converges at second order to the exact trace
     g = square32
     v0 = _perturbed(g, 0.1, squared=True)
     t_end = 0.05
     ref = heat_flow_run(g, 0.5, v0, t_end, n_store=640)
-    coarse = heat_flow_run(g, 0.5, v0, t_end, n_store=10)
-    fine = heat_flow_run(g, 0.5, v0, t_end, n_store=20)
-    dev_coarse = _max_rel_dev(_heat_series(coarse), _heat_series(ref, 64))
-    dev_fine = _max_rel_dev(_heat_series(fine, 2), _heat_series(ref, 64))
+    coarse = _rkl2_heat_series(g, 0.5, v0, t_end, 10)
+    fine = _rkl2_heat_series(g, 0.5, v0, t_end, 20)
+    dev_coarse = _max_rel_dev(coarse, _heat_series(ref, 64))
+    dev_fine = _max_rel_dev([c[::2] for c in fine], _heat_series(ref, 64))
     assert dev_fine * 3.0 <= dev_coarse
+
+
+@pytest.mark.parametrize("make", _MODAL_GRIDS, ids=_MODAL_IDS)
+def test_heat_modes_solve_each_axis_pencil(make):
+    g = make()
+    modes = g.heat_modes()
+    assert g.heat_modes() is modes
+    assert len(modes) == g.ndim_data
+    for a, (lam, c) in enumerate(modes):
+        if g.domain.kind == "rectangle":
+            n = g.shape[a]
+            k = g._axis_tridiag(np.full(n - 1, 1.0 / g.spacing[a]), n)
+            w = g.axis_weights[a]
+        else:
+            k, w = g.sparse_stiffness(), g.weights
+        k = k.toarray()
+        assert c.shape == k.shape
+        assert lam[0] == 0.0
+        assert np.all(np.diff(lam) > 0.0)
+        resid = k @ c - (w[:, None] * c) * lam[None, :]
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(k)
+        assert np.abs(c.T @ (w[:, None] * c) - np.eye(lam.size)).max() <= 1e-12
+    # the products of the axis modes are modes of the grid's own K and M
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        picks = [int(rng.integers(lam.size)) for lam, _ in modes]
+        vec = np.ones(g.shape)
+        lam_sum = 0.0
+        for a, ((lam, c), j) in enumerate(zip(modes, picks)):
+            shape = [1] * g.ndim_data
+            shape[a] = -1
+            vec = vec * c[:, j].reshape(shape)
+            lam_sum += lam[j]
+        lhs = g.stiffness_apply(vec)
+        assert np.abs(lhs - lam_sum * g.weights * vec).max() <= (
+            1e-10 * np.abs(lhs).max() + 1e-12 * lam_sum)
+
+
+@pytest.mark.parametrize("make", _MODAL_GRIDS, ids=_MODAL_IDS)
+def test_heat_flow_exact_in_time(make):
+    # the modal propagator conserves mass to round-off and its samples do
+    # not depend on how many of them are stored
+    g = make()
+    v0 = _perturbed(g, 0.1, squared=True)
+    dense = heat_flow_run(g, 0.5, v0, 0.05, n_store=400)
+    sparse_tr = heat_flow_run(g, 0.5, v0, 0.05, n_store=10)
+    for tr in (dense, sparse_tr):
+        assert np.abs(tr.mass - tr.mass[0]).max() / tr.mass[0] <= 1e-12
+    assert np.allclose(dense.times[::40], sparse_tr.times, rtol=1e-15, atol=0.0)
+    assert _max_rel_dev(_heat_series(sparse_tr),
+                        _heat_series(dense, 40)) <= 1e-12
+    assert (dense.steps, dense.rhs_evals, dense.halvings) == (400, 0, 0)
+
+
+def test_heat_flow_matches_fine_rkl2(square32):
+    g = square32
+    v0 = _perturbed(g, 0.1, squared=True)
+    t_end, n = 0.05, 640
+    ref = _rkl2_heat_series(g, 0.5, v0, t_end, n)
+    tr = heat_flow_run(g, 0.5, v0, t_end, n_store=n)
+    assert _max_rel_dev(_heat_series(tr), ref) <= 1e-5
+
+
+def test_heat_flow_failure_carries_time_and_step(square32, monkeypatch):
+    # call 1 maps v0 to modal coefficients, call k + 1 maps sample k back
+    products = flow._axis_products
+    calls = []
+
+    def negative_after_three(mats, x):
+        calls.append(1)
+        out = products(mats, x)
+        return out if len(calls) <= 4 else -np.abs(out)
+
+    monkeypatch.setattr(flow, "_axis_products", negative_after_three)
+    t_end, n = 0.02, 10
+    with pytest.raises(PositivityError) as info:
+        heat_flow_run(square32, 0.5, _perturbed(square32, 0.1, squared=True),
+                      t_end, n_store=n)
+    assert info.value.t == 3 * t_end / n
+    assert info.value.dt == t_end / n
 
 
 def test_flows_store_each_sample_time(square32):
@@ -280,7 +426,8 @@ def test_nonlinear_flow_matches_forward_euler(square32):
 
 
 def test_work_record_on_benchmark_configs(square64, monkeypatch):
-    # the flow-square64 benchmark ops, with every step's stage count logged
+    # the flow-square64 benchmark ops, with every RKL2 step's stage count
+    # logged; the heat flow is exact in time and takes no RKL2 step
     g = square64
     stages = []
     step = flow._rkl2_step
@@ -290,16 +437,16 @@ def test_work_record_on_benchmark_configs(square64, monkeypatch):
         return step(rhs, y, dt, s)
 
     monkeypatch.setattr(flow, "_rkl2_step", logged)
-    runs = [nonlinear_flow_run(g, 2.0, -0.6923, 0.9, _perturbed(g, 0.1),
-                               0.25),
-            heat_flow_run(g, 0.5, _perturbed(g, 0.1, squared=True), 0.35)]
-    counted = 0
-    for tr in runs:
-        assert tr.halvings == 0
-        assert tr.steps == 400 and tr.times.size == 401
-        assert tr.rhs_evals == sum(stages[counted:counted + tr.steps])
-        counted += tr.steps
-    assert counted == len(stages)
+    nonlin = nonlinear_flow_run(g, 2.0, -0.6923, 0.9, _perturbed(g, 0.1),
+                                0.25)
+    assert nonlin.halvings == 0
+    assert nonlin.steps == 400 and nonlin.times.size == 401
+    assert nonlin.rhs_evals == sum(stages)
+    assert len(stages) == nonlin.steps
+    heat = heat_flow_run(g, 0.5, _perturbed(g, 0.1, squared=True), 0.35)
+    assert (heat.steps, heat.rhs_evals, heat.halvings) == (400, 0, 0)
+    assert heat.times.size == 401
+    assert len(stages) == nonlin.steps
 
 
 def test_flow_failure_carries_time_and_step(square32, monkeypatch):
@@ -311,10 +458,13 @@ def test_flow_failure_carries_time_and_step(square32, monkeypatch):
         return step(rhs, y, dt, s) if len(calls) <= 3 else -np.abs(y)
 
     monkeypatch.setattr(flow, "_rkl2_step", failing_after_three)
+    p, theta = 2.0, 0.9
+    roots = beta_roots(theta, p, 2)
+    beta = 0.5 * (roots.beta_minus + roots.beta_plus)
     t_end, n = 0.02, 10
     with pytest.raises(PositivityError) as info:
-        heat_flow_run(square32, 0.5, _perturbed(square32, 0.1, squared=True),
-                      t_end, n_store=n)
+        nonlinear_flow_run(square32, p, beta, theta, _perturbed(square32, 0.1),
+                           t_end, n_store=n)
     assert info.value.t == 3 * t_end / n
     assert info.value.dt == calls[-1]
     assert info.value.dt == pytest.approx(t_end / n / 2**39, rel=1e-12)

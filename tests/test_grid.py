@@ -163,6 +163,12 @@ def test_weighted_stiffness_consistency(square32):
     ones = np.ones(g.shape)
     gap = np.abs(g.weighted_stiffness_apply(ones, u) - g.stiffness_apply(u))
     assert gap.max() < 1e-12
+    # an out buffer is overwritten, not accumulated into
+    coeff = np.exp(rng.standard_normal(g.shape))
+    buf = np.full(g.shape, np.nan)
+    got = g.weighted_stiffness_apply(coeff, u, out=buf)
+    assert got is buf
+    assert np.array_equal(buf, g.weighted_stiffness_apply(coeff, u))
 
 
 def test_nodal_grad_sq_matches_energy_for_smooth(interval256):
