@@ -72,16 +72,20 @@ class RunConfig:
 
 
 def _load_config_file(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RangeError(
+            f"cannot read config file {path!r}: {exc}") from exc
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise RangeError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise RangeError(f"bad config line: {line!r}")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     return out
 
 
@@ -92,10 +96,12 @@ def _coerce(cfg: RunConfig, key: str, raw: str) -> None:
     current = getattr(cfg, key)
     if isinstance(current, bool):
         setattr(cfg, key, raw.lower() in ("1", "true", "yes"))
-    elif isinstance(current, int):
-        setattr(cfg, key, int(raw))
-    elif isinstance(current, float):
-        setattr(cfg, key, float(raw))
+    elif isinstance(current, (int, float)):
+        try:
+            setattr(cfg, key, type(current)(raw))
+        except ValueError as exc:
+            raise RangeError(f"bad value for config key {key!r}: "
+                             f"{raw!r}") from exc
     else:
         setattr(cfg, key, raw)
 
@@ -344,7 +350,8 @@ def cmd_report(cfg: RunConfig) -> None:
 def _fan_out(fn, tasks, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at once, so start no idle ones
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 

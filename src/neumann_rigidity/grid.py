@@ -287,14 +287,16 @@ class Grid:
         lam_a is ascending and the constant mode's lam_a[0] is exactly 0.
         """
         if "heat_modes" not in self._cache:
-            if self.domain.kind == RADIAL_BALL:
-                pencils = [(self.face_weights[0], self.weights)]
-            else:
-                pencils = [(np.full(n - 1, 1.0 / h), w) for n, h, w in
-                           zip(self.shape, self.spacing, self.axis_weights)]
-            self._cache["heat_modes"] = tuple(_pencil_modes(fc, w)
-                                              for fc, w in pencils)
+            self._cache["heat_modes"] = tuple(
+                _pencil_modes(fc, w) for fc, w in self._axis_pencils())
         return self._cache["heat_modes"]
+
+    def _axis_pencils(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """(face coefficients, weights) of each data axis's 1-D pencil."""
+        if self.domain.kind == RADIAL_BALL:
+            return [(self.face_weights[0], self.weights)]
+        return [(np.full(n - 1, 1.0 / h), w) for n, h, w in
+                zip(self.shape, self.spacing, self.axis_weights)]
 
     def _axis_tridiag(self, fc: np.ndarray, n: int) -> sparse.csr_matrix:
         main = _tridiag_main(fc, n)
@@ -302,16 +304,11 @@ class Grid:
                             format="csr")
 
     def _assemble_stiffness(self) -> sparse.csr_matrix:
-        if self.domain.kind == RADIAL_BALL:
-            fc = self.face_weights[0]
-            return self._axis_tridiag(fc, self.shape[0])
-        mats = []
-        for a in range(len(self.shape)):
-            fc = np.full(self.shape[a] - 1, 1.0 / self.spacing[a])
-            mats.append(self._axis_tridiag(fc, self.shape[a]))
+        pencils = self._axis_pencils()
+        mats = [self._axis_tridiag(fc, w.size) for fc, w in pencils]
         if len(mats) == 1:
             return mats[0]
-        wx, wy = self.axis_weights
+        (_, wx), (_, wy) = pencils
         kx, ky = mats
         return (sparse.kron(kx, sparse.diags(wy)) +
                 sparse.kron(sparse.diags(wx), ky)).tocsr()

@@ -1,13 +1,17 @@
 """Neumann spectral gap and Schrodinger ground states on grid operators.
 
 The eigenproblems are the symmetric pencils K u = lambda M u (stiffness /
-mass) and (K + s*M_phi) u = lambda M u. Both are solved by shifted inverse
-iteration with the constant mode removed by explicit projection where
-needed; inner solves reuse one sparse factorization of the shifted matrix.
+mass) and (K + s*M_phi) u = lambda M u. The first is a Kronecker sum of
+1-D tridiagonal pencils (``Grid.heat_modes``), so its gap mode is the
+second mode of one axis times constants on the others; no sparse solve
+is needed. The Schrodinger pencil does not separate and is solved by
+shifted inverse iteration on one sparse factorization of the shifted
+matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,8 +21,6 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, RangeError
 from .grid import Field, Grid
-
-_MAX_OUTER = 500
 
 
 @dataclass
@@ -33,77 +35,50 @@ def _m_norm(w: np.ndarray, u: np.ndarray) -> float:
     return math.sqrt(float(np.dot(w, u * u)))
 
 
-def _fix_sign(u: np.ndarray) -> np.ndarray:
-    # deterministic orientation: largest-magnitude entry is positive
-    k = int(np.argmax(np.abs(u)))
-    return -u if u[k] < 0.0 else u
-
-
-def _inverse_iteration(lu, A, w: np.ndarray, u: np.ndarray, tol: float,
-                       max_iter: int, project: bool, what: str):
-    """Shifted inverse iteration for A u = lambda M u from the start ``u``.
-
-    ``lu`` factors the shifted pencil. With ``project`` every iterate is
-    M-projected onto mean zero, which removes the constant mode. Returns
-    (lambda, u, residual, iterations); the relative operator residual is
-    at most ``tol``.
-    """
-    res = math.inf
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        u = lu.solve(w * u)
-        if project:
-            u -= np.dot(w, u)
-        nrm = _m_norm(w, u)
-        if nrm == 0.0:
-            raise ConvergenceError("inverse iteration collapsed", res, iters)
-        u /= nrm
-        Au = A @ u
-        lam = float(np.dot(u, Au))
-        res = _m_norm(w, Au / w - lam * u)
-        if res <= tol * max(abs(lam), 1.0):
-            return lam, u, res, iters
-    raise ConvergenceError(
-        f"{what} iteration did not reach tol={tol:g}", res, iters)
-
-
-def spectral_gap(grid: Grid, tol: float = 1e-10,
-                 max_iter: int = _MAX_OUTER) -> EigenPair:
+def spectral_gap(grid: Grid) -> EigenPair:
     """Smallest nonzero Neumann eigenvalue with its eigenfunction.
 
-    The eigenfunction is normalized to ||u||_2 = 1, is orthogonal to
-    constants, and the relative operator residual is at most ``tol``.
-    Results are cached on the grid.
+    The gap is the least second eigenvalue of the per-axis pencils. At a
+    multiple gap (equal axes) the mode of the first such axis is taken:
+    it varies along that axis only. The eigenfunction is M-orthogonal to
+    constants with ||u||_2 = 1 and is positive at the first node; the
+    eigenvalue is its Rayleigh quotient with the grid's K, and the
+    residual is measured with K too. Results are cached on the grid.
     """
-    key = ("gap", tol)
-    if key in grid._cache:
-        return grid._cache[key]
+    if "gap" in grid._cache:
+        return grid._cache["gap"]
 
+    modes = grid.heat_modes()
+    axis = min(range(len(modes)), key=lambda a: modes[a][0][1])
+    factors = [c[:, 1] if a == axis else np.ones(c.shape[0])
+               for a, (_, c) in enumerate(modes)]
+    u = functools.reduce(np.multiply.outer, factors).ravel()
     w = grid.mass_vector()
-    # K + M is positive definite; the constant mode is projected away in
-    # the M inner product, so the iteration converges to the gap mode.
-    rng = np.random.default_rng(12345)
-    u = rng.standard_normal(w.size)
-    u -= np.dot(w, u)  # unit measure: M-projection onto mean zero
+    # unit measure: M-projection onto mean zero; out of place, since in
+    # 1-D u may be a view of the cached modes
+    u = u - np.dot(w, u)
     u /= _m_norm(w, u)
-    lam, u, res, iters = _inverse_iteration(
-        grid.shifted_factor(1.0), grid.sparse_stiffness(), w, u, tol,
-        max_iter, True, "spectral gap")
+    # the first node is an extremum of every axis's second mode, so this
+    # orientation never rests on a round-off tie
+    if u[0] < 0.0:
+        u = -u
+    Ku = grid.sparse_stiffness() @ u
+    lam = float(np.dot(u, Ku))
+    res = _m_norm(w, Ku / w - lam * u)
 
-    u = _fix_sign(u)
-    pair = EigenPair(lam, Field(grid, u.reshape(grid.shape)), res, iters)
-    grid._cache[key] = pair
+    pair = EigenPair(lam, Field(grid, u.reshape(grid.shape)), res, 0)
+    grid._cache["gap"] = pair
     return pair
 
 
 def schrodinger_ground_state(grid: Grid, potential, sign: int,
                              tol: float = 1e-10,
-                             max_iter: int = _MAX_OUTER) -> EigenPair:
+                             max_iter: int = 500) -> EigenPair:
     """Lowest eigenvalue of -lap + sign*phi with Neumann conditions.
 
     ``sign=-1`` gives the attractive operator -lap - phi, ``sign=+1`` the
     repulsive -lap + phi. The ground state is returned with positive sign
-    and unit L2 norm.
+    and unit L2 norm; the relative operator residual is at most ``tol``.
     """
     if sign not in (-1, 1):
         raise RangeError("sign must be +1 or -1")
@@ -119,10 +94,24 @@ def schrodinger_ground_state(grid: Grid, potential, sign: int,
     # -lap >= 0, so the spectrum is bounded below by min(sign*phi)
     sigma = float(v.min()) - 1.0
     lu = splu((A - sigma * sparse.diags(w)).tocsc())
+    # shifted inverse iteration, started from the constant
     u = np.full(w.size, 1.0)
     u /= _m_norm(w, u)
-    lam, u, res, iters = _inverse_iteration(lu, A, w, u, tol, max_iter,
-                                            False, "ground-state")
+    res, iters = math.inf, 0
+    for iters in range(1, max_iter + 1):
+        u = lu.solve(w * u)
+        nrm = _m_norm(w, u)
+        if nrm == 0.0:
+            raise ConvergenceError("inverse iteration collapsed", res, iters)
+        u /= nrm
+        Au = A @ u
+        lam = float(np.dot(u, Au))
+        res = _m_norm(w, Au / w - lam * u)
+        if res <= tol * max(abs(lam), 1.0):
+            break
+    else:
+        raise ConvergenceError(
+            f"ground-state iteration did not reach tol={tol:g}", res, iters)
 
     if grid.integrate(u.reshape(grid.shape)) < 0.0:
         u = -u

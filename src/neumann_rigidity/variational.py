@@ -111,7 +111,7 @@ def _inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _metric(grid: Grid, sigma: float):
-    """Riesz map, squared step length and first step of the descent metric.
+    """Riesz map and squared step length of the descent metric.
 
     The metric is K + sigma*M with direction d = (K + sigma*M)^-1 M g,
     whose conditioning, unlike that of L2, does not degrade as the grid is
@@ -127,13 +127,14 @@ def _metric(grid: Grid, sigma: float):
     def norm_sq(s):
         return float(s.ravel() @ (K @ s.ravel())) + sigma * _inner(w, s, s)
 
-    return riesz, norm_sq, 1.0
+    return riesz, norm_sq
 
 
 def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
              max_iter: int = _MAX_ITER) -> Tuple[np.ndarray, StartRecord]:
     normalize, value, value_grad = objective
-    riesz, norm_sq, alpha = metric
+    riesz, norm_sq = metric
+    alpha = 1.0
     w = grid.weights
     u = normalize(u0)
     f, g = value_grad(u)

@@ -173,8 +173,8 @@ def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
 # branch switch alone; the point counts and last lam record the step
 # sequence of the continuation in the scaled metric (u/c*, ell) under the
 # Newton-chord corrector and its growth thresholds
-_SQUARE32_TRACE = {0.5: (76, 19.722326228585516, 27.01479516372236),
-                   2.0: (48, 9.86115878780357, 100.76859742552848)}
+_SQUARE32_TRACE = {0.5: (74, 19.72232663250131, 26.92893908967355),
+                   2.0: (49, 9.861176864763076, 102.42052485915306)}
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0])

@@ -89,6 +89,32 @@ def test_quotient_jobs_match_serial(tmp_path, capsys):
     assert rows_a == rows_b
 
 
+@pytest.mark.parametrize("jobs, n_tasks, workers", [
+    (64, 3, 3), (2, 3, 2), (3, 3, 3)])
+def test_fan_out_starts_no_more_workers_than_tasks(monkeypatch, jobs,
+                                                   n_tasks, workers):
+    started = []
+
+    class InlineExecutor:
+        # stands in for the process pool: records its size, maps in-process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    tasks = list(range(n_tasks))
+    assert cli._fan_out(abs, tasks, jobs) == tasks
+    assert started == [workers]
+
+
 def test_flow_csv(tmp_path, capsys):
     out = tmp_path / "f.csv"
     code, _, _ = run(capsys, "flow", "heat", "--domain", "rectangle",
@@ -183,6 +209,25 @@ def test_config_file_and_override(tmp_path, capsys):
     table = dict(line.split(",") for line in out.splitlines()
                  if line and not line.startswith("#") and "," in line)
     assert float(table["lower_nonlinear"]) == pytest.approx(9.0 / 17.0)
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe=1\n"],
+                         ids=["missing", "not_utf8"])
+def test_unreadable_config_file_is_usage_error(tmp_path, capsys, content):
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    code, _, err = run(capsys, "bounds", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("usage error:") and "run.cfg" in err
+
+
+def test_bad_config_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=abc\n")
+    code, _, err = run(capsys, "eigen", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("usage error:") and "'abc'" in err
 
 
 def test_report_json(capsys):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import jn_zeros
+
+from neumann_rigidity import spectral
 
 from neumann_rigidity import (Domain, Field, RangeError, build_grid,
                               check_lin_interp_inequality, constant_field,
@@ -34,6 +37,57 @@ def test_radial_gap(ball256):
     pair = spectral_gap(ball256)
     target = math.pi * jn_zeros(1, 1)[0] ** 2
     assert abs(pair.eigenvalue - target) / target < 0.005
+
+
+_DENSE_GRIDS = {
+    "interval64": lambda: build_grid(Domain.interval(1.0), 64),
+    "square16": lambda: build_grid(Domain.rectangle(1.0, 1.0), 16),
+    "rect1.5x1_16": lambda: build_grid(Domain.rectangle(1.5, 1.0), 16),
+    "ball3_64": lambda: build_grid(Domain.ball(3, 1.0), 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_GRIDS))
+def test_gap_matches_dense_pencil(name):
+    g = _DENSE_GRIDS[name]()
+    modes = [c.copy() for _, c in g.heat_modes()]
+    pair = spectral_gap(g)
+    # the cached axis modes are left as they were
+    assert all(np.array_equal(c, m) for (_, c), m in zip(g.heat_modes(),
+                                                          modes))
+    dense = scipy.linalg.eigh(g.sparse_stiffness().toarray(),
+                              np.diag(g.mass_vector()), eigvals_only=True)
+    lam2 = dense[1]
+    assert pair.eigenvalue == pytest.approx(lam2, rel=1e-12)
+    assert pair.residual <= 1e-10 * lam2
+    assert pair.iterations == 0
+    u = pair.eigenfunction.values
+    # the eigenvalue is the Rayleigh quotient with the grid's own K
+    flat = u.ravel()
+    assert pair.eigenvalue == float(np.dot(flat, g.sparse_stiffness() @ flat))
+    assert abs(g.integrate(u)) <= 1e-12
+    assert g.integrate(u * u) == pytest.approx(1.0, abs=1e-12)
+    # oriented by the first node, an extremum of the mode, not by a tie
+    assert flat[0] == pytest.approx(np.abs(flat).max(), rel=1e-9)
+    if name == "square16":
+        # a double gap: the first axis's mode, exactly constant along y
+        assert np.ptp(u, axis=1).max() == 0.0
+    if name == "rect1.5x1_16":
+        # the long side carries the simple gap
+        assert np.ptp(u, axis=1).max() == 0.0
+        assert np.ptp(u, axis=0).min() > 1.0
+
+
+def test_gap_needs_no_factor_and_no_randomness(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spectral_gap must not call this")
+
+    monkeypatch.setattr(spectral, "splu", forbidden)
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    monkeypatch.setattr(spectral.Grid, "shifted_factor", forbidden)
+    g = build_grid(Domain.rectangle(1.2, 1.0), 24)
+    pair = spectral_gap(g)
+    assert spectral_gap(g) is pair
 
 
 def test_gap_second_order_convergence():

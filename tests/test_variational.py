@@ -186,7 +186,7 @@ def test_riesz_map_solves_shifted_system(grid_name, request):
     grad = 1.0 + np.random.default_rng(5).standard_normal(g.shape)
     rhs = (g.weights * grad).ravel()
     for sigma in (1.0, 12.5):
-        riesz, _, _ = vmod._metric(g, sigma)
+        riesz, _ = vmod._metric(g, sigma)
         d = riesz(grad)
         assert d.shape == g.shape
         A = g.sparse_stiffness() + sigma * sparse.diags(g.mass_vector())
