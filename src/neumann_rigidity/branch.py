@@ -326,7 +326,7 @@ def _arc_correct(grid: Grid, p: float, u0: np.ndarray, ell0: float,
             raise DampingError("corrector left lam > 0")
         F = _residual(grid, p, lam, u)
         res = _scaled_norm(grid, p, lam, u, F)
-        con = (float(np.sum(w * tu * (u - base_u)))
+        con = (float(np.add.reduce(w * tu * (u - base_u), axis=None))
                + tl * (ell - base_ell) - ds)
         if res <= tol and abs(con) <= 1e-10 * max(1.0, abs(ds)):
             return u, ell, res, it
@@ -345,8 +345,8 @@ def _arc_correct(grid: Grid, p: float, u0: np.ndarray, ell0: float,
         judge, last = not refresh, (u, ell, F, res, con)
         x1 = _jac_solve(chord.lu, grid, F)
         x2 = _jac_solve(chord.lu, grid, lam_ref * u)  # dF/d(ell)
-        tux1 = float(np.sum(w * tu * x1))
-        tux2 = float(np.sum(w * tu * x2))
+        tux1 = float(np.add.reduce(w * tu * x1, axis=None))
+        tux2 = float(np.add.reduce(w * tu * x2, axis=None))
         denom = tl - tux2
         if abs(denom) < 1e-14:
             raise SingularJacobianError("bordered system singular")

@@ -15,6 +15,12 @@ quantities parameterize:
 The p=1 endpoint is the logarithmic Sobolev case and is only reachable
 through an explicit flag, since the sign epsilon(p) = (p-1)/|p-1| is
 undefined there.
+
+``scipy.integrate`` is imported inside ``improvement_phi``, the only
+function that integrates. At module level it would also load
+``scipy.special`` and ``scipy.optimize``, the largest part of the
+package's import time and memory, in every CLI process, although no CLI
+command integrates phi.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
-
-from scipy.integrate import quad, solve_ivp
 
 from .errors import ConvergenceError, NoRealRootsError, RangeError
 
@@ -321,6 +325,8 @@ def improvement_phi(s: float, exponents: ExponentSet,
         raise RangeError("1 + (p-1) s must stay positive for Phi")
     if 1.0 - (p - 1.0) * s <= 0.0:
         raise RangeError("integration path leaves the domain 1-(p-1)z > 0")
+
+    from scipy.integrate import quad, solve_ivp
 
     R = r_coefficient(theta, beta, p, d)
     k_closed = R / (beta * (beta - 1.0) * (p + 1.0))

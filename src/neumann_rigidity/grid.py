@@ -136,15 +136,16 @@ class Grid:
     # ------------------------------------------------------------------
     # quadrature
     def integrate(self, u: np.ndarray) -> float:
-        return float(np.sum(self.weights * u))
+        return float(np.add.reduce(self.weights * u, axis=None))
 
     def lp_norm(self, u: np.ndarray, exp: float) -> float:
         if not exp > 0.0:
             raise RangeError("Lp exponent must be positive")
-        if exp != round(exp) and np.any(u < 0.0):
+        if exp != round(exp) and (u < 0.0).any():
             raise PositivityError(
                 "fractional power of a negative value in Lp norm")
-        return float(np.sum(self.weights * np.abs(u) ** exp) ** (1.0 / exp))
+        return float(np.add.reduce(self.weights * np.abs(u) ** exp, axis=None)
+                     ** (1.0 / exp))
 
     def mean(self, u: np.ndarray) -> float:
         return self.integrate(u)  # unit measure
@@ -159,16 +160,17 @@ class Grid:
         """Dirichlet energy int |grad u|^2 (face-based stiffness form)."""
         total = 0.0
         for a, fw in enumerate(self.face_weights):
-            d = np.diff(u, axis=a)
-            total += float(np.sum(fw * d * d))
+            lo, hi = _along(u.ndim, a, "faces")
+            d = u[hi] - u[lo]
+            total += float(np.add.reduce(fw * d * d, axis=None))
         return total
 
     def stiffness_apply(self, u: np.ndarray) -> np.ndarray:
         """K u with E(u, v) = sum(v * K u); K is symmetric PSD, K 1 = 0."""
         out = np.zeros_like(u, dtype=float)
         for a, fw in enumerate(self.face_weights):
-            g = fw * np.diff(u, axis=a)
             lo, hi = _along(u.ndim, a, "faces")
+            g = fw * (u[hi] - u[lo])
             out[lo] -= g
             out[hi] += g
         return out

@@ -107,7 +107,7 @@ def j_lambda(u: Field, Lambda: float, p: float) -> float:
 # ----------------------------------------------------------------------
 # descent engine
 def _inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(w * a * b))
+    return float(np.add.reduce(w * a * b, axis=None))
 
 
 def _metric(grid: Grid, sigma: float):
@@ -213,7 +213,8 @@ def _quotient_p_gt1(grid: Grid, lam: float, p: float):
 
     def value_grad(u):
         ku = grid.stiffness_apply(u)
-        f = float(np.sum(u * ku)) + lam * grid.integrate(u * u)
+        f = (float(np.add.reduce(u * ku, axis=None))
+             + lam * grid.integrate(u * u))
         grad = 2.0 * (ku / w + lam * u - f * u**p)
         return f, grad
 
@@ -235,7 +236,7 @@ def _quotient_l2(grid: Grid, c: float, p: float):
     def value_grad(u):
         ku = grid.stiffness_apply(u)
         np1 = grid.lp_norm(u, p + 1.0)
-        f = float(np.sum(u * ku)) + c * np1**2
+        f = float(np.add.reduce(u * ku, axis=None)) + c * np1**2
         grad = 2.0 * (ku / w + c * np1 ** (1.0 - p) * u**p - f * u)
         return f, grad
 
@@ -454,7 +455,8 @@ def _lsi_deficit(grid: Grid, c: float):
     def value_grad(u):
         ku = grid.stiffness_apply(u)
         dent = u * np.log(u * u / grid.integrate(u * u))  # L2 gradient of Ent
-        f = float(np.sum(u * ku)) - 0.5 * c * grid.integrate(u * dent)
+        f = (float(np.add.reduce(u * ku, axis=None))
+             - 0.5 * c * grid.integrate(u * dent))
         return f, 2.0 * (ku / w - f * u) - c * dent
 
     return normalize, value, value_grad

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from neumann_rigidity import cli
+from neumann_rigidity import cli, improvement_phi, make_exponents
 from neumann_rigidity.cli import main, parse_sweep
 from neumann_rigidity.errors import ConvergenceError, DampingError, RangeError
 
@@ -330,3 +334,29 @@ def test_failure_diagnostics_record_bisection_stage(
         "# command=mu2 p=2.0 domain=interval n=32",
         "# residual=0.0015 iterations=4000",
         f"# stage=mu2 bisection lam={params[2]!r} step=2"]
+
+
+_IMPORT_BUDGET = """
+import json, sys
+import neumann_rigidity.cli
+heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
+loaded = [m for m in heavy if m in sys.modules]
+from neumann_rigidity import improvement_phi, make_exponents
+res = improvement_phi(0.2, make_exponents(2.0, 3, beta=5.0 / 3.0), 0.9)
+print(json.dumps({"loaded": loaded, "phi": list(res),
+                  "integrate_after": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # a fresh interpreter: the CLI must not pay for scipy.integrate (and the
+    # scipy.special / scipy.optimize it drags in) until phi is integrated
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET], env=env,
+                          capture_output=True, text=True, check=True)
+    got = json.loads(done.stdout)
+    assert got["loaded"] == []
+    assert got["integrate_after"] is True
+    ref = improvement_phi(0.2, make_exponents(2.0, 3, beta=5.0 / 3.0), 0.9)
+    assert got["phi"] == list(ref)

@@ -190,3 +190,42 @@ def test_cache_clear_keeps_grid_data():
         assert np.array_equal(g.sparse_stiffness().toarray(), K)
         b = np.arange(g.n_nodes, dtype=float)
         assert np.array_equal(g.shifted_factor(1.0).solve(b), lu.solve(b))
+
+
+@pytest.mark.parametrize("dom,n", [
+    (Domain.interval(1.0), 64),
+    (Domain.rectangle(1.0, 1.0), 16),
+    (Domain.rectangle(1.5, 1.0), (24, 17)),
+    (Domain.ball(3), 64),
+], ids=["interval64", "square16", "rect24x17", "ball3_64"])
+def test_grid_kernels_match_numpy_reference_bit_for_bit(dom, n):
+    # the kernels reduce with np.add.reduce and difference by slicing; both
+    # must round exactly as the np.sum / np.diff forms they stand for
+    g = build_grid(dom, n)
+    w = g.weights
+    u = smooth_random_field(g, SplitMix64(7), amp=0.8, modes=4)
+    signed = u - g.mean(u)
+    assert g.integrate(u) == float(np.sum(w * u))
+    assert g.integrate(signed) == float(np.sum(w * signed))
+    for exp in (2.0, 3.0, 1.5):
+        ref = float(np.sum(w * np.abs(u) ** exp) ** (1.0 / exp))
+        assert g.lp_norm(u, exp) == ref
+    for exp in (2.0, 3.0):
+        ref = float(np.sum(w * np.abs(signed) ** exp) ** (1.0 / exp))
+        assert g.lp_norm(signed, exp) == ref
+    with pytest.raises(PositivityError):
+        g.lp_norm(signed, 1.5)
+    for v in (u, signed):
+        energy = 0.0
+        ku = np.zeros_like(v)
+        for a, fw in enumerate(g.face_weights):
+            d = np.diff(v, axis=a)
+            energy += float(np.sum(fw * d * d))
+            lo = [slice(None)] * v.ndim
+            hi = [slice(None)] * v.ndim
+            lo[a], hi[a] = slice(None, -1), slice(1, None)
+            flux = fw * d
+            ku[tuple(lo)] -= flux
+            ku[tuple(hi)] += flux
+        assert g.energy(v) == energy
+        assert (g.stiffness_apply(v) == ku).all()
