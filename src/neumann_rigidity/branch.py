@@ -7,9 +7,10 @@ The equation solved nodewise is
 with eps(p) the sign of p - 1. Constants u = lam^(1/(p-1)) solve it for
 every lam; non-constant solutions branch off at lam = lambda2/|p-1| where
 the linearization around the constant loses definiteness on the gap mode.
-A damped Newton iteration handles single solves and a pseudo-arclength
-corrector traces the non-constant branch after switching along the gap
-eigenfunction.
+One Newton-chord core (``_arc_correct``) does both jobs: bordered with the
+arclength constraint it traces the non-constant branch after switching
+along the gap eigenfunction, and without the border it is the single
+solve at fixed lam (``newton_solve``).
 
 The continuation measures the branch in the dimensionless pair
 (u/c*, ell), with c* = lam_bif^(1/(p-1)) the constant at the bifurcation
@@ -20,8 +21,8 @@ and halves after each rejected step. The trace allows 40 rejected steps
 in all, not 40 in a row, and ends at the next one or once the step falls
 below 1e-8.
 
-The arclength corrector is a Newton-chord (simplified Newton) iteration:
-it solves every bordered step with the Jacobian factor it holds, and a
+The corrector is a Newton-chord (simplified Newton) iteration: it
+solves every (bordered) step with the Jacobian factor it holds, and a
 contraction monitor decides when that factor is too old. After a step
 taken with a factor built at an earlier iterate, the scaled residual must
 have fallen at least 4x; otherwise the step is taken back and the factor
@@ -198,84 +199,33 @@ def _jac_solve(lu: _JacobianLU, grid: Grid,
 
 def newton_solve(grid: Grid, p: float, lam: float, initial: Field,
                  tol: float = _NEWTON_TOL, max_iter: int = 60) -> BranchPoint:
-    """Damped Newton iteration from a positive initial field.
+    """Newton-chord iteration for F(u) = 0 at fixed lam from a positive field.
 
-    Steps are halved until positivity and residual decrease hold; when the
-    plain iteration stalls against the positive cone (its path heads for a
-    sign-changing root) it restarts once in log coordinates, which keep
-    the iterates positive structurally. A singular linearization (e.g.
-    exactly at a bifurcation point) raises SingularJacobianError so
-    callers can switch branches instead.
+    This is the arclength corrector ``_arc_correct`` without its bordering
+    row: each step solves with the Jacobian factor it holds, and a step
+    taken with a factor built at an earlier iterate must cut the scaled
+    residual at least 4x, or it is taken back and the factor rebuilt
+    there. A step that would leave the positive cone is halved until it
+    stays inside. Converges when the scaled residual is at most ``tol``.
+
+    At a bifurcation point the Jacobian of the constant is singular, yet
+    starts off the constant still converge (on interval128 at
+    lambda2/|p-1|, p = 2 and 0.5, from c (1 + a u2) with a in [1e-6, 0.5]).
+
+    Raises RangeError for lam <= 0, PositivityError for a non-positive
+    initial field, DampingError when halving cannot keep a step positive,
+    SingularJacobianError when a factorization fails or a solve is not
+    finite, and ConvergenceError after ``max_iter`` iterations.
     """
     if not lam > 0.0:
         raise RangeError("lam must be positive")
-    u = np.asarray(initial.values, dtype=float).copy()
+    u = np.asarray(initial.values, dtype=float)
     if u.min() <= 0.0:
         raise PositivityError("the initial field must be positive")
-    try:
-        return _newton(grid, p, lam, u, _identity, _guarded_step(grid),
-                       tol, max_iter)
-    except DampingError:
-        return _newton(grid, p, lam, np.log(u), np.exp, _log_step,
-                       tol, max_iter)
-
-
-def _identity(x: np.ndarray) -> np.ndarray:
-    return x
-
-
-def _guarded_step(grid: Grid):
-    """Step transform of the plain iteration: a blow-up means singular."""
-    def step(u: np.ndarray, s: np.ndarray) -> np.ndarray:
-        norm_s = math.sqrt(grid.integrate(s * s))
-        norm_u = math.sqrt(grid.integrate(u * u))
-        if norm_s > 1e10 * max(1.0, norm_u):
-            raise SingularJacobianError("Newton step blew up (singular system)")
-        return s
-
-    return step
-
-
-def _log_step(u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Step transform in log variables: (J diag(u)) t = -F gives t = s / u."""
-    t = s / u
-    tmax = np.abs(t).max()
-    if tmax > 5.0:
-        t = t * (5.0 / tmax)   # cap the multiplicative update
-    return t
-
-
-def _newton(grid: Grid, p: float, lam: float, x: np.ndarray, to_u, step,
-            tol: float, max_iter: int) -> BranchPoint:
-    """Damped Newton in the variables x with u = to_u(x).
-
-    ``step(u, s)`` maps the Newton step s of u to a step of x. Each step is
-    halved until the candidate is positive and the residual decreases.
-    """
-    res = math.inf
-    for _ in range(max_iter):
-        u = to_u(x)
-        F = _residual(grid, p, lam, u)
-        res = _scaled_norm(grid, p, lam, u, F)
-        if res <= tol:
-            return BranchPoint(lam, Field(grid, u), grid.deviation(u),
-                               res, 0.0)
-        s = step(u, -_jac_solve(_factor_jacobian(grid, p, lam, u), grid, F))
-        alpha = 1.0
-        while alpha >= 1e-12:
-            cand_x = x + alpha * s
-            cand = to_u(cand_x)
-            if cand.min() > 0.0:
-                Fc = _residual(grid, p, lam, cand)
-                if (_scaled_norm(grid, p, lam, cand, Fc)
-                        <= (1.0 - 1e-4 * alpha) * res):
-                    x = cand_x
-                    break
-            alpha *= 0.5
-        else:
-            raise DampingError(
-                f"Newton damping failed at lam={lam:g} (residual {res:.3e})")
-    raise ConvergenceError("Newton did not converge", res, max_iter)
+    u, _, res, _ = _arc_correct(grid, p, u, 1.0, tu=None, tl=0.0, ds=0.0,
+                                lam_ref=lam, base_u=u, base_ell=1.0,
+                                tol=tol, max_iter=max_iter)
+    return BranchPoint(lam, Field(grid, u), grid.deviation(u), res, 0.0)
 
 
 def constant_solution(grid: Grid, p: float, lam: float) -> BranchPoint:
@@ -289,8 +239,8 @@ def constant_solution(grid: Grid, p: float, lam: float) -> BranchPoint:
 # ----------------------------------------------------------------------
 # pseudo-arclength machinery
 def _arc_correct(grid: Grid, p: float, u0: np.ndarray, ell0: float,
-                 tu: np.ndarray, tl: float, ds: float, lam_ref: float,
-                 base_u: np.ndarray, base_ell: float,
+                 tu: Optional[np.ndarray], tl: float, ds: float,
+                 lam_ref: float, base_u: np.ndarray, base_ell: float,
                  tol: float = _NEWTON_TOL, max_iter: int = 30,
                  work: Optional[BranchTrace] = None,
                  chord: Optional[_Chord] = None):
@@ -298,6 +248,8 @@ def _arc_correct(grid: Grid, p: float, u0: np.ndarray, ell0: float,
 
     Unknowns are (u, ell) with lam = lam_ref * ell; the constraint is
     <tu, u - base_u> + tl (ell - base_ell) = ds in the quadrature metric.
+    With ``tu`` None there is no bordering row: ell stays at ell0 and the
+    iteration solves F(u) = 0 alone (``newton_solve``).
     The iteration is Newton-chord: each bordered step uses the factor that
     ``chord`` holds, built fresh at the current iterate when it holds
     none. After a step taken with a factor built at an earlier iterate,
@@ -326,8 +278,9 @@ def _arc_correct(grid: Grid, p: float, u0: np.ndarray, ell0: float,
             raise DampingError("corrector left lam > 0")
         F = _residual(grid, p, lam, u)
         res = _scaled_norm(grid, p, lam, u, F)
-        con = (float(np.add.reduce(w * tu * (u - base_u), axis=None))
-               + tl * (ell - base_ell) - ds)
+        con = 0.0 if tu is None else (
+            float(np.add.reduce(w * tu * (u - base_u), axis=None))
+            + tl * (ell - base_ell) - ds)
         if res <= tol and abs(con) <= 1e-10 * max(1.0, abs(ds)):
             return u, ell, res, it
         stale = judge and res > 0.25 * last[3]
@@ -344,22 +297,26 @@ def _arc_correct(grid: Grid, p: float, u0: np.ndarray, ell0: float,
             chord.refresh(grid, p, lam, u)
         judge, last = not refresh, (u, ell, F, res, con)
         x1 = _jac_solve(chord.lu, grid, F)
-        x2 = _jac_solve(chord.lu, grid, lam_ref * u)  # dF/d(ell)
-        tux1 = float(np.add.reduce(w * tu * x1, axis=None))
-        tux2 = float(np.add.reduce(w * tu * x2, axis=None))
-        denom = tl - tux2
-        if abs(denom) < 1e-14:
-            raise SingularJacobianError("bordered system singular")
-        dell = (-con + tux1) / denom
-        du = -x1 - dell * x2
+        if tu is None:
+            dell, du = 0.0, -x1
+        else:
+            x2 = _jac_solve(chord.lu, grid, lam_ref * u)  # dF/d(ell)
+            tux1 = float(np.add.reduce(w * tu * x1, axis=None))
+            tux2 = float(np.add.reduce(w * tu * x2, axis=None))
+            denom = tl - tux2
+            if abs(denom) < 1e-14:
+                raise SingularJacobianError("bordered system singular")
+            dell = (-con + tux1) / denom
+            du = -x1 - dell * x2
         alpha = 1.0
         while alpha >= 1e-10 and (u + alpha * du).min() <= 0.0:
             alpha *= 0.5
         if alpha < 1e-10:
-            raise DampingError("positivity lost in arclength corrector")
+            raise DampingError("positivity lost in Newton-chord corrector")
         u = u + alpha * du
         ell = ell + alpha * dell
-    raise ConvergenceError("arclength corrector did not converge", res, max_iter)
+    raise ConvergenceError("Newton-chord corrector did not converge", res,
+                           max_iter)
 
 
 def trace_branch(grid: Grid, p: float, lambda_start: float,

@@ -22,10 +22,10 @@ the discrete spectral gap is nonincreasing along the flow.
 The heat flow is exact in time. Its semi-discrete system v' = -M^-1 K v
 is linear with constant coefficients, and the (K, M) pencil of every grid
 is a Kronecker sum of 1-D tridiagonal pencils (``Grid.heat_modes``). So
-v is moved into the M-orthonormal modal basis once, each stored time
-t_k = k t_end / n_store multiplies the modal coefficients by
-exp(-(t_end / n_store) Lambda), and the result is mapped back to node
-values. The constant mode has eigenvalue exactly 0.
+v is moved into the M-orthonormal modal basis once (``Grid.to_modes``),
+each stored time t_k = k t_end / n_store multiplies the modal
+coefficients by exp(-(t_end / n_store) Lambda), and the result is mapped
+back to node values. The constant mode has eigenvalue exactly 0.
 
 The nonlinear flow takes one second-order Runge-Kutta-Legendre
 super-time-step (RKL2; Meyer, Balsara & Aslam, J. Comput. Phys. 257
@@ -186,19 +186,12 @@ def _advance(rhs, y: np.ndarray, t_end: float, n_store: int, stage_dt,
     return steps, rhs_evals, halvings
 
 
-def _axis_products(mats, x: np.ndarray) -> np.ndarray:
-    """x multiplied by the matrix mats[a] along each data axis a."""
-    for a, mat in enumerate(mats):
-        x = np.moveaxis(mat @ np.moveaxis(x, a, 0), 0, a)
-    return x
-
-
 def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
                   n_store: int = _STORE_TARGET) -> FlowTrace:
     """Solve the semi-discrete Neumann heat equation; record the u-quantities.
 
     Requires p in (0, 1) and strictly positive data. The solution is exact
-    in time: the modal coefficients of v0 in ``grid.heat_modes()`` are
+    in time: the modal coefficients of v0 (``grid.to_modes``) are
     multiplied by exp(-dt Lambda), dt = t_end / n_store, once per stored
     sample and mapped back to node values. The heat flow preserves
     positivity, so a sample that loses it means the spatial operator is
@@ -223,18 +216,13 @@ def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
         e, i = _entropy_pair(grid, u, p)
         rec.add(t, e, i, i - Lam * e, grid.integrate(v), float(v.min()), dt)
 
-    modes = grid.heat_modes()
-    to_nodes = [c for _, c in modes]
-    eig = np.zeros(grid.shape)
-    for a, (lam, _) in enumerate(modes):
-        eig += lam.reshape([-1 if b == a else 1 for b in range(eig.ndim)])
     dt = t_end / n_store
-    decay = np.exp(-dt * eig)
-    coeffs = _axis_products([c.T for c in to_nodes], grid.weights * v)
+    decay = np.exp(-dt * grid.mode_eigenvalues())
+    coeffs = grid.to_modes(v)
     record(0.0, 0.0, v)
     for k in range(1, n_store + 1):
         coeffs *= decay
-        v = _axis_products(to_nodes, coeffs)
+        v = grid.from_modes(coeffs)
         if not v.min() > 0.0:
             t = (k - 1) * t_end / n_store
             raise PositivityError(

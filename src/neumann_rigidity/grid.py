@@ -29,7 +29,6 @@ from typing import IO, List, Optional, Tuple
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import splu
 
 from .errors import PositivityError, RangeError
 
@@ -265,17 +264,6 @@ class Grid:
     def mass_vector(self) -> np.ndarray:
         return self.weights.ravel()
 
-    def shifted_factor(self, sigma: float):
-        """Sparse LU of K + sigma*M (M the diagonal mass), sigma > 0.
-
-        Not memoized: every quotient solve brings its own sigma, and a
-        factor kept on the grid stays resident for the grid's lifetime
-        (about 11 MB of peak memory in the 64x64 flow benchmark).
-        """
-        shifted = self.sparse_stiffness() + sigma * sparse.diags(
-            self.mass_vector())
-        return splu(shifted.tocsc())
-
     def heat_modes(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
         """Generalized eigenpairs (lam_a, C_a) of each data axis's pencil.
 
@@ -292,6 +280,29 @@ class Grid:
             self._cache["heat_modes"] = tuple(
                 _pencil_modes(fc, w) for fc, w in self._axis_pencils())
         return self._cache["heat_modes"]
+
+    def mode_eigenvalues(self) -> np.ndarray:
+        """Eigenvalue of every grid mode, the sum of its axis eigenvalues.
+
+        Indexed like the coefficients of ``to_modes``; cached, read-only.
+        """
+        if "mode_eigenvalues" not in self._cache:
+            eig = np.zeros(self.shape)
+            for a, (lam, _) in enumerate(self.heat_modes()):
+                eig += lam.reshape([-1 if b == a else 1
+                                    for b in range(eig.ndim)])
+            eig.flags.writeable = False
+            self._cache["mode_eigenvalues"] = eig
+        return self._cache["mode_eigenvalues"]
+
+    def to_modes(self, v: np.ndarray) -> np.ndarray:
+        """Modal coefficients C^T M v of node values v (C the axis modes)."""
+        return _axis_products([c.T for _, c in self.heat_modes()],
+                              self.weights * v)
+
+    def from_modes(self, coeffs: np.ndarray) -> np.ndarray:
+        """Node values C x of modal coefficients x; inverts ``to_modes``."""
+        return _axis_products([c for _, c in self.heat_modes()], coeffs)
 
     def _axis_pencils(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """(face coefficients, weights) of each data axis's 1-D pencil."""
@@ -345,6 +356,15 @@ def _pencil_modes(fc: np.ndarray, w: np.ndarray):
     lam, q = eigh_tridiagonal(main, off)
     lam[0] = 0.0  # k annihilates constants
     return lam, s[:, None] * q
+
+
+def _axis_products(mats, x: np.ndarray) -> np.ndarray:
+    """x multiplied by the matrix mats[a] along each data axis a."""
+    if len(mats) == 1:
+        return mats[0] @ x
+    for a, mat in enumerate(mats):
+        x = np.moveaxis(mat @ np.moveaxis(x, a, 0), 0, a)
+    return x
 
 
 @functools.lru_cache(maxsize=None)

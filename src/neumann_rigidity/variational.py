@@ -11,11 +11,16 @@ for p < 1 the companion quotient
 Every objective is minimized by one engine, projected Sobolev-gradient
 descent on a norm sphere in one metric (Neuberger, LNM 1670): the L2
 gradient g is replaced by its Riesz representative d = (K + sigma M)^-1 M g,
-sigma = max(1, parameter), with Barzilai-Borwein steps measured in that
-metric, Armijo backtracking and a small multi-start ladder (constant,
-eigenfunction perturbations, one seeded random field). Since the
-objectives are invariant under u -> |u|, iterates are folded positive at
-every step, which also realizes the positivity of the returned minimizers.
+sigma = max(1, parameter), applied in the grid's modes without a
+factorization (see ``_metric``), with Barzilai-Borwein steps measured in
+that metric, Armijo backtracking and a small multi-start ladder (constant,
+eigenfunction perturbations, one seeded random field). Each objective is
+a triple (normalize, value, grad): the descent takes every objective value
+from ``value``, so the line search compares like with like, and
+``grad(u, f)`` takes the value f = value(u) the descent already holds.
+Since the objectives are invariant under u -> |u|, iterates are folded
+positive at every step, which also realizes the positivity of the
+returned minimizers.
 
 Thresholds come from one bisection on the parameter. A parameter counts
 as broken when a positive function beats the constants there, so the
@@ -115,14 +120,17 @@ def _metric(grid: Grid, sigma: float):
 
     The metric is K + sigma*M with direction d = (K + sigma*M)^-1 M g,
     whose conditioning, unlike that of L2, does not degrade as the grid is
-    refined.
+    refined. The grid's modes C diagonalize the pencil, K C = M C Lambda
+    with C^T M C = I, so d = C (Lambda + sigma)^-1 C^T M g: two small
+    dense products per data axis and no factorization (fast
+    diagonalization; Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199).
     """
     w = grid.weights
     K = grid.sparse_stiffness()
-    lu = grid.shifted_factor(sigma)
+    inv = 1.0 / (grid.mode_eigenvalues() + sigma)
 
     def riesz(g):
-        return lu.solve((w * g).ravel()).reshape(g.shape)
+        return grid.from_modes(inv * grid.to_modes(g))
 
     def norm_sq(s):
         return float(s.ravel() @ (K @ s.ravel())) + sigma * _inner(w, s, s)
@@ -132,12 +140,13 @@ def _metric(grid: Grid, sigma: float):
 
 def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
              max_iter: int = _MAX_ITER) -> Tuple[np.ndarray, StartRecord]:
-    normalize, value, value_grad = objective
+    normalize, value, grad = objective
     riesz, norm_sq = metric
     alpha = 1.0
     w = grid.weights
     u = normalize(u0)
-    f, g = value_grad(u)
+    f = value(u)
+    g = grad(u, f)
     gg = _inner(w, g, g)
     hist = deque([f], maxlen=_F_WINDOW + 1)
     converged = False
@@ -172,12 +181,12 @@ def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
             else:
                 stalled = True
             break
-        fnew, gnew = value_grad(trial)
+        gnew = grad(trial, ftrial)
         s = trial - u
         sy = _inner(w, s, gnew - g)
         alpha = norm_sq(s) / sy if sy > 1e-300 else 2.0 * a
         alpha = min(max(alpha, 1e-10 * grid.h_min**2), 1e10)
-        u, f, g = trial, fnew, gnew
+        u, f, g = trial, ftrial, gnew
         gg = _inner(w, g, g)
         hist.append(f)
     return u, StartRecord(it, converged, stalled, f)
@@ -211,14 +220,10 @@ def _quotient_p_gt1(grid: Grid, lam: float, p: float):
     def value(u):
         return grid.energy(u) + lam * grid.integrate(u * u)
 
-    def value_grad(u):
-        ku = grid.stiffness_apply(u)
-        f = (float(np.add.reduce(u * ku, axis=None))
-             + lam * grid.integrate(u * u))
-        grad = 2.0 * (ku / w + lam * u - f * u**p)
-        return f, grad
+    def grad(u, f):
+        return 2.0 * (grid.stiffness_apply(u) / w + lam * u - f * u**p)
 
-    return _sphere(grid, p + 1.0), value, value_grad
+    return _sphere(grid, p + 1.0), value, grad
 
 
 def _quotient_l2(grid: Grid, c: float, p: float):
@@ -233,14 +238,12 @@ def _quotient_l2(grid: Grid, c: float, p: float):
     def value(u):
         return grid.energy(u) + c * grid.lp_norm(u, p + 1.0) ** 2
 
-    def value_grad(u):
-        ku = grid.stiffness_apply(u)
+    def grad(u, f):
         np1 = grid.lp_norm(u, p + 1.0)
-        f = float(np.add.reduce(u * ku, axis=None)) + c * np1**2
-        grad = 2.0 * (ku / w + c * np1 ** (1.0 - p) * u**p - f * u)
-        return f, grad
+        return 2.0 * (grid.stiffness_apply(u) / w
+                      + c * np1 ** (1.0 - p) * u**p - f * u)
 
-    return _sphere(grid), value, value_grad
+    return _sphere(grid), value, grad
 
 
 def _run_multistart(grid: Grid, objective, starts: Sequence[np.ndarray],
@@ -452,14 +455,11 @@ def _lsi_deficit(grid: Grid, c: float):
     def value(u):
         return j_lambda(Field(grid, u), c, 1.0)
 
-    def value_grad(u):
-        ku = grid.stiffness_apply(u)
+    def grad(u, f):
         dent = u * np.log(u * u / grid.integrate(u * u))  # L2 gradient of Ent
-        f = (float(np.add.reduce(u * ku, axis=None))
-             - 0.5 * c * grid.integrate(u * dent))
-        return f, 2.0 * (ku / w - f * u) - c * dent
+        return 2.0 * (grid.stiffness_apply(u) / w - f * u) - c * dent
 
-    return normalize, value, value_grad
+    return normalize, value, grad
 
 
 def estimate_lambda_star(grid: Grid, p: float, seed: int = 0) -> float:

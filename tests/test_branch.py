@@ -72,6 +72,22 @@ def test_newton_nonconstant_past_bifurcation(interval256):
     assert bp.solution.values.min() > 0.0
 
 
+@pytest.mark.parametrize("p", [2.0, 0.5])
+def test_newton_converges_at_the_bifurcation(interval128, p):
+    # the constant's Jacobian is singular along u2 at lambda2/|p-1|, but
+    # starts off the constant still converge to a positive root
+    g = interval128
+    gap = spectral_gap(g)
+    lam = gap.eigenvalue / abs(p - 1.0)
+    c = lam ** (1.0 / (p - 1.0))
+    for a in (1e-6, 1e-3, 0.1, 0.5):
+        u0 = Field(g, c * (1.0 + a * gap.eigenfunction.values))
+        bp = newton_solve(g, p, lam, u0)
+        assert bp.lam == lam
+        assert bp.newton_residual <= 1e-9
+        assert bp.solution.values.min() > 0.0
+
+
 def test_newton_guards(interval128):
     with pytest.raises(PositivityError):
         newton_solve(interval128, 2.0, 1.0,

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from neumann_rigidity import flow
+from neumann_rigidity import grid as gmod
 from neumann_rigidity import (Domain, Field, PositivityError, RangeError,
                               accumulated_dissipation_bound, build_grid,
                               constant_field,
@@ -360,7 +361,7 @@ def test_heat_flow_matches_fine_rkl2(square32):
 
 def test_heat_flow_failure_carries_time_and_step(square32, monkeypatch):
     # call 1 maps v0 to modal coefficients, call k + 1 maps sample k back
-    products = flow._axis_products
+    products = gmod._axis_products
     calls = []
 
     def negative_after_three(mats, x):
@@ -368,7 +369,7 @@ def test_heat_flow_failure_carries_time_and_step(square32, monkeypatch):
         out = products(mats, x)
         return out if len(calls) <= 4 else -np.abs(out)
 
-    monkeypatch.setattr(flow, "_axis_products", negative_after_three)
+    monkeypatch.setattr(gmod, "_axis_products", negative_after_three)
     t_end, n = 0.02, 10
     with pytest.raises(PositivityError) as info:
         heat_flow_run(square32, 0.5, _perturbed(square32, 0.1, squared=True),

@@ -185,11 +185,14 @@ def test_cache_clear_keeps_grid_data():
                    (Domain.ball(2), 32)):
         g = build_grid(dom, n)
         K = g.sparse_stiffness().toarray()
-        lu = g.shifted_factor(1.0)
+        b = np.arange(g.n_nodes, dtype=float).reshape(g.shape)
+        eig, coeffs, nodes = (g.mode_eigenvalues().copy(), g.to_modes(b),
+                              g.from_modes(b))
         g._cache.clear()
         assert np.array_equal(g.sparse_stiffness().toarray(), K)
-        b = np.arange(g.n_nodes, dtype=float)
-        assert np.array_equal(g.shifted_factor(1.0).solve(b), lu.solve(b))
+        assert np.array_equal(g.mode_eigenvalues(), eig)
+        assert np.array_equal(g.to_modes(b), coeffs)
+        assert np.array_equal(g.from_modes(b), nodes)
 
 
 @pytest.mark.parametrize("dom,n", [
@@ -229,3 +232,10 @@ def test_grid_kernels_match_numpy_reference_bit_for_bit(dom, n):
             ku[tuple(hi)] += flux
         assert g.energy(v) == energy
         assert (g.stiffness_apply(v) == ku).all()
+        # the modal transform: one product per axis, moved to the front
+        coeffs, nodes = w * v, v
+        for a, (_, c) in enumerate(g.heat_modes()):
+            coeffs = np.moveaxis(c.T @ np.moveaxis(coeffs, a, 0), 0, a)
+            nodes = np.moveaxis(c @ np.moveaxis(nodes, a, 0), 0, a)
+        assert (g.to_modes(v) == coeffs).all()
+        assert (g.from_modes(v) == nodes).all()

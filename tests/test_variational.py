@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import linalg as sla
 
+from neumann_rigidity import branch, spectral
+from neumann_rigidity import grid as gmod
 from neumann_rigidity import (ConvergenceError, Field, PositivityError,
                               RangeError, constant_field, estimate_lambda_star,
                               estimate_mu2, fit_scaling_exponent, j_lambda,
@@ -152,15 +155,26 @@ def _lsi_deficit_min(g, c):
     return vmod._solve(g, c, vmod._lsi_deficit(g, c), 1.0, 0).mu_out
 
 
-def test_estimate_lambda_star_interval(interval256):
+def test_estimate_lambda_star_interval(interval256, monkeypatch):
     # lam* = |p-1| mu2 for p != 1, so the estimate is the witnessed upper
     # end of the mu2 bracket; at p = 1 it is the upper end of a bisection
     # on the sign of min(energy - c Ent), and the minimizer found there
     # witnesses it
     g = interval256
     lam2 = spectral_gap(g).eigenvalue
+    solve, starts = vmod._solve, []
+
+    def recording_solve(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        starts.extend(sol.starts)
+        return sol
+
+    monkeypatch.setattr(vmod, "_solve", recording_solve)
     est1 = estimate_lambda_star(g, 1.0)
+    monkeypatch.undo()
     assert 0.99 * lam2 <= est1 <= 1.02 * lam2
+    # no start of the p = 1 bisection runs to the iteration cap
+    assert starts and all(rec.iterations < vmod._MAX_ITER for rec in starts)
     assert _lsi_deficit_min(g, 0.95 * lam2) >= -1e-12
     assert _lsi_deficit_min(g, est1) < 0.0
     for p in (0.25, 0.75):
@@ -193,6 +207,41 @@ def test_riesz_map_solves_shifted_system(grid_name, request):
         res = np.abs(A @ d.ravel() - rhs).max()
         scale = abs(A).sum(axis=1).max() * np.abs(d).max() + np.abs(rhs).max()
         assert res <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("grid_name", ["interval256", "square32"])
+def test_quotient_solve_makes_no_sparse_factorization(grid_name, request,
+                                                     monkeypatch):
+    # the Riesz map is applied in the grid's modes, so no name a solve
+    # could factor through may be called
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a quotient solve must not factor a matrix")
+
+    for mod in (sla, gmod, spectral, branch):
+        monkeypatch.setattr(mod, "splu", forbidden, raising=False)
+    g = request.getfixturevalue(grid_name)
+    lam2 = spectral_gap(g).eigenvalue
+    for p, lam in ((2.0, 1.05 * lam2), (0.5, 0.9 * lam2 / 0.5)):
+        assert minimize_quotient(g, lam, p).converged
+
+
+def test_descent_values_come_from_value(square32):
+    # the line search compares value(trial) with the f the descent holds,
+    # so that f, the reported one included, is value(u) exactly
+    g = square32
+    u0 = 1.0 + 0.3 * spectral_gap(g).eigenfunction.values
+    u0 += 0.01 * np.cos(3.0 * np.pi * g.coordinates()[:, 1]).reshape(g.shape)
+    metric = vmod._metric(g, 10.0)
+    objectives = [vmod._quotient_p_gt1(g, 10.0, 2.0),
+                  vmod._quotient_l2(g, 25.0, 0.5),
+                  vmod._quotient_l2(g, -25.0, 2.0),
+                  vmod._lsi_deficit(g, 9.0)]
+    for objective in objectives:
+        value = objective[1]
+        for max_iter in (1, 2, 7):
+            u, rec = vmod._descend(g, u0, objective, 10.0, metric,
+                                   max_iter=max_iter)
+            assert rec.value == value(u)
 
 
 def test_sobolev_descent_converges_past_threshold(interval256):
