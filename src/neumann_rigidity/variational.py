@@ -20,14 +20,21 @@ from ``value``, so the line search compares like with like, and
 ``grad(u, f)`` takes the value f = value(u) the descent already holds.
 Since the objectives are invariant under u -> |u|, iterates are folded
 positive at every step, which also realizes the positivity of the
-returned minimizers.
+returned minimizers. A line search ends once its step no longer moves the
+iterate and its trial is no lower than f: every shorter step gives that
+same rejected trial.
 
 Thresholds come from one bisection on the parameter. A parameter counts
 as broken when a positive function beats the constants there, so the
-upper end of each bracket is witnessed by the minimizer that broke it.
-The optimal interpolation constant is lam* = |p-1| mu2 for p != 1; at
-p = 1 (log-Sobolev) the bisection runs on c with the objective
-energy - c Ent, which vanishes at the constants.
+upper end of each bracket is witnessed by the function that broke it.
+Every accepted step lowers the objective, so a solve that only has to
+decide "broken" stops at the first iterate below the threshold (its
+``below``), a witness, and skips the starts after it. A start ends below
+the threshold exactly when it crosses it, so the verdict is the full
+solve's wherever that solve keeps its least value. The optimal
+interpolation constant is lam* = |p-1| mu2 for p != 1; at p = 1
+(log-Sobolev) the bisection runs on c with the objective energy - c Ent,
+which vanishes at the constants.
 """
 
 from __future__ import annotations
@@ -53,12 +60,18 @@ _TIE_REL = 1e-12     # starts this close in value count as the same minimum
 
 
 class StartRecord(NamedTuple):
-    """One start of a multistart solve; ``value`` is the objective reached."""
+    """One start of a multistart solve; ``value`` is the objective reached.
+
+    ``witness`` marks a start that stopped early because its value fell
+    below the solve's ``below``; such a start is neither converged nor
+    stalled.
+    """
 
     iterations: int
     converged: bool
     stalled: bool
     value: float
+    witness: bool = False
 
 
 @dataclass
@@ -69,7 +82,10 @@ class QuotientSolve:
     ``mu_out`` the quotient value at the minimizer; the constant test
     function forces mu_out <= lambda_in up to solver tolerance.
     ``iterations`` and ``converged`` belong to the best start; ``starts``
-    records every start, so one that hit the iteration cap stays visible.
+    records every start that ran, so one that hit the iteration cap stays
+    visible, and ``restarts_used`` counts them. A solve that found a
+    witness below its ``below`` ends at that start, which it returns
+    unconverged.
     """
 
     lambda_in: float
@@ -139,7 +155,16 @@ def _metric(grid: Grid, sigma: float):
 
 
 def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
-             max_iter: int = _MAX_ITER) -> Tuple[np.ndarray, StartRecord]:
+             max_iter: int = _MAX_ITER, below: Optional[float] = None
+             ) -> Tuple[np.ndarray, StartRecord]:
+    """One start of the descent: the last iterate and its record.
+
+    With ``below`` set the start ends at the first iterate whose value is
+    below it, the start point included (a witness). A line search whose
+    step no longer moves u in any entry, and whose trial is no lower than
+    f, ends there: every shorter step gives the same trial and the same
+    rejection.
+    """
     normalize, value, grad = objective
     riesz, norm_sq = metric
     alpha = 1.0
@@ -149,10 +174,12 @@ def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
     g = grad(u, f)
     gg = _inner(w, g, g)
     hist = deque([f], maxlen=_F_WINDOW + 1)
-    converged = False
-    stalled = False
+    converged = stalled = witness = False
     it = 0
     for it in range(1, max_iter + 1):
+        if below is not None and f < below:
+            witness = True
+            break
         # the stopping rule reads the L2 gradient, not the metric's
         gnorm = math.sqrt(max(gg, 0.0))
         flat = (len(hist) == _F_WINDOW + 1 and
@@ -165,12 +192,15 @@ def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
         a = alpha
         accepted = False
         for _ in range(60):
-            trial = normalize(u - a * d)
+            step = u - a * d
+            trial = normalize(step)
             ftrial = value(trial)
             # Armijo plus a real decrease: below the rounding of f a step
             # that leaves f unchanged is no progress, so the search fails
             if ftrial < f and ftrial <= f - 1e-4 * a * gd:
                 accepted = True
+                break
+            if ftrial >= f and np.array_equal(step, u):
                 break
             a *= 0.5
         if not accepted:
@@ -189,7 +219,7 @@ def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
         u, f, g = trial, ftrial, gnew
         gg = _inner(w, g, g)
         hist.append(f)
-    return u, StartRecord(it, converged, stalled, f)
+    return u, StartRecord(it, converged, stalled, f, witness)
 
 
 def _starts(grid: Grid, seed: int) -> List[np.ndarray]:
@@ -247,16 +277,25 @@ def _quotient_l2(grid: Grid, c: float, p: float):
 
 
 def _run_multistart(grid: Grid, objective, starts: Sequence[np.ndarray],
-                    scale: float, max_iter: int = _MAX_ITER):
-    """Best iterate, its record and the records of all ``starts``.
+                    scale: float, max_iter: int = _MAX_ITER,
+                    below: Optional[float] = None):
+    """Best iterate, its record and the records of the starts that ran.
 
     ``scale`` is both the shift of the metric (see ``_metric``), which the
-    starts share, and the scale of the gradient tolerance.
+    starts share, and the scale of the gradient tolerance. The starts run
+    in order; with ``below`` set, the first one that reaches a value below
+    it is returned at once, and the starts after it do not run.
     """
     metric = _metric(grid, scale)
-    runs = [_descend(grid, u0, objective, scale, metric, max_iter=max_iter)
-            for u0 in starts]
+    runs = []
+    for u0 in starts:
+        runs.append(_descend(grid, u0, objective, scale, metric,
+                             max_iter=max_iter, below=below))
+        if runs[-1][1].witness:
+            break
     records = tuple(rec for _, rec in runs)
+    if records[-1].witness:
+        return (*runs[-1], records)
     if all(rec.stalled for rec in records):
         raise ConvergenceError("every start failed its line search")
     u, best = _best_run(runs)
@@ -283,40 +322,49 @@ def _check_p(grid: Grid, p: float) -> None:
 
 
 def _solve(grid: Grid, param: float, objective, sign: float, seed: int,
-           max_iter: int = _MAX_ITER) -> QuotientSolve:
+           max_iter: int = _MAX_ITER, below: Optional[float] = None
+           ) -> QuotientSolve:
     """Multistart solve in the metric K + max(1, param)*M; ``sign`` maps
     the minimum to ``mu_out``.
 
     The shift follows the parameter so that the metric tracks the
     zeroth-order term of the objective; with a unit shift the descent
-    slows down at large parameters.
+    slows down at large parameters. ``below`` is a witness threshold on
+    the objective's value, before ``sign`` (see ``_run_multistart``).
     """
     scale = max(1.0, param)
-    starts = _starts(grid, seed)
-    u, best, records = _run_multistart(grid, objective, starts, scale,
-                                       max_iter=max_iter)
+    u, best, records = _run_multistart(grid, objective, _starts(grid, seed),
+                                       scale, max_iter=max_iter, below=below)
     u = np.maximum(u, 1e-300)
     return QuotientSolve(
         lambda_in=param, mu_out=sign * best.value, minimizer=Field(grid, u),
         constant_deviation=grid.deviation(u), iterations=best.iterations,
-        converged=best.converged, restarts_used=len(starts),
+        converged=best.converged, restarts_used=len(records),
         starts=records)
 
 
 def minimize_quotient(grid: Grid, lam: float, p: float,
-                      seed: int = 0, max_iter: int = _MAX_ITER
-                      ) -> QuotientSolve:
+                      seed: int = 0, max_iter: int = _MAX_ITER,
+                      below: Optional[float] = None) -> QuotientSolve:
     """Minimize the interpolation quotient at parameter ``lam``.
 
     For p > 1 this returns mu(lam); for p < 1 the argument is read as mu
     and the value is lam(mu). Multi-start, best value kept.
+
+    With ``below`` set, the solve stops at the first iterate whose quotient
+    is below it, and the starts after that one do not run. ``mu_out`` is
+    then a witness value, an upper bound on the minimum rather than the
+    minimum, and the solve is marked unconverged with its last start
+    flagged ``witness``. If no iterate gets below ``below``, the result is
+    the one the solve without it gives.
     """
     _check_p(grid, p)
     if not lam > 0.0:
         raise RangeError("the quotient parameter must be positive")
     objective = (_quotient_p_gt1(grid, lam, p) if p > 1.0
                  else _quotient_l2(grid, lam, p))
-    return _solve(grid, lam, objective, 1.0, seed, max_iter=max_iter)
+    return _solve(grid, lam, objective, 1.0, seed, max_iter=max_iter,
+                  below=below)
 
 
 def lambda_of_mu(grid: Grid, mu: float, p: float, seed: int = 0
@@ -340,13 +388,15 @@ def _threshold_bracket(grid: Grid, p: float, scale: float, tol: float,
     """Bisection bracket (lo, hi, open_upper) of the parameter where
     ``broken`` starts to hold.
 
-    ``broken(x)`` runs one solve. The search starts from half the explicit
-    rigidity bound, 0.5 (1 - theta*) ``scale``, which must not be broken,
-    and from 1.05 ``scale``; the upper end grows 1.25x until ``broken`` holds,
-    and is flagged open at the cap 3 ``scale``. Halving then narrows the
-    bracket to width ``tol * scale``. A ConvergenceError raised here
-    carries ``stage``, the parameter of the failed solve and its step:
-    the number of solves of the search before it (0 is the lower end).
+    ``broken(x)`` runs one solve, which may stop at its first witness
+    since only the verdict is read. The search starts from half the
+    explicit rigidity bound, 0.5 (1 - theta*) ``scale``, which must not be
+    broken, and from 1.05 ``scale``; the upper end grows 1.25x until
+    ``broken`` holds, and is flagged open at the cap 3 ``scale``. Halving
+    then narrows the bracket to width ``tol * scale``. A ConvergenceError
+    raised here carries ``stage``, the parameter of the failed solve and
+    its step: the number of solves of the search before it (0 is the
+    lower end).
     """
     solves = 0
 
@@ -391,7 +441,9 @@ def estimate_mu2(grid: Grid, p: float, tol: float = 0.01,
     departure from the diagonal is quadratic in the parameter, so the
     detection tolerance must sit well below the target bracket accuracy;
     1e-6 keeps the systematic overshoot of the detected threshold near
-    0.3% while staying far above the solver's 1e-10 resolution.
+    0.3% while staying far above the solver's 1e-10 resolution. Each
+    solve stops at the first iterate below that threshold (``below`` of
+    ``minimize_quotient``), which witnesses the break.
 
     A ConvergenceError raised here carries the stage ``"mu2 bisection"``
     (see ``_threshold_bracket``).
@@ -402,8 +454,9 @@ def estimate_mu2(grid: Grid, p: float, tol: float = 0.01,
     scale = spectral_gap(grid).eigenvalue / abs(p - 1.0)
 
     def broken(x: float) -> bool:
-        sol = minimize_quotient(grid, x, p, seed=seed)
-        return sol.mu_out < x * (1.0 - rel_gap_tol)
+        thr = x * (1.0 - rel_gap_tol)
+        sol = minimize_quotient(grid, x, p, seed=seed, below=thr)
+        return sol.mu_out < thr
 
     return Mu2Bracket(*_threshold_bracket(grid, p, scale, tol, broken,
                                           "mu2 bisection"))
@@ -469,8 +522,8 @@ def estimate_lambda_star(grid: Grid, p: float, seed: int = 0) -> float:
     times the upper end of the ``estimate_mu2`` bracket. p = 1 estimates
     the logarithmic Sobolev constant: c is bisected on the sign of the
     minimum of energy - c Ent over the unit L2 sphere, broken meaning a
-    minimum below -1e-6 c, and the estimate is the upper end of the
-    bracket. Either way a positive function beats the inequality at the
+    value below -1e-6 c (each solve stops at the first such iterate), and
+    the estimate is the upper end of the bracket. Either way a positive function beats the inequality at the
     returned constant, and the bracket is 0.01 lambda2 wide. Both descend
     in the Sobolev metric of the quotient solves.
 
@@ -481,8 +534,9 @@ def estimate_lambda_star(grid: Grid, p: float, seed: int = 0) -> float:
         lam2 = spectral_gap(grid).eigenvalue
 
         def broken(c: float) -> bool:
-            sol = _solve(grid, c, _lsi_deficit(grid, c), 1.0, seed)
-            return sol.mu_out < -1e-6 * c
+            thr = -1e-6 * c
+            sol = _solve(grid, c, _lsi_deficit(grid, c), 1.0, seed, below=thr)
+            return sol.mu_out < thr
 
         _, hi, open_upper = _threshold_bracket(
             grid, p, lam2, 0.01, broken, "lambda_star bisection")

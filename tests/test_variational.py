@@ -10,7 +10,8 @@ from neumann_rigidity import grid as gmod
 from neumann_rigidity import (ConvergenceError, Field, PositivityError,
                               RangeError, constant_field, estimate_lambda_star,
                               estimate_mu2, fit_scaling_exponent, j_lambda,
-                              lambda_of_mu, minimize_quotient, spectral_gap)
+                              lambda_of_mu, minimize_quotient, spectral_gap,
+                              theta_star)
 from neumann_rigidity import variational as vmod
 
 PI2 = math.pi**2
@@ -128,12 +129,168 @@ def test_estimate_mu2_interval(interval256):
 
 def test_estimate_mu2_open_bracket(monkeypatch, interval128):
     # if the quotient never leaves the diagonal the upper end is flagged
-    def never_breaks(grid, lam, p, seed=0, max_iter=0):
+    def never_breaks(grid, lam, p, seed=0, max_iter=0, below=None):
         return vmod.QuotientSolve(lam, lam, constant_field(grid, 1.0),
                                   0.0, 1, True, 1)
     monkeypatch.setattr(vmod, "minimize_quotient", never_breaks)
     br = vmod.estimate_mu2(interval128, 2.0, tol=0.02)
     assert br.open_upper
+
+
+@pytest.mark.parametrize("grid_name,p,bracket", [
+    ("interval256", 2.0, (9.85405850446222, 9.938874344484978)),
+    ("interval256", 0.5, (19.70811700892444, 19.877748688969955)),
+    ("square32", 2.0, (9.85345640918321, 9.903532614546533)),
+    ("square32", 0.5, (19.637123355688125, 19.815675617345587)),
+])
+def test_estimate_mu2_brackets_unchanged_by_witness_exit(grid_name, p,
+                                                        bracket, request):
+    # brackets of the bisection whose solves ran every start to the end:
+    # stopping a solve at its first witness must not move a verdict
+    br = estimate_mu2(request.getfixturevalue(grid_name), p, seed=0)
+    assert not br.open_upper
+    assert (br.mu2_lo, br.mu2_hi) == pytest.approx(bracket, rel=1e-12)
+
+
+def _objective(g, x, p):
+    return (vmod._quotient_p_gt1(g, x, p) if p > 1.0
+            else vmod._quotient_l2(g, x, p))
+
+
+@pytest.mark.parametrize("p", [2.0, 0.5])
+def test_witness_exit_stops_at_first_start_below(interval128, p):
+    g = interval128
+    scale = spectral_gap(g).eigenvalue / abs(p - 1.0)
+    # past the threshold: a perturbed start point is itself below, and the
+    # descent checks before its first step
+    x = 1.05 * scale
+    below = x * (1.0 - 1e-6)
+    sol = minimize_quotient(g, x, p, below=below)
+    assert sol.mu_out < below
+    assert len(sol.starts) == sol.restarts_used <= 2
+    assert sol.starts[-1].witness and sol.starts[-1].value == sol.mu_out
+    assert sol.starts[-1].iterations == 1
+    assert not any(rec.witness for rec in sol.starts[:-1])
+    assert not sol.converged and sol.iterations == sol.starts[-1].iterations
+    # below the explicit bound no start gets there: the full solve's result
+    x = 0.5 * (1.0 - theta_star(p, g.dim)) * scale
+    sol = minimize_quotient(g, x, p, below=x * (1.0 - 1e-6))
+    full = minimize_quotient(g, x, p)
+    assert sol.restarts_used == len(sol.starts) == 4
+    assert not any(rec.witness for rec in sol.starts)
+    assert np.array_equal(sol.minimizer.values, full.minimizer.values)
+    for field in ("mu_out", "constant_deviation", "iterations", "converged",
+                  "restarts_used", "starts"):
+        assert getattr(sol, field) == getattr(full, field)
+
+
+def _descend_full_searches(grid, u0, objective, scale, metric,
+                           max_iter=vmod._MAX_ITER):
+    # the descent loop whose failed line search always makes 60 trials
+    normalize, value, grad = objective
+    riesz, norm_sq = metric
+    alpha = 1.0
+    w = grid.weights
+    u = normalize(u0)
+    f = value(u)
+    g = grad(u, f)
+    gg = vmod._inner(w, g, g)
+    hist = vmod.deque([f], maxlen=vmod._F_WINDOW + 1)
+    converged = stalled = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        gnorm = math.sqrt(max(gg, 0.0))
+        flat = (len(hist) == vmod._F_WINDOW + 1 and
+                hist[0] - f <= vmod._F_REL_TOL * max(abs(f), 1e-30))
+        if gnorm <= vmod._GRAD_TOL * scale and flat:
+            converged = True
+            break
+        d = riesz(g)
+        gd = vmod._inner(w, g, d)
+        a = alpha
+        accepted = False
+        for _ in range(60):
+            trial = normalize(u - a * d)
+            ftrial = value(trial)
+            if ftrial < f and ftrial <= f - 1e-4 * a * gd:
+                accepted = True
+                break
+            a *= 0.5
+        if not accepted:
+            if gnorm <= 100.0 * vmod._GRAD_TOL * scale:
+                converged = True
+            else:
+                stalled = True
+            break
+        gnew = grad(trial, ftrial)
+        s = trial - u
+        sy = vmod._inner(w, s, gnew - g)
+        alpha = norm_sq(s) / sy if sy > 1e-300 else 2.0 * a
+        alpha = min(max(alpha, 1e-10 * grid.h_min**2), 1e10)
+        u, f, g = trial, ftrial, gnew
+        gg = vmod._inner(w, g, g)
+        hist.append(f)
+    return u, vmod.StartRecord(it, converged, stalled, f)
+
+
+@pytest.mark.parametrize("p", [2.0, 0.5])
+def test_dead_line_search_ends_without_changing_the_descent(interval128, p):
+    g = interval128
+    scale = spectral_gap(g).eigenvalue / abs(p - 1.0)
+    starts = vmod._starts(g, 0)
+    calls = {"cut": 0, "full": 0}
+
+    def counted(objective, key):
+        normalize, value, grad = objective
+
+        def count(u):
+            calls[key] += 1
+            return value(u)
+        return normalize, count, grad
+
+    for x in (0.5 * scale, 1.05 * scale, 2.0 * scale):
+        objective = _objective(g, x, p)
+        metric = vmod._metric(g, max(1.0, x))
+        for u0 in starts:
+            u, rec = vmod._descend(g, u0, counted(objective, "cut"),
+                                   max(1.0, x), metric)
+            u_ref, rec_ref = _descend_full_searches(
+                g, u0, counted(objective, "full"), max(1.0, x), metric)
+            assert np.array_equal(u, u_ref)
+            assert rec == rec_ref
+    assert calls["cut"] < calls["full"]
+    # the constant start has a zero gradient: its one line search stops
+    # after a single trial instead of 60
+    calls["cut"] = 0
+    _, rec = vmod._descend(g, starts[0],
+                           counted(_objective(g, 1.05 * scale, p), "cut"),
+                           1.05 * scale, vmod._metric(g, 1.05 * scale))
+    assert calls["cut"] == 2
+    assert rec.converged and not rec.stalled and rec.iterations == 1
+
+
+def test_line_search_halves_on_while_a_stuck_trial_is_lower(interval128):
+    # u - a d rounds to u, but the trial normalize(u) is lower than f: a
+    # shorter step can still pass Armijo, so the search must go on
+    g = interval128
+
+    def normalize(u):
+        return np.nextafter(u, 0.0)   # one ulp down on every node
+
+    def value(u):
+        return float(u[0])
+
+    def grad(u, f):
+        return np.full(g.shape, 1e10)
+
+    objective = (normalize, value, grad)
+    metric = (lambda g_: np.full(g.shape, 1e-20), lambda s: 1.0)
+    u0 = np.ones(g.shape)
+    u, rec = vmod._descend(g, u0, objective, 1.0, metric, max_iter=1)
+    u_ref, rec_ref = _descend_full_searches(g, u0, objective, 1.0, metric,
+                                           max_iter=1)
+    assert not rec.stalled and rec.value < 1.0 - 1e-16
+    assert rec == rec_ref and np.array_equal(u, u_ref)
 
 
 def test_fit_scaling_exponent_guards(interval128):
