@@ -32,16 +32,18 @@ chord step back keeps the corrector on the branch it was following: at
 the double lambda2 of the square, a chord step kept in place drifted
 along the second eigenfunction onto the diagonal branch. The factor of
 each accepted point is handed to the next corrector call, and a rejected
-step drops it. Only one factor is alive at a time: the held one is
-dropped before the next is built. Chord iterations converge linearly,
-hence the growth thresholds above count more iterations than a full
-Newton corrector would need.
+step drops it. Chord iterations converge linearly, hence the growth
+thresholds above count more iterations than a full Newton corrector
+would need.
 
-Every Jacobian has the pattern of eps K + diag, whatever u and lam are.
-The sparse LU therefore works under one symmetric fill-reducing ordering
-per grid: a minimum-degree ordering of K + M, computed once and kept in
-the grid's cache along with K in that order. Each Jacobian is assembled
-directly in permuted order and factored without reordering.
+One ``_Jacobian`` per trace (or per ``newton_solve``) holds the factor,
+and its ``refresh`` drops the held one before it builds the next, so
+only one is alive at a time. Every Jacobian has the pattern of
+eps K + diag, whatever u and lam are, so the LU works under one
+symmetric fill-reducing ordering per grid: a minimum-degree ordering of
+K + M, computed once and kept in the grid's cache along with K in that
+order. Each Jacobian is assembled directly in permuted order and
+factored without reordering.
 """
 
 from __future__ import annotations
@@ -109,96 +111,61 @@ def _scaled_norm(grid: Grid, p: float, lam: float, u: np.ndarray,
     return math.sqrt(grid.integrate(F * F)) / scale
 
 
-class _Ordering:
-    """The grid's Jacobian ordering, K under it (CSC) and K's diagonal slots."""
-
-    def __init__(self, grid: Grid):
-        K = grid.sparse_stiffness()
-        # the pattern of K + M is that of every Jacobian; the probe factor
-        # is dropped before any Jacobian is factored
-        probe = splu((K + sparse.diags(grid.mass_vector())).tocsc(),
-                     permc_spec="MMD_AT_PLUS_A")
-        self.perm = np.argsort(probe.perm_c)
-        del probe
-        self.K = K.tocsc()[self.perm][:, self.perm].tocsc()
-        # each Jacobian shares these index arrays, and splu sorts the
-        # indices of its input in place unless they are sorted already
-        self.K.sort_indices()
-        # every node has a face, so K stores its whole (positive) diagonal
-        cols = np.repeat(np.arange(K.shape[1]), np.diff(self.K.indptr))
-        self.diag_pos = np.flatnonzero(self.K.indices == cols)
-
-
-def _ordering(grid: Grid) -> _Ordering:
-    if "jacobian_ordering" not in grid._cache:
-        grid._cache["jacobian_ordering"] = _Ordering(grid)
-    return grid._cache["jacobian_ordering"]
-
-
-class _JacobianLU:
-    """LU of the permuted Jacobian; ``solve`` maps natural order to itself."""
-
-    def __init__(self, lu, perm: np.ndarray):
-        self._lu = lu
-        self._perm = perm
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rhs)
-        out[self._perm] = self._lu.solve(rhs[self._perm])
-        return out
-
-
-def _factor_jacobian(grid: Grid, p: float, lam: float,
-                     u: np.ndarray) -> _JacobianLU:
-    """LU of the quadrature-weighted Jacobian A = M dF/du (symmetric).
-
-    A = eps K + diag(w (lam - p u^(p-1))) is built in the grid's ordering
-    (see the module docstring). A failed factorization raises
-    SingularJacobianError.
-    """
-    order = _ordering(grid)
-    w = grid.mass_vector()
-    diag = w * (lam - p * u.ravel() ** (p - 1.0))
-    data = epsilon(p) * order.K.data
-    data[order.diag_pos] += diag[order.perm]
-    A = sparse.csc_matrix((data, order.K.indices, order.K.indptr),
-                          shape=order.K.shape)
-    try:
-        # one-column panels factor these grid Jacobians about 30% faster
-        # than SuperLU's default panels, with the same fill
-        lu = splu(A, permc_spec="NATURAL", panel_size=1)
-    except RuntimeError as exc:
-        raise SingularJacobianError(str(exc)) from exc
-    return _JacobianLU(lu, order.perm)
-
-
-class _Chord:
-    """The one Jacobian factor the arclength corrector holds.
-
-    ``refresh`` drops the held factor before it builds the next one, so
-    the two are never alive together.
+class _Jacobian:
+    """A = M dF/du = eps K + diag(w (lam - p u^(p-1))), symmetric, in the
+    grid's ordering, and ``lu``, the factor of the last ``refresh`` or None.
     """
 
-    def __init__(self, lu: Optional[_JacobianLU] = None):
-        self.lu = lu
+    def __init__(self, grid: Grid, p: float):
+        self.grid, self.p, self.lu = grid, p, None
+        if "jacobian_ordering" not in grid._cache:
+            K = grid.sparse_stiffness()
+            # the pattern of K + M is that of every Jacobian; the probe
+            # factor is dropped before any Jacobian is factored
+            probe = splu((K + sparse.diags(grid.mass_vector())).tocsc(),
+                         permc_spec="MMD_AT_PLUS_A")
+            perm = np.argsort(probe.perm_c)
+            del probe
+            Kp = K.tocsc()[perm][:, perm].tocsc()
+            # each Jacobian shares these index arrays, and splu sorts the
+            # indices of its input in place unless they are sorted already
+            Kp.sort_indices()
+            # every node has a face, so K stores its whole diagonal
+            cols = np.repeat(np.arange(K.shape[1]), np.diff(Kp.indptr))
+            grid._cache["jacobian_ordering"] = (
+                perm, Kp, np.flatnonzero(Kp.indices == cols))
+        self.perm, self.K, self.diag_pos = grid._cache["jacobian_ordering"]
 
-    def refresh(self, grid: Grid, p: float, lam: float,
-                u: np.ndarray) -> None:
+    def refresh(self, lam: float, u: np.ndarray) -> None:
+        """Factor A at (lam, u), dropping the held factor first. A failed
+        factorization raises SingularJacobianError."""
         self.lu = None
-        self.lu = _factor_jacobian(grid, p, lam, u)
+        p = self.p
+        diag = self.grid.mass_vector() * (lam - p * u.ravel() ** (p - 1.0))
+        data = epsilon(p) * self.K.data
+        data[self.diag_pos] += diag[self.perm]
+        A = sparse.csc_matrix((data, self.K.indices, self.K.indptr),
+                              shape=self.K.shape)
+        try:
+            # one-column panels factor these grid Jacobians about 30%
+            # faster than SuperLU's default panels, with the same fill
+            self.lu = splu(A, permc_spec="NATURAL", panel_size=1)
+        except RuntimeError as exc:
+            raise SingularJacobianError(str(exc)) from exc
+
+    def solve(self, rhs_field: np.ndarray) -> np.ndarray:
+        """x with A x = M rhs, in node order and the grid's shape."""
+        rhs = self.grid.mass_vector() * rhs_field.ravel()
+        out = np.empty_like(rhs)
+        out[self.perm] = self.lu.solve(rhs[self.perm])
+        if not np.all(np.isfinite(out)):
+            raise SingularJacobianError(
+                "Jacobian solve produced non-finite step")
+        return out.reshape(self.grid.shape)
 
 
-def _jac_solve(lu: _JacobianLU, grid: Grid,
-               rhs_field: np.ndarray) -> np.ndarray:
-    w = grid.mass_vector()
-    out = lu.solve(w * rhs_field.ravel())
-    if not np.all(np.isfinite(out)):
-        raise SingularJacobianError("Jacobian solve produced non-finite step")
-    return out.reshape(grid.shape)
-
-
-def newton_solve(grid: Grid, p: float, lam: float, initial: Field,
-                 tol: float = _NEWTON_TOL, max_iter: int = 60) -> BranchPoint:
+def newton_solve(grid: Grid, p: float, lam: float,
+                 initial: Field) -> BranchPoint:
     """Newton-chord iteration for F(u) = 0 at fixed lam from a positive field.
 
     This is the arclength corrector ``_arc_correct`` without its bordering
@@ -206,7 +173,7 @@ def newton_solve(grid: Grid, p: float, lam: float, initial: Field,
     taken with a factor built at an earlier iterate must cut the scaled
     residual at least 4x, or it is taken back and the factor rebuilt
     there. A step that would leave the positive cone is halved until it
-    stays inside. Converges when the scaled residual is at most ``tol``.
+    stays inside. Converges when the scaled residual is at most 1e-9.
 
     At a bifurcation point the Jacobian of the constant is singular, yet
     starts off the constant still converge (on interval128 at
@@ -215,16 +182,16 @@ def newton_solve(grid: Grid, p: float, lam: float, initial: Field,
     Raises RangeError for lam <= 0, PositivityError for a non-positive
     initial field, DampingError when halving cannot keep a step positive,
     SingularJacobianError when a factorization fails or a solve is not
-    finite, and ConvergenceError after ``max_iter`` iterations.
+    finite, and ConvergenceError after 60 iterations.
     """
     if not lam > 0.0:
         raise RangeError("lam must be positive")
     u = np.asarray(initial.values, dtype=float)
     if u.min() <= 0.0:
         raise PositivityError("the initial field must be positive")
-    u, _, res, _ = _arc_correct(grid, p, u, 1.0, tu=None, tl=0.0, ds=0.0,
-                                lam_ref=lam, base_u=u, base_ell=1.0,
-                                tol=tol, max_iter=max_iter)
+    u, _, res, _ = _arc_correct(_Jacobian(grid, p), u, 1.0, tu=None, tl=0.0,
+                                ds=0.0, lam_ref=lam, base_u=u, base_ell=1.0,
+                                max_iter=60)
     return BranchPoint(lam, Field(grid, u), grid.deviation(u), res, 0.0)
 
 
@@ -238,31 +205,29 @@ def constant_solution(grid: Grid, p: float, lam: float) -> BranchPoint:
 
 # ----------------------------------------------------------------------
 # pseudo-arclength machinery
-def _arc_correct(grid: Grid, p: float, u0: np.ndarray, ell0: float,
+def _arc_correct(jac: _Jacobian, u0: np.ndarray, ell0: float,
                  tu: Optional[np.ndarray], tl: float, ds: float,
                  lam_ref: float, base_u: np.ndarray, base_ell: float,
-                 tol: float = _NEWTON_TOL, max_iter: int = 30,
-                 work: Optional[BranchTrace] = None,
-                 chord: Optional[_Chord] = None):
+                 max_iter: int = 30, work: Optional[BranchTrace] = None):
     """Correct a predictor onto the branch under an arclength constraint.
 
     Unknowns are (u, ell) with lam = lam_ref * ell; the constraint is
     <tu, u - base_u> + tl (ell - base_ell) = ds in the quadrature metric.
     With ``tu`` None there is no bordering row: ell stays at ell0 and the
     iteration solves F(u) = 0 alone (``newton_solve``).
-    The iteration is Newton-chord: each bordered step uses the factor that
-    ``chord`` holds, built fresh at the current iterate when it holds
-    none. After a step taken with a factor built at an earlier iterate,
-    a scaled residual above 1/4 of the one before the step takes the step
-    back and refreshes the factor where it started; the step after a
-    fresh factor is not judged. The factor left in ``chord`` is the one
-    the last step used.
+    The iteration is Newton-chord on the grid and p of ``jac``: each
+    bordered step solves with the factor ``jac`` holds, built fresh at the
+    current iterate when it holds none. After a step taken with a factor
+    built at an earlier iterate, a scaled residual above 1/4 of the one
+    before the step takes the step back and refreshes the factor where it
+    started; the step after a fresh factor is not judged. The factor left
+    in ``jac`` is the one the last step used. Converges when the scaled
+    residual is at most 1e-9 and the constraint holds to 1e-10 max(1, ds).
     Returns (u, ell, residual, n_iter) or raises. Iterations, factors
     built and the refreshes among them are added to the counts of
     ``work`` when given.
     """
-    if chord is None:
-        chord = _Chord()
+    grid, p = jac.grid, jac.p
     w = grid.weights
     u = u0.copy()
     if u.min() <= 0.0:
@@ -281,7 +246,7 @@ def _arc_correct(grid: Grid, p: float, u0: np.ndarray, ell0: float,
         con = 0.0 if tu is None else (
             float(np.add.reduce(w * tu * (u - base_u), axis=None))
             + tl * (ell - base_ell) - ds)
-        if res <= tol and abs(con) <= 1e-10 * max(1.0, abs(ds)):
+        if res <= _NEWTON_TOL and abs(con) <= 1e-10 * max(1.0, abs(ds)):
             return u, ell, res, it
         stale = judge and res > 0.25 * last[3]
         if stale:
@@ -289,18 +254,18 @@ def _arc_correct(grid: Grid, p: float, u0: np.ndarray, ell0: float,
             # the factor at the iterate it started from
             u, ell, F, res, con = last
             lam = lam_ref * ell
-        refresh = stale or chord.lu is None
+        refresh = stale or jac.lu is None
         if refresh:
             if work is not None:
                 work.factorizations += 1
                 work.refactorizations += stale
-            chord.refresh(grid, p, lam, u)
+            jac.refresh(lam, u)
         judge, last = not refresh, (u, ell, F, res, con)
-        x1 = _jac_solve(chord.lu, grid, F)
+        x1 = jac.solve(F)
         if tu is None:
             dell, du = 0.0, -x1
         else:
-            x2 = _jac_solve(chord.lu, grid, lam_ref * u)  # dF/d(ell)
+            x2 = jac.solve(lam_ref * u)  # dF/d(ell)
             tux1 = float(np.add.reduce(w * tu * x1, axis=None))
             tux2 = float(np.add.reduce(w * tu * x2, axis=None))
             denom = tl - tux2
@@ -320,16 +285,16 @@ def _arc_correct(grid: Grid, p: float, u0: np.ndarray, ell0: float,
 
 
 def trace_branch(grid: Grid, p: float, lambda_start: float,
-                 direction: int = 1, n_max: int = 400,
-                 lam_cap: Optional[float] = None) -> BranchTrace:
+                 direction: int = 1, n_max: int = 400) -> BranchTrace:
     """Walk the constant branch, switch at the bifurcation and continue.
 
     Constant points are emitted while walking from ``lambda_start`` in the
     given direction. When the gap-mode eigenvalue of the linearization
     changes sign the bifurcation value lambda2/|p-1| is recorded, the
     branch is switched along the gap eigenfunction, and pseudo-arclength
-    continuation follows the non-constant branch until the lam cap, the
-    point budget, or repeated step failures (flagged as truncated).
+    continuation follows the non-constant branch until lam passes the
+    cap 10 lambda2/|p-1| (which ends the constant walk too), the point
+    budget, or repeated step failures (flagged as truncated).
 
     Steps are measured in the scaled metric sqrt(||du||^2/c*^2 + dell^2)
     of the module docstring, start at the switching amplitude over c* and
@@ -339,10 +304,11 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
     a step below 1e-8 ends the trace. ``arclength`` accumulates the steps
     times c*, in the units of u.
 
-    The corrector is Newton-chord (see ``_arc_correct``). One factor is
-    carried through the trace: the first corrector call starts without
-    one, each accepted point hands its factor to the next call, and a
-    failed call drops it, so no two factors are ever alive together.
+    The corrector is Newton-chord (see ``_arc_correct``). One
+    ``_Jacobian`` is carried through the trace: the first corrector call
+    starts without a factor, each accepted point hands its factor to the
+    next call, and a failed call drops it, so no two factors are ever
+    alive together.
     """
     epsilon(p)
     if direction not in (-1, 1):
@@ -351,8 +317,7 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
     lam2 = gap.eigenvalue
     u2 = gap.eigenfunction.values
     lam_star = lam2 / abs(p - 1.0)
-    if lam_cap is None:
-        lam_cap = _LAM_CAP_FACTOR * lam_star
+    lam_cap = _LAM_CAP_FACTOR * lam_star
 
     points: List[BranchPoint] = []
     trace = BranchTrace(points, None, stop="no_crossing")
@@ -382,15 +347,15 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
     tl = 0.0
     first = None
     ds = 0.0
-    chord = _Chord()
+    jac = _Jacobian(grid, p)
     for amp in (1e-3, 5e-3, 0.02, 0.05, 0.1, 0.2, 0.4):
         ds = amp * max(c_star, 1e-6)
         try:
             u, ell, res, _ = _arc_correct(
-                grid, p, base_u + ds * tu, 1.0, tu, tl, ds, bif,
-                base_u, 1.0, work=trace, chord=chord)
+                jac, base_u + ds * tu, 1.0, tu, tl, ds, bif, base_u, 1.0,
+                work=trace)
         except (ConvergenceError, DampingError, SingularJacobianError):
-            chord.lu = None
+            jac.lu = None
             continue
         if grid.deviation(u) > 0.3 * ds:
             first = (u, ell, res)
@@ -423,10 +388,10 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
         tu, tl = dm / nrm, dl / nrm
         try:
             unew, ellnew, res, nit = _arc_correct(
-                grid, p, u + ds * scale * tu, ell + ds * tl, tu / scale, tl,
-                ds, bif, u, ell, work=trace, chord=chord)
+                jac, u + ds * scale * tu, ell + ds * tl, tu / scale, tl, ds,
+                bif, u, ell, work=trace)
         except (ConvergenceError, DampingError, SingularJacobianError):
-            chord.lu = None
+            jac.lu = None
             ds *= 0.5
             trace.rejected_steps += 1
             if ds < ds_min or trace.rejected_steps > 40:
@@ -445,12 +410,11 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
     return trace
 
 
-def estimate_mu1(branches: Union[BranchTrace, Sequence],
-                 deviation_rel: float = 1e-4) -> Optional[float]:
+def estimate_mu1(branches: Union[BranchTrace, Sequence]) -> Optional[float]:
     """Smallest lam carrying a genuinely non-constant branch point.
 
-    Points count as non-constant when their deviation exceeds
-    ``deviation_rel`` times the solution norm. Returns None when no trace
+    Points count as non-constant when their deviation exceeds 1e-4 times
+    the solution norm. Returns None when no trace
     contains such a point.
     """
     if isinstance(branches, BranchTrace):
@@ -460,7 +424,7 @@ def estimate_mu1(branches: Union[BranchTrace, Sequence],
         pts = trace.points if isinstance(trace, BranchTrace) else trace
         for pt in pts:
             norm = math.sqrt(pt.solution.grid.integrate(pt.solution.values**2))
-            if pt.deviation > deviation_rel * max(norm, 1e-300):
+            if pt.deviation > 1e-4 * max(norm, 1e-300):
                 if best is None or pt.lam < best:
                     best = pt.lam
     return best

@@ -235,14 +235,14 @@ def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
 
 
 def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
-                       v0: Field, t_end: float, cfl: float = _CFL,
+                       v0: Field, t_end: float,
                        n_store: int = _STORE_TARGET) -> FlowTrace:
     """Integrate the nonlinear flow in its conserved density.
 
     The density m = v^(beta(p+1)) is advanced with face-averaged
     coefficients v^kappa, conserving the quadrature mass of m to round-off.
-    Each sample interval t_end / n_store is one RKL2 step; ``cfl`` bounds
-    each of its stages by cfl * h^2 * min(v^(2 beta - 2)) / (2 d), taken at
+    Each sample interval t_end / n_store is one RKL2 step, each of its
+    stages bounded by 0.5 * h^2 * min(v^(2 beta - 2)) / (2 d), taken at
     the start of the step. A trial that leaves m non-positive or v below
     1e-10 of the initial maximum is halved and sub-stepped to the same
     sample time; forty halvings in a row abort with the time and step.
@@ -263,7 +263,7 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
     m_exp = beta * (p + 1.0)
     lam2 = spectral_gap(grid).eigenvalue
     Lam = (1.0 - theta) * lam2
-    bound = cfl * grid.h_min**2 / (2.0 * grid.dim)
+    bound = _CFL * grid.h_min**2 / (2.0 * grid.dim)
     floor = 1e-10 * float(v0.max())
 
     rec = _Recorder()
@@ -325,10 +325,11 @@ def accumulated_dissipation_bound(trace: FlowTrace):
     return lhs, rhs
 
 
-def fitted_decay_rate(trace: FlowTrace, floor_rel: float = 1e-12) -> float:
-    """Exponential rate of the Dirichlet energy: minus the log-linear slope."""
+def fitted_decay_rate(trace: FlowTrace) -> float:
+    """Exponential rate of the Dirichlet energy: minus the log-linear slope
+    over the samples above 1e-12 of the initial energy."""
     i0 = trace.production_i[0]
-    mask = trace.production_i > floor_rel * max(i0, 1e-300)
+    mask = trace.production_i > 1e-12 * max(i0, 1e-300)
     if int(mask.sum()) < 3:
         raise RangeError("trace has too few usable samples for a rate fit")
     slope = np.polyfit(trace.times[mask],

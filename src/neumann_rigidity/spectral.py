@@ -71,14 +71,13 @@ def spectral_gap(grid: Grid) -> EigenPair:
     return pair
 
 
-def schrodinger_ground_state(grid: Grid, potential, sign: int,
-                             tol: float = 1e-10,
-                             max_iter: int = 500) -> EigenPair:
+def schrodinger_ground_state(grid: Grid, potential, sign: int) -> EigenPair:
     """Lowest eigenvalue of -lap + sign*phi with Neumann conditions.
 
     ``sign=-1`` gives the attractive operator -lap - phi, ``sign=+1`` the
     repulsive -lap + phi. The ground state is returned with positive sign
-    and unit L2 norm; the relative operator residual is at most ``tol``.
+    and unit L2 norm; the relative operator residual is at most 1e-10.
+    ConvergenceError is raised if 500 inverse iterations do not reach it.
     """
     if sign not in (-1, 1):
         raise RangeError("sign must be +1 or -1")
@@ -98,7 +97,7 @@ def schrodinger_ground_state(grid: Grid, potential, sign: int,
     u = np.full(w.size, 1.0)
     u /= _m_norm(w, u)
     res, iters = math.inf, 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, 501):
         u = lu.solve(w * u)
         nrm = _m_norm(w, u)
         if nrm == 0.0:
@@ -107,11 +106,11 @@ def schrodinger_ground_state(grid: Grid, potential, sign: int,
         Au = A @ u
         lam = float(np.dot(u, Au))
         res = _m_norm(w, Au / w - lam * u)
-        if res <= tol * max(abs(lam), 1.0):
+        if res <= 1e-10 * max(abs(lam), 1.0):
             break
     else:
         raise ConvergenceError(
-            f"ground-state iteration did not reach tol={tol:g}", res, iters)
+            "ground-state iteration did not reach tol=1e-10", res, iters)
 
     if grid.integrate(u.reshape(grid.shape)) < 0.0:
         u = -u

@@ -142,14 +142,13 @@ def _metric(grid: Grid, sigma: float):
     diagonalization; Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199).
     """
     w = grid.weights
-    K = grid.sparse_stiffness()
     inv = 1.0 / (grid.mode_eigenvalues() + sigma)
 
     def riesz(g):
         return grid.from_modes(inv * grid.to_modes(g))
 
     def norm_sq(s):
-        return float(s.ravel() @ (K @ s.ravel())) + sigma * _inner(w, s, s)
+        return grid.energy(s) + sigma * _inner(w, s, s)
 
     return riesz, norm_sq
 
@@ -277,8 +276,7 @@ def _quotient_l2(grid: Grid, c: float, p: float):
 
 
 def _run_multistart(grid: Grid, objective, starts: Sequence[np.ndarray],
-                    scale: float, max_iter: int = _MAX_ITER,
-                    below: Optional[float] = None):
+                    scale: float, below: Optional[float] = None):
     """Best iterate, its record and the records of the starts that ran.
 
     ``scale`` is both the shift of the metric (see ``_metric``), which the
@@ -289,8 +287,7 @@ def _run_multistart(grid: Grid, objective, starts: Sequence[np.ndarray],
     metric = _metric(grid, scale)
     runs = []
     for u0 in starts:
-        runs.append(_descend(grid, u0, objective, scale, metric,
-                             max_iter=max_iter, below=below))
+        runs.append(_descend(grid, u0, objective, scale, metric, below=below))
         if runs[-1][1].witness:
             break
     records = tuple(rec for _, rec in runs)
@@ -322,8 +319,7 @@ def _check_p(grid: Grid, p: float) -> None:
 
 
 def _solve(grid: Grid, param: float, objective, sign: float, seed: int,
-           max_iter: int = _MAX_ITER, below: Optional[float] = None
-           ) -> QuotientSolve:
+           below: Optional[float] = None) -> QuotientSolve:
     """Multistart solve in the metric K + max(1, param)*M; ``sign`` maps
     the minimum to ``mu_out``.
 
@@ -334,7 +330,7 @@ def _solve(grid: Grid, param: float, objective, sign: float, seed: int,
     """
     scale = max(1.0, param)
     u, best, records = _run_multistart(grid, objective, _starts(grid, seed),
-                                       scale, max_iter=max_iter, below=below)
+                                       scale, below=below)
     u = np.maximum(u, 1e-300)
     return QuotientSolve(
         lambda_in=param, mu_out=sign * best.value, minimizer=Field(grid, u),
@@ -344,8 +340,8 @@ def _solve(grid: Grid, param: float, objective, sign: float, seed: int,
 
 
 def minimize_quotient(grid: Grid, lam: float, p: float,
-                      seed: int = 0, max_iter: int = _MAX_ITER,
-                      below: Optional[float] = None) -> QuotientSolve:
+                      seed: int = 0, below: Optional[float] = None
+                      ) -> QuotientSolve:
     """Minimize the interpolation quotient at parameter ``lam``.
 
     For p > 1 this returns mu(lam); for p < 1 the argument is read as mu
@@ -363,8 +359,7 @@ def minimize_quotient(grid: Grid, lam: float, p: float,
         raise RangeError("the quotient parameter must be positive")
     objective = (_quotient_p_gt1(grid, lam, p) if p > 1.0
                  else _quotient_l2(grid, lam, p))
-    return _solve(grid, lam, objective, 1.0, seed, max_iter=max_iter,
-                  below=below)
+    return _solve(grid, lam, objective, 1.0, seed, below=below)
 
 
 def lambda_of_mu(grid: Grid, mu: float, p: float, seed: int = 0
@@ -431,11 +426,11 @@ def _threshold_bracket(grid: Grid, p: float, scale: float, tol: float,
 
 
 def estimate_mu2(grid: Grid, p: float, tol: float = 0.01,
-                 rel_gap_tol: float = 1e-6, seed: int = 0) -> Mu2Bracket:
+                 seed: int = 0) -> Mu2Bracket:
     """Bisection bracket for the threshold where the quotient leaves y = x.
 
-    The predicate "quotient value < parameter * (1 - rel_gap_tol)" is
-    bisected over the parameter; the returned bracket has width at most
+    The predicate "quotient value < parameter * (1 - 1e-6)" is bisected
+    over the parameter; the returned bracket has width at most
     ``tol`` times the spectral-gap scale. If the predicate never fires
     below three times that scale, the upper end is flagged open. The
     departure from the diagonal is quadratic in the parameter, so the
@@ -454,7 +449,7 @@ def estimate_mu2(grid: Grid, p: float, tol: float = 0.01,
     scale = spectral_gap(grid).eigenvalue / abs(p - 1.0)
 
     def broken(x: float) -> bool:
-        thr = x * (1.0 - rel_gap_tol)
+        thr = x * (1.0 - 1e-6)
         sol = minimize_quotient(grid, x, p, seed=seed, below=thr)
         return sol.mu_out < thr
 

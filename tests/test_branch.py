@@ -153,15 +153,18 @@ def _nonconstant_state(g, p):
 def test_jacobian_factor_backward_error(grid_name, p, request):
     g = request.getfixturevalue(grid_name)
     lam, u = _nonconstant_state(g, p)
-    lu = bmod._factor_jacobian(g, p, lam, u)
+    jac = bmod._Jacobian(g, p)
+    jac.refresh(lam, u)
     w = g.mass_vector()
     sign = 1.0 if p > 1.0 else -1.0
     A = sign * g.sparse_stiffness() + sparse.diags(
         w * (lam - p * u.ravel() ** (p - 1.0)))
-    rhs = np.random.default_rng(7).standard_normal(g.n_nodes)
-    x = lu.solve(rhs)
-    res = np.abs(A @ x - rhs).max()
-    scale = abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
+    rhs = np.random.default_rng(7).standard_normal(g.shape)
+    x = jac.solve(rhs)
+    assert x.shape == g.shape
+    Mrhs = w * rhs.ravel()
+    res = np.abs(A @ x.ravel() - Mrhs).max()
+    scale = abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(Mrhs).max()
     assert res <= 1e-12 * scale
 
 
@@ -177,8 +180,9 @@ def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
     perms = []
     for p, lam_scale in ((2.0, 1.0), (0.5, 1.0), (2.0, 3.0)):
         lam, u = _nonconstant_state(g, p)
-        lu = bmod._factor_jacobian(g, p, lam_scale * lam, u)
-        perms.append(lu._perm)
+        jac = bmod._Jacobian(g, p)
+        jac.refresh(lam_scale * lam, u)
+        perms.append(jac.perm)
     assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL", "NATURAL"]
     assert all(perm is perms[0] for perm in perms)
     assert np.array_equal(np.sort(perms[0]), np.arange(g.n_nodes))
@@ -255,26 +259,28 @@ def _corrector_problem(g, p, k=10):
     nrm = math.sqrt(g.integrate(dm * dm) + dl * dl)
     tu, tl = dm / nrm, dl / nrm
     ds = 0.5 * nrm
-    return (g, p, u + ds * scale * tu, ell + ds * tl, tu / scale, tl, ds,
-            bif, u, ell)
+    return (bmod._Jacobian(g, p), u + ds * scale * tu, ell + ds * tl,
+            tu / scale, tl, ds, bif, u, ell)
 
 
 def test_arc_correct_refreshes_stale_factor(square32):
     # at p = 2 such a factor still contracts 4x per step; at p = 0.5 the
     # monitor has to refresh it
-    args = _corrector_problem(square32, 0.5)
-    (g, p, u0, ell0), lam_ref = args[:4], args[7]
+    jac, u0, ell0, *rest = _corrector_problem(square32, 0.5)
+    lam_ref = rest[3]
     fresh = bmod.BranchTrace([], None)
-    _, ell_fresh, res_fresh, _ = bmod._arc_correct(*args, work=fresh)
+    _, ell_fresh, res_fresh, _ = bmod._arc_correct(jac, u0, ell0, *rest,
+                                                   work=fresh)
     # a factor built at a lam 20% away from the predictor's
-    chord = bmod._Chord(bmod._factor_jacobian(g, p, 1.2 * lam_ref * ell0, u0))
+    jac = bmod._Jacobian(jac.grid, jac.p)
+    jac.refresh(1.2 * lam_ref * ell0, u0)
     stale = bmod.BranchTrace([], None)
-    _, ell_stale, res_stale, _ = bmod._arc_correct(*args, work=stale,
-                                                   chord=chord)
+    _, ell_stale, res_stale, _ = bmod._arc_correct(jac, u0, ell0, *rest,
+                                                   work=stale)
     assert ell_stale == pytest.approx(ell_fresh, rel=1e-8)
     assert max(res_fresh, res_stale) <= 1e-9
     assert stale.refactorizations >= 1
-    assert chord.lu is not None
+    assert jac.lu is not None
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0])
@@ -282,13 +288,20 @@ def test_trace_branch_keeps_one_factor_alive(square32, monkeypatch, p):
     refs = []
     alive_at_build = []
 
-    class TrackedLU(bmod._JacobianLU):
-        def __init__(self, lu, perm):
-            alive_at_build.append(sum(r() is not None for r in refs))
-            super().__init__(lu, perm)
-            refs.append(weakref.ref(self))
+    class TrackedLU:
+        # SuperLU objects take no weak references; this one wraps a factor
+        def __init__(self, lu):
+            self.solve = lu.solve
 
-    monkeypatch.setattr(bmod, "_JacobianLU", TrackedLU)
+    def tracked_splu(A, permc_spec=None, **kwargs):
+        if permc_spec != "NATURAL":  # the grid's ordering probe
+            return splu(A, permc_spec=permc_spec, **kwargs)
+        alive_at_build.append(sum(r() is not None for r in refs))
+        out = TrackedLU(splu(A, permc_spec=permc_spec, **kwargs))
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(bmod, "splu", tracked_splu)
     lam2 = spectral_gap(square32).eigenvalue
     tr = trace_branch(square32, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
     assert len(refs) == tr.factorizations > 0

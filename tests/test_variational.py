@@ -129,7 +129,7 @@ def test_estimate_mu2_interval(interval256):
 
 def test_estimate_mu2_open_bracket(monkeypatch, interval128):
     # if the quotient never leaves the diagonal the upper end is flagged
-    def never_breaks(grid, lam, p, seed=0, max_iter=0, below=None):
+    def never_breaks(grid, lam, p, seed=0, below=None):
         return vmod.QuotientSolve(lam, lam, constant_field(grid, 1.0),
                                   0.0, 1, True, 1)
     monkeypatch.setattr(vmod, "minimize_quotient", never_breaks)
