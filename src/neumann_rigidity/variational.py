@@ -8,13 +8,18 @@ for p < 1 the companion quotient
 
     lam(mu) = inf_u (||grad u||_2^2 + mu ||u||_{p+1}^2) / ||u||_2^2.
 
-Every objective is minimized by one engine, projected Sobolev-gradient
+Every objective is minimized by one engine, projected quasi-Newton
 descent on a norm sphere in one metric (Neuberger, LNM 1670): the L2
-gradient g is replaced by its Riesz representative d = (K + sigma M)^-1 M g,
-sigma = max(1, parameter), applied in the grid's modes without a
-factorization (see ``_metric``), with Barzilai-Borwein steps measured in
-that metric, Armijo backtracking and a small multi-start ladder (constant,
-eigenfunction perturbations, one seeded random field). Each objective is
+gradient g goes through the L-BFGS two-loop recursion (Nocedal, Math. Comp.
+35 (1980) 773-782; Liu & Nocedal, Math. Program. 45 (1989) 503-528) whose
+initial operator is the Riesz map (K + sigma M)^-1 M, sigma = max(1,
+parameter), applied in the grid's modes without a factorization (see
+``_metric``) and scaled by the Barzilai-Borwein step measured in that
+metric. Armijo backtracking from the unit step and a small multi-start
+ladder (constant, eigenfunction perturbations, one seeded random field)
+complete it. Near the threshold the constant's curvature along the gap
+mode tends to 0, and the scalar step alone needs hundreds of iterations
+a start; the curvature pairs bring that to tens. Each objective is
 a triple (normalize, value, grad): the descent takes every objective value
 from ``value``, so the line search compares like with like, and
 ``grad(u, f)`` takes the value f = value(u) the descent already holds.
@@ -57,6 +62,7 @@ _GRAD_TOL = 1e-8
 _F_WINDOW = 20
 _F_REL_TOL = 1e-10
 _TIE_REL = 1e-12     # starts this close in value count as the same minimum
+_MEMORY = 5          # L-BFGS pairs kept by the descent
 
 
 class StartRecord(NamedTuple):
@@ -134,9 +140,11 @@ def _inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 def _metric(grid: Grid, sigma: float):
     """Riesz map and squared step length of the descent metric.
 
-    The metric is K + sigma*M with direction d = (K + sigma*M)^-1 M g,
+    The metric is K + sigma*M with Riesz map g -> (K + sigma*M)^-1 M g,
     whose conditioning, unlike that of L2, does not degrade as the grid is
-    refined. The grid's modes C diagonalize the pencil, K C = M C Lambda
+    refined. It is the descent's initial inverse-Hessian operator, and the
+    squared length sets its Barzilai-Borwein scale (``_descend``). The
+    grid's modes C diagonalize the pencil, K C = M C Lambda
     with C^T M C = I, so d = C (Lambda + sigma)^-1 C^T M g: two small
     dense products per data axis and no factorization (fast
     diagonalization; Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199).
@@ -153,16 +161,65 @@ def _metric(grid: Grid, sigma: float):
     return riesz, norm_sq
 
 
+def _lbfgs_direction(g: np.ndarray, w: np.ndarray, pairs, alpha: float,
+                     riesz) -> np.ndarray:
+    """L-BFGS two-loop recursion on the L2 gradient g.
+
+    ``pairs`` holds (s, y, 1/<s, y>), oldest first, every pairing in the
+    quadrature inner product; the initial operator is the BB-scaled Riesz
+    map alpha * riesz (Nocedal, Math. Comp. 35 (1980) 773-782).
+    """
+    q = g
+    coef = []
+    for s, y, rho in reversed(pairs):
+        c = rho * _inner(w, s, q)
+        coef.append(c)
+        q = q - c * y
+    d = alpha * riesz(q)
+    for (s, y, rho), c in zip(pairs, reversed(coef)):
+        d = d + (c - rho * _inner(w, y, d)) * s
+    return d
+
+
+def _line_search(u: np.ndarray, f: float, d: np.ndarray, gd: float,
+                 normalize, value):
+    """Armijo backtracking from a = 1: (a, trial, f(trial)), or None.
+
+    A trial must also lower f: below the rounding of f a step that leaves
+    f unchanged is no progress. The search fails after 60 halvings, or once
+    the step no longer moves u in any entry and the trial is no lower than
+    f: every shorter step gives that same rejected trial.
+    """
+    a = 1.0
+    for _ in range(60):
+        step = u - a * d
+        trial = normalize(step)
+        ftrial = value(trial)
+        if ftrial < f and ftrial <= f - 1e-4 * a * gd:
+            return a, trial, ftrial
+        if ftrial >= f and np.array_equal(step, u):
+            return None
+        a *= 0.5
+    return None
+
+
 def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
              max_iter: int = _MAX_ITER, below: Optional[float] = None
              ) -> Tuple[np.ndarray, StartRecord]:
     """One start of the descent: the last iterate and its record.
 
+    The direction is L-BFGS (``_lbfgs_direction``) over the last
+    ``_MEMORY`` pairs s = trial - u, y = grad(trial) - grad(u); pairs with
+    <s, y> <= 1e-300 are skipped. Its initial operator is the metric's
+    Riesz map scaled by the Barzilai-Borwein step ||s||^2 / <s, y>, with
+    ||.|| the metric's norm. Where the direction is not a descent
+    direction, or its line search (``_line_search``) fails, the memory is
+    cleared and the scaled Riesz direction is used; a failed search in that
+    direction ends the start, as converged at a tiny gradient and as a
+    stall otherwise.
+
     With ``below`` set the start ends at the first iterate whose value is
-    below it, the start point included (a witness). A line search whose
-    step no longer moves u in any entry, and whose trial is no lower than
-    f, ends there: every shorter step gives the same trial and the same
-    rejection.
+    below it, the start point included (a witness).
     """
     normalize, value, grad = objective
     riesz, norm_sq = metric
@@ -173,6 +230,7 @@ def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
     g = grad(u, f)
     gg = _inner(w, g, g)
     hist = deque([f], maxlen=_F_WINDOW + 1)
+    pairs = deque(maxlen=_MEMORY)
     converged = stalled = witness = False
     it = 0
     for it in range(1, max_iter + 1):
@@ -186,23 +244,19 @@ def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
         if gnorm <= _GRAD_TOL * scale and flat:
             converged = True
             break
-        d = riesz(g)
-        gd = _inner(w, g, d)
-        a = alpha
-        accepted = False
-        for _ in range(60):
-            step = u - a * d
-            trial = normalize(step)
-            ftrial = value(trial)
-            # Armijo plus a real decrease: below the rounding of f a step
-            # that leaves f unchanged is no progress, so the search fails
-            if ftrial < f and ftrial <= f - 1e-4 * a * gd:
-                accepted = True
-                break
-            if ftrial >= f and np.array_equal(step, u):
-                break
-            a *= 0.5
-        if not accepted:
+        found = None
+        if pairs:
+            d = _lbfgs_direction(g, w, pairs, alpha, riesz)
+            gd = _inner(w, g, d)
+            if gd > 0.0:
+                found = _line_search(u, f, d, gd, normalize, value)
+            if found is None:
+                pairs.clear()
+        if found is None:
+            d = alpha * riesz(g)
+            gd = _inner(w, g, d)
+            found = _line_search(u, f, d, gd, normalize, value)
+        if found is None:
             # a flat line search at a tiny gradient is convergence in
             # disguise; anything else counts as a stall
             if gnorm <= 100.0 * _GRAD_TOL * scale:
@@ -210,10 +264,17 @@ def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
             else:
                 stalled = True
             break
+        a, trial, ftrial = found
         gnew = grad(trial, ftrial)
         s = trial - u
-        sy = _inner(w, s, gnew - g)
-        alpha = norm_sq(s) / sy if sy > 1e-300 else 2.0 * a
+        y = gnew - g
+        sy = _inner(w, s, y)
+        if sy > 1e-300:
+            alpha = norm_sq(s) / sy
+            pairs.append((s, y, 1.0 / sy))
+        else:
+            # no positive curvature: twice the Riesz step length just taken
+            alpha *= 2.0 * a
         alpha = min(max(alpha, 1e-10 * grid.h_min**2), 1e10)
         u, f, g = trial, ftrial, gnew
         gg = _inner(w, g, g)

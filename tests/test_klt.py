@@ -28,6 +28,15 @@ def test_optimal_potential_norm_and_invariance(interval256):
         optimal_potential(constant_field(g, 0.0), mu, 2.0)
 
 
+def test_duality_gap_at_roundoff_far_past_the_threshold():
+    # p < 1 at about 10 lambda2/|p-1|: the plain solve's starts used to run
+    # to the iteration cap and leave a gap near 4e-8
+    from neumann_rigidity import Domain, build_grid
+    g = build_grid(Domain.interval(1.0), 64)
+    res = klt_duality_check(g, 0.5, 200.0)
+    assert res.relative_gap <= 1e-10
+
+
 def test_duality_constant_regime(interval256):
     g = interval256
     lam2 = spectral_gap(g).eigenvalue

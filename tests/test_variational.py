@@ -196,8 +196,20 @@ def _descend_full_searches(grid, u0, objective, scale, metric,
     g = grad(u, f)
     gg = vmod._inner(w, g, g)
     hist = vmod.deque([f], maxlen=vmod._F_WINDOW + 1)
+    pairs = vmod.deque(maxlen=vmod._MEMORY)
     converged = stalled = False
     it = 0
+
+    def search(d, gd):
+        a = 1.0
+        for _ in range(60):
+            trial = normalize(u - a * d)
+            ftrial = value(trial)
+            if ftrial < f and ftrial <= f - 1e-4 * a * gd:
+                return a, trial, ftrial
+            a *= 0.5
+        return None
+
     for it in range(1, max_iter + 1):
         gnorm = math.sqrt(max(gg, 0.0))
         flat = (len(hist) == vmod._F_WINDOW + 1 and
@@ -205,27 +217,33 @@ def _descend_full_searches(grid, u0, objective, scale, metric,
         if gnorm <= vmod._GRAD_TOL * scale and flat:
             converged = True
             break
-        d = riesz(g)
-        gd = vmod._inner(w, g, d)
-        a = alpha
-        accepted = False
-        for _ in range(60):
-            trial = normalize(u - a * d)
-            ftrial = value(trial)
-            if ftrial < f and ftrial <= f - 1e-4 * a * gd:
-                accepted = True
-                break
-            a *= 0.5
-        if not accepted:
+        found = None
+        if pairs:
+            d = vmod._lbfgs_direction(g, w, pairs, alpha, riesz)
+            gd = vmod._inner(w, g, d)
+            if gd > 0.0:
+                found = search(d, gd)
+            if found is None:
+                pairs.clear()
+        if found is None:
+            d = alpha * riesz(g)
+            found = search(d, vmod._inner(w, g, d))
+        if found is None:
             if gnorm <= 100.0 * vmod._GRAD_TOL * scale:
                 converged = True
             else:
                 stalled = True
             break
+        a, trial, ftrial = found
         gnew = grad(trial, ftrial)
         s = trial - u
-        sy = vmod._inner(w, s, gnew - g)
-        alpha = norm_sq(s) / sy if sy > 1e-300 else 2.0 * a
+        y = gnew - g
+        sy = vmod._inner(w, s, y)
+        if sy > 1e-300:
+            alpha = norm_sq(s) / sy
+            pairs.append((s, y, 1.0 / sy))
+        else:
+            alpha *= 2.0 * a
         alpha = min(max(alpha, 1e-10 * grid.h_min**2), 1e10)
         u, f, g = trial, ftrial, gnew
         gg = vmod._inner(w, g, g)
@@ -291,6 +309,84 @@ def test_line_search_halves_on_while_a_stuck_trial_is_lower(interval128):
                                            max_iter=1)
     assert not rec.stalled and rec.value < 1.0 - 1e-16
     assert rec == rec_ref and np.array_equal(u, u_ref)
+
+
+def test_lbfgs_direction_is_the_bfgs_inverse_update():
+    # H+ = (I - rho s y^T W) H (I - rho y s^T W) + rho s s^T W with
+    # rho = 1/(s^T W y), W the quadrature weights, from H0 = alpha * riesz
+    from neumann_rigidity import Domain, build_grid
+    g = build_grid(Domain.interval(1.0), 16)
+    n, w = g.shape[0], g.weights
+    riesz, _ = vmod._metric(g, 3.0)
+    alpha = 0.7
+    H = alpha * np.column_stack([riesz(e) for e in np.eye(n)])
+    rng = np.random.default_rng(0)
+    spd = rng.standard_normal((n, n))
+    spd = spd @ spd.T + n * np.eye(n)
+    pairs = []
+    for _ in range(3):
+        s_ = rng.standard_normal(n)
+        y = spd @ s_
+        rho = 1.0 / vmod._inner(w, s_, y)
+        H = ((np.eye(n) - rho * np.outer(s_, y * w)) @ H
+             @ (np.eye(n) - rho * np.outer(y, s_ * w))
+             + rho * np.outer(s_, s_ * w))
+        pairs.append((s_, y, rho))
+    gr = rng.standard_normal(n)
+    d = vmod._lbfgs_direction(gr, w, pairs, alpha, riesz)
+    assert np.allclose(d, H @ gr, rtol=1e-12, atol=1e-12 * np.abs(d).max())
+    s_, y, _ = pairs[-1]
+    assert np.allclose(vmod._lbfgs_direction(y, w, pairs, alpha, riesz), s_,
+                       rtol=1e-12, atol=1e-12 * np.abs(s_).max())
+
+
+def test_rejected_quasi_newton_steps_fall_back_to_scaled_riesz_steps(
+        interval128, monkeypatch):
+    # with every L-BFGS direction rejected, as no descent direction or by
+    # its line search, each step is the one the descent takes without memory
+    g = interval128
+    x = 1.05 * spectral_gap(g).eigenvalue
+    objective = _objective(g, x, 2.0)
+    metric = vmod._metric(g, x)
+    u0 = vmod._starts(g, 0)[1]
+    with monkeypatch.context() as m:
+        m.setattr(vmod, "_MEMORY", 0)
+        u_ref, rec_ref = vmod._descend(g, u0, objective, x, metric)
+    assert rec_ref.converged and rec_ref.iterations > 2
+
+    with monkeypatch.context() as m:
+        m.setattr(vmod, "_lbfgs_direction",
+                  lambda gr, w, pairs, alpha, riesz: -alpha * riesz(gr))
+        u, rec = vmod._descend(g, u0, objective, x, metric)
+    assert rec == rec_ref and np.array_equal(u, u_ref)
+
+    direction, search = vmod._lbfgs_direction, vmod._line_search
+    last = []
+
+    def remember(*args):
+        last[:] = [direction(*args)]
+        return last[0]
+
+    def fail_on_it(u_, f, d, *rest):
+        return None if last and d is last[0] else search(u_, f, d, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(vmod, "_lbfgs_direction", remember)
+        m.setattr(vmod, "_line_search", fail_on_it)
+        u, rec = vmod._descend(g, u0, objective, x, metric)
+    assert rec == rec_ref and np.array_equal(u, u_ref)
+
+
+def test_descent_converges_quickly_just_below_the_threshold(interval256):
+    # the constant's curvature along u2 nearly vanishes here; scalar
+    # Barzilai-Borwein steps took 170-370 iterations a start
+    g = interval256
+    lam = 0.9984375 * spectral_gap(g).eigenvalue
+    sol = minimize_quotient(g, lam, 2.0, seed=0)
+    assert len(sol.starts) == 4
+    for rec in sol.starts[1:]:
+        assert rec.converged and not rec.stalled
+        assert rec.iterations <= 100
 
 
 def test_fit_scaling_exponent_guards(interval128):
