@@ -282,7 +282,8 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
 
     def rhs(m):
         v = m ** (1.0 / m_exp)
-        out = grid.weighted_stiffness_apply(v**kappa, v, out=rhs_buffer)
+        out = grid.weighted_stiffness_apply(m ** (kappa / m_exp), v,
+                                            out=rhs_buffer)
         out *= -m_exp
         out /= grid.weights
         return out

@@ -12,22 +12,24 @@ Every objective is minimized by one engine, projected quasi-Newton
 descent on a norm sphere in one metric (Neuberger, LNM 1670): the L2
 gradient g goes through the L-BFGS two-loop recursion (Nocedal, Math. Comp.
 35 (1980) 773-782; Liu & Nocedal, Math. Program. 45 (1989) 503-528) whose
-initial operator is the Riesz map (K + sigma M)^-1 M, sigma = max(1,
+initial operator is the Riesz map R = (K + sigma M)^-1 M, sigma = max(1,
 parameter), applied in the grid's modes without a factorization (see
-``_metric``) and scaled by the Barzilai-Borwein step measured in that
-metric. Armijo backtracking from the unit step and a small multi-start
-ladder (constant, eigenfunction perturbations, one seeded random field)
-complete it. Near the threshold the constant's curvature along the gap
-mode tends to 0, and the scalar step alone needs hundreds of iterations
-a start; the curvature pairs bring that to tens. Each objective is
-a triple (normalize, value, grad): the descent takes every objective value
-from ``value``, so the line search compares like with like, and
+``_metric``) and scaled by the standard L-BFGS factor <s, y>/<y, R y> of
+the newest pair (Shanno & Phua, Math. Program. 14 (1978) 149-160; Nocedal
+& Wright, Numerical Optimization, eq. 7.20), so that the unit step is
+mostly accepted. Armijo backtracking from the unit step and a small
+multi-start ladder (constant, eigenfunction perturbations, one seeded
+random field) complete it. Near the threshold the constant's curvature
+along the gap mode tends to 0, and the scalar step alone needs hundreds of
+iterations a start; the curvature pairs bring that to tens. Each objective
+is a triple (normalize, value, grad): the descent takes every objective
+value from ``value``, so the line search compares like with like, and
 ``grad(u, f)`` takes the value f = value(u) the descent already holds.
 Since the objectives are invariant under u -> |u|, iterates are folded
 positive at every step, which also realizes the positivity of the
-returned minimizers. A line search ends once its step no longer moves the
-iterate and its trial is no lower than f: every shorter step gives that
-same rejected trial.
+returned minimizers. A line search gives up once a rejected trial's
+predicted decrease a <g, d> is below the rounding of f, 2^-52 |f|: a
+shorter step could then only win by rounding noise.
 
 Thresholds come from one bisection on the parameter. A parameter counts
 as broken when a positive function beats the constants there, so the
@@ -138,27 +140,29 @@ def _inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _metric(grid: Grid, sigma: float):
-    """Riesz map and squared step length of the descent metric.
+    """Riesz map and dual squared norm of the descent metric.
 
-    The metric is K + sigma*M with Riesz map g -> (K + sigma*M)^-1 M g,
+    The metric is K + sigma*M with Riesz map R: g -> (K + sigma*M)^-1 M g,
     whose conditioning, unlike that of L2, does not degrade as the grid is
-    refined. It is the descent's initial inverse-Hessian operator, and the
-    squared length sets its Barzilai-Borwein scale (``_descend``). The
-    grid's modes C diagonalize the pencil, K C = M C Lambda
-    with C^T M C = I, so d = C (Lambda + sigma)^-1 C^T M g: two small
-    dense products per data axis and no factorization (fast
-    diagonalization; Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199).
+    refined. R is the descent's initial inverse-Hessian operator, and the
+    dual squared norm <y, R y> of a gradient change y sets its scale
+    (``_descend``). The grid's modes C diagonalize the pencil,
+    K C = M C Lambda with C^T M C = I, so R g = C (Lambda + sigma)^-1 C^T M g:
+    two small dense products per data axis and no factorization (fast
+    diagonalization; Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199),
+    and <y, R y> = sum_k yhat_k^2 / (Lambda_k + sigma) with yhat = C^T M y,
+    one modal transform.
     """
-    w = grid.weights
     inv = 1.0 / (grid.mode_eigenvalues() + sigma)
 
     def riesz(g):
         return grid.from_modes(inv * grid.to_modes(g))
 
-    def norm_sq(s):
-        return grid.energy(s) + sigma * _inner(w, s, s)
+    def dual_sq(y):
+        yhat = grid.to_modes(y)
+        return float(np.add.reduce(inv * yhat * yhat, axis=None))
 
-    return riesz, norm_sq
+    return riesz, dual_sq
 
 
 def _lbfgs_direction(g: np.ndarray, w: np.ndarray, pairs, alpha: float,
@@ -166,8 +170,9 @@ def _lbfgs_direction(g: np.ndarray, w: np.ndarray, pairs, alpha: float,
     """L-BFGS two-loop recursion on the L2 gradient g.
 
     ``pairs`` holds (s, y, 1/<s, y>), oldest first, every pairing in the
-    quadrature inner product; the initial operator is the BB-scaled Riesz
-    map alpha * riesz (Nocedal, Math. Comp. 35 (1980) 773-782).
+    quadrature inner product; the initial operator is the scaled Riesz map
+    alpha * riesz (Nocedal, Math. Comp. 35 (1980) 773-782), alpha set by
+    ``_descend``.
     """
     q = g
     coef = []
@@ -186,18 +191,20 @@ def _line_search(u: np.ndarray, f: float, d: np.ndarray, gd: float,
     """Armijo backtracking from a = 1: (a, trial, f(trial)), or None.
 
     A trial must also lower f: below the rounding of f a step that leaves
-    f unchanged is no progress. The search fails after 60 halvings, or once
-    the step no longer moves u in any entry and the trial is no lower than
-    f: every shorter step gives that same rejected trial.
+    f unchanged is no progress. The search fails after 60 halvings, or at
+    a rejected trial whose predicted decrease a <g, d> is at most the
+    rounding of f, 2^-52 |f|: every shorter step predicts less, so it could
+    only pass by rounding noise. This covers a step that no longer moves u,
+    whose rejected trial every shorter step would repeat.
     """
     a = 1.0
+    floor = 2.0**-52 * abs(f)
     for _ in range(60):
-        step = u - a * d
-        trial = normalize(step)
+        trial = normalize(u - a * d)
         ftrial = value(trial)
         if ftrial < f and ftrial <= f - 1e-4 * a * gd:
             return a, trial, ftrial
-        if ftrial >= f and np.array_equal(step, u):
+        if ftrial >= f and a * gd <= floor:
             return None
         a *= 0.5
     return None
@@ -211,8 +218,9 @@ def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
     The direction is L-BFGS (``_lbfgs_direction``) over the last
     ``_MEMORY`` pairs s = trial - u, y = grad(trial) - grad(u); pairs with
     <s, y> <= 1e-300 are skipped. Its initial operator is the metric's
-    Riesz map scaled by the Barzilai-Borwein step ||s||^2 / <s, y>, with
-    ||.|| the metric's norm. Where the direction is not a descent
+    Riesz map R scaled by alpha = <s, y>/<y, R y> of the newest pair
+    (Nocedal & Wright, eq. 7.20), the alpha for which alpha R y is closest
+    to s in the metric's norm. Where the direction is not a descent
     direction, or its line search (``_line_search``) fails, the memory is
     cleared and the scaled Riesz direction is used; a failed search in that
     direction ends the start, as converged at a tiny gradient and as a
@@ -222,7 +230,7 @@ def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
     below it, the start point included (a witness).
     """
     normalize, value, grad = objective
-    riesz, norm_sq = metric
+    riesz, dual_sq = metric
     alpha = 1.0
     w = grid.weights
     u = normalize(u0)
@@ -270,7 +278,7 @@ def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
         y = gnew - g
         sy = _inner(w, s, y)
         if sy > 1e-300:
-            alpha = norm_sq(s) / sy
+            alpha = sy / dual_sq(y)
             pairs.append((s, y, 1.0 / sy))
         else:
             # no positive curvature: twice the Riesz step length just taken
