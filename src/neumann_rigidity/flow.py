@@ -246,6 +246,9 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
     the start of the step. A trial that leaves m non-positive or v below
     1e-10 of the initial maximum is halved and sub-stepped to the same
     sample time; forty halvings in a row abort with the time and step.
+    v = m^(1/beta(p+1)) is computed once per accepted state, in the check
+    that accepts it, and reused by its record and the next step's first
+    stage.
     """
     if p == 1.0 or not p > 0.0:
         raise RangeError("the nonlinear flow needs p > 0, p != 1")
@@ -268,9 +271,19 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
 
     rec = _Recorder()
     quartic: List[float] = []
+    # the state _advance holds (the start, or the last one check passed)
+    # and its v: check, record and the first stage of the next step share
+    # one v = m^(1/m_exp) per accepted state. The state is made read-only,
+    # so no later write can leave its v stale.
+    m0 = v0**m_exp
+    m0.flags.writeable = False
+    accepted = [m0, m0 ** (1.0 / m_exp)]
+
+    def v_of(m):
+        return accepted[1] if m is accepted[0] else m ** (1.0 / m_exp)
 
     def record(t, dt, m):
-        v = m ** (1.0 / m_exp)
+        v = v_of(m)
         u = v**beta
         e, i = _entropy_pair(grid, u, p)
         rec.add(t, e, i, i - Lam * e, grid.integrate(v**m_exp),
@@ -281,8 +294,7 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
     rhs_buffer = np.empty_like(v0)
 
     def rhs(m):
-        v = m ** (1.0 / m_exp)
-        out = grid.weighted_stiffness_apply(m ** (kappa / m_exp), v,
+        out = grid.weighted_stiffness_apply(m ** (kappa / m_exp), v_of(m),
                                             out=rhs_buffer)
         out *= -m_exp
         out /= grid.weights
@@ -301,9 +313,11 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
             return ConvergenceError, "step produced non-finite values"
         if not v.min() > floor:
             return PositivityError, "flow hit the positivity floor"
+        m.flags.writeable = False
+        accepted[:] = m, v
         return None
 
-    steps, rhs_evals, halvings = _advance(rhs, v0**m_exp, t_end, n_store,
+    steps, rhs_evals, halvings = _advance(rhs, m0, t_end, n_store,
                                           stage_dt, check, record)
     return FlowTrace(*rec.arrays(), p=p, beta=beta, theta=theta,
                      lambda2=lam2, Lambda=Lam, dim=grid.dim,

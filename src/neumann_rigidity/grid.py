@@ -94,7 +94,10 @@ class Grid:
     Construct through :func:`build_grid`. Grids are immutable from the
     caller's perspective; all operators return new arrays unless given an
     ``out`` buffer. ``_cache`` holds only memoized results, so clearing it
-    never loses grid data.
+    never loses grid data: the sparse stiffness ``K``, the axis modes and
+    their eigenvalues, the spectral gap, the branch Jacobian's ordering,
+    and the per-axis flat face tables of the stiffness kernels
+    (``_flat_faces``). It holds no scratch buffers.
     """
 
     def __init__(self, domain: Domain, axes: List[np.ndarray],
@@ -165,36 +168,83 @@ class Grid:
         return total
 
     def stiffness_apply(self, u: np.ndarray) -> np.ndarray:
-        """K u with E(u, v) = sum(v * K u); K is symmetric PSD, K 1 = 0."""
-        out = np.zeros_like(u, dtype=float)
-        for a, fw in enumerate(self.face_weights):
-            lo, hi = _along(u.ndim, a, "faces")
-            g = fw * (u[hi] - u[lo])
-            out[lo] -= g
-            out[hi] += g
-        return out
+        """K u with E(u, v) = sum(v * K u); K is symmetric PSD, K 1 = 0.
+
+        Works on the flat node array (``_flat_faces``): each axis's face
+        fluxes are one contiguous product, and the flux of every slot that
+        joins a row end to the next row's start is set to +0.0 before it
+        is scattered, so no value crosses a row end. Every node receives
+        the same updates in the same order as on the n-d array, so the
+        result is the same to the bit.
+        """
+        x = u.reshape(-1)
+        out = np.zeros(x.size)
+        for off, fw, _, pads in self._flat_faces():
+            g = fw * (x[off:] - x[:-off])
+            if pads is not None:
+                g[pads] = 0.0
+            out[:-off] -= g
+            out[off:] += g
+        return out.reshape(u.shape)
 
     def weighted_stiffness_apply(self, coeff: np.ndarray, u: np.ndarray,
                                  out: Optional[np.ndarray] = None
                                  ) -> np.ndarray:
         """K_c u for the form sum over faces of face_weight * mean(c) * du dv.
 
-        The result goes into ``out`` when given (it is overwritten).
+        The result goes into ``out`` when given (it is overwritten; it
+        must be C-contiguous). Works on the flat node array like
+        ``stiffness_apply``, with 0.5 * face_weight from ``_flat_faces``
+        (halving is exact) and the row-end slots set to +0.0, so the
+        result is the same to the bit as on the n-d array, and a
+        non-finite value never crosses a row end.
         """
         if out is None:
-            out = np.zeros_like(u, dtype=float)
-        else:
+            out = np.zeros(u.shape)
+        elif out.flags.c_contiguous:
             out.fill(0.0)
-        for a, fw in enumerate(self.face_weights):
-            lo, hi = _along(u.ndim, a, "faces")
-            # g = fw * (0.5 (c_lo + c_hi)) * (u_hi - u_lo), in place
-            g = np.add(coeff[lo], coeff[hi])
-            g *= 0.5
-            g *= fw
-            g *= np.subtract(u[hi], u[lo])
-            out[lo] -= g
-            out[hi] += g
+        else:
+            raise RangeError("out must be C-contiguous")
+        x, c, flat = u.reshape(-1), coeff.reshape(-1), out.reshape(-1)
+        for off, _, half_fw, pads in self._flat_faces():
+            # g = (c_lo + c_hi) * (0.5 fw) * (u_hi - u_lo), in place
+            g = np.add(c[:-off], c[off:])
+            g *= half_fw
+            g *= np.subtract(x[off:], x[:-off])
+            if pads is not None:
+                g[pads] = 0.0
+            flat[:-off] -= g
+            flat[off:] += g
         return out
+
+    def _flat_faces(self) -> Tuple[tuple, ...]:
+        """Each axis's faces over the C-order flat node array, memoized.
+
+        Face k of axis a joins flat node k and node k + off, off the
+        axis's stride, so both ends of all faces are the contiguous slices
+        x[:-off] and x[off:]. One entry per axis: (off, face weights,
+        half the face weights, pads). pads indexes the slots that join a
+        row end to the next row's start (None if there is none); their
+        face weights are 0. On 1-D data the tables are the face weights.
+        """
+        if "flat_faces" not in self._cache:
+            tables, nd = [], len(self.shape)
+            for a, fw in enumerate(self.face_weights):
+                off = math.prod(self.shape[a + 1:])
+                full = np.zeros(self.shape)
+                full[_along(nd, a, "faces")[0]] = fw
+                ends = np.zeros(self.shape, dtype=bool)
+                ends[tuple(-1 if b == a else slice(None)
+                           for b in range(nd))] = True
+                fw_flat = full.reshape(-1)[:-off]
+                pads = np.flatnonzero(ends.reshape(-1)[:-off])
+                half = 0.5 * fw_flat
+                for t in (fw_flat, half, pads):
+                    t.flags.writeable = False
+                tables.append((off, fw_flat, half,
+                               pads if pads.size else None))
+            self._cache["flat_faces"] = tuple(tables)
+        return self._cache["flat_faces"]
 
     def laplacian(self, u: np.ndarray) -> np.ndarray:
         """Neumann Laplacian, the negative of stiffness over quadrature weights."""

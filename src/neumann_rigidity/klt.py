@@ -65,9 +65,16 @@ def klt_duality_check(grid: Grid, p: float, mu: float,
                       seed: int = 0) -> KltResult:
     """Compare the variational lam(mu) with the dual ground-state value.
 
-    The two sides come from independent solvers: projected-gradient
-    optimization of the quotient versus inverse iteration on the discrete
+    The two sides come from independent solvers: the multistart quotient
+    descent of ``lambda_of_mu`` versus inverse iteration on the discrete
     Schrodinger operator with the constructed optimal potential.
+
+    A small gap checks that the returned iterate is critical on its
+    support, not that it is the minimizer: on square64 at p = 0.5 and
+    mu = 3 lambda2 / |p - 1| every non-constant descent start stalls,
+    yet the gap is 2.6e-13. So the gap is no convergence certificate;
+    the ``QuotientSolve`` of ``lambda_of_mu`` records whether the descent
+    converged.
     """
     eps = epsilon(p)
     sol: QuotientSolve = lambda_of_mu(grid, mu, p, seed=seed)

@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -449,6 +451,33 @@ def test_work_record_on_benchmark_configs(square64, monkeypatch):
     assert (heat.steps, heat.rhs_evals, heat.halvings) == (400, 0, 0)
     assert heat.times.size == 401
     assert len(stages) == nonlin.steps
+
+
+def test_nonlinear_flow_same_with_per_axis_stiffness_loop(
+        square32, monkeypatch, weighted_stiffness_reference):
+    # the flat face kernel and the one v per accepted state leave every
+    # stored series and the work record as the plain per-axis loop gives;
+    # the reference steps from a copy of each state, so its first stage
+    # computes v afresh
+    g = square32
+    p, theta = 2.0, 0.9
+    roots = beta_roots(theta, p, 2)
+    beta = 0.5 * (roots.beta_minus + roots.beta_plus)
+    v0 = _perturbed(g, 0.2)
+    fast = nonlinear_flow_run(g, p, beta, theta, v0, 0.01, n_store=40)
+    step = flow._rkl2_step
+    monkeypatch.setattr(flow, "_rkl2_step",
+                        lambda rhs, y, dt, s: step(rhs, y.copy(), dt, s))
+    monkeypatch.setattr(gmod.Grid, "weighted_stiffness_apply",
+                        weighted_stiffness_reference)
+    ref = nonlinear_flow_run(g, p, beta, theta, v0, 0.01, n_store=40)
+    for f in dataclasses.fields(flow.FlowTrace):
+        a, b = getattr(fast, f.name), getattr(ref, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes(), f.name
+    assert ((fast.steps, fast.rhs_evals, fast.halvings)
+            == (ref.steps, ref.rhs_evals, ref.halvings))
+    assert fast.rhs_evals > 2 * fast.steps
 
 
 def test_flow_failure_carries_time_and_step(square32, monkeypatch):

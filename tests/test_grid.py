@@ -188,11 +188,25 @@ def test_cache_clear_keeps_grid_data():
         b = np.arange(g.n_nodes, dtype=float).reshape(g.shape)
         eig, coeffs, nodes = (g.mode_eigenvalues().copy(), g.to_modes(b),
                               g.from_modes(b))
+        faces, kb = g._flat_faces(), g.stiffness_apply(b)
+        kcb = g.weighted_stiffness_apply(b + 1.0, b)
+        if g.ndim_data == 1:
+            # 1-D data keeps its own layout: the table is the face weights
+            assert np.array_equal(faces[0][1], g.face_weights[0])
+            assert faces[0][3] is None
         g._cache.clear()
         assert np.array_equal(g.sparse_stiffness().toarray(), K)
         assert np.array_equal(g.mode_eigenvalues(), eig)
         assert np.array_equal(g.to_modes(b), coeffs)
         assert np.array_equal(g.from_modes(b), nodes)
+        rebuilt = g._flat_faces()
+        assert rebuilt is not faces and len(rebuilt) == len(faces)
+        for old, new in zip(faces, rebuilt):
+            assert old[0] == new[0]
+            for x, y in zip(old[1:], new[1:]):
+                assert (x is None and y is None) or np.array_equal(x, y)
+        assert np.array_equal(g.stiffness_apply(b), kb)
+        assert np.array_equal(g.weighted_stiffness_apply(b + 1.0, b), kcb)
 
 
 @pytest.mark.parametrize("dom,n", [
@@ -201,13 +215,18 @@ def test_cache_clear_keeps_grid_data():
     (Domain.rectangle(1.5, 1.0), (24, 17)),
     (Domain.ball(3), 64),
 ], ids=["interval64", "square16", "rect24x17", "ball3_64"])
-def test_grid_kernels_match_numpy_reference_bit_for_bit(dom, n):
+def test_grid_kernels_match_numpy_reference_bit_for_bit(
+        dom, n, weighted_stiffness_reference):
     # the kernels reduce with np.add.reduce and difference by slicing; both
-    # must round exactly as the np.sum / np.diff forms they stand for
+    # must round exactly as the np.sum / np.diff forms they stand for. The
+    # stiffness kernels run on the flat node array; every node must receive
+    # the same face fluxes in the same order as the per-axis n-d loop
     g = build_grid(dom, n)
     w = g.weights
     u = smooth_random_field(g, SplitMix64(7), amp=0.8, modes=4)
     signed = u - g.mean(u)
+    coeff = smooth_random_field(g, SplitMix64(8), amp=0.8, modes=4)
+    buf = np.full(g.shape, np.nan)
     assert g.integrate(u) == float(np.sum(w * u))
     assert g.integrate(signed) == float(np.sum(w * signed))
     for exp in (2.0, 3.0, 1.5):
@@ -231,7 +250,15 @@ def test_grid_kernels_match_numpy_reference_bit_for_bit(dom, n):
             ku[tuple(lo)] -= flux
             ku[tuple(hi)] += flux
         assert g.energy(v) == energy
-        assert (g.stiffness_apply(v) == ku).all()
+        assert g.stiffness_apply(v).tobytes() == ku.tobytes()
+        assert g.stiffness_apply(np.asfortranarray(v)).tobytes() == \
+            ku.tobytes()
+        kcu = weighted_stiffness_reference(g, coeff, v).tobytes()
+        assert g.weighted_stiffness_apply(coeff, v).tobytes() == kcu
+        assert g.weighted_stiffness_apply(coeff, v, out=buf) is buf
+        assert buf.tobytes() == kcu
+        assert g.weighted_stiffness_apply(
+            np.asfortranarray(coeff), np.asfortranarray(v)).tobytes() == kcu
         # the modal transform: one product per axis, moved to the front
         coeffs, nodes = w * v, v
         for a, (_, c) in enumerate(g.heat_modes()):
@@ -239,6 +266,41 @@ def test_grid_kernels_match_numpy_reference_bit_for_bit(dom, n):
             nodes = np.moveaxis(c @ np.moveaxis(nodes, a, 0), 0, a)
         assert (g.to_modes(v) == coeffs).all()
         assert (g.from_modes(v) == nodes).all()
+    if g.ndim_data > 1:
+        # the weighted kernel writes through a flat view of out
+        with pytest.raises(RangeError):
+            g.weighted_stiffness_apply(coeff, u,
+                                       out=np.empty(g.shape, order="F"))
+
+
+def test_face_kernels_keep_non_finite_values_inside_their_rows(
+        weighted_stiffness_reference):
+    # on the flat array a row's last node sits next to the next row's
+    # first node, but no face joins them: an inf at either end must not
+    # reach the other, in either stiffness kernel
+    g = build_grid(Domain.rectangle(1.5, 1.0), (24, 17))
+    u = smooth_random_field(g, SplitMix64(7), amp=0.8, modes=4)
+    coeff = smooth_random_field(g, SplitMix64(8), amp=0.8, modes=4)
+    row, last = 5, g.shape[1] - 1
+    for node, across in (((row, last), (row + 1, 0)),
+                         ((row + 1, 0), (row, last))):
+        bad = u.copy()
+        bad[node] = np.inf
+        bad_c = coeff.copy()
+        bad_c[node] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = (g.stiffness_apply(bad),
+                   g.weighted_stiffness_apply(coeff, bad),
+                   g.weighted_stiffness_apply(bad_c, u))
+            # unit coefficients make the weighted loop the plain one
+            refs = (weighted_stiffness_reference(g, np.ones(g.shape), bad),
+                    weighted_stiffness_reference(g, coeff, bad),
+                    weighted_stiffness_reference(g, bad_c, u))
+        for out, ref in zip(got, refs):
+            assert not np.isfinite(out[node])
+            assert np.isfinite(out[across])
+            # every other node is hit exactly as in the per-axis loop
+            assert np.array_equal(out, ref, equal_nan=True)
 
 
 @pytest.mark.parametrize("dom,n", [
