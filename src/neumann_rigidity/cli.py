@@ -110,14 +110,22 @@ def parse_sweep(spec: str, name: str) -> List[float]:
     if not spec:
         raise RangeError(f"missing required value for --{name}")
     parts = spec.split(":")
+    if len(parts) not in (1, 3):
+        raise RangeError(
+            f"--{name} expects VALUE or LO:HI:COUNT, got {spec!r}")
+    try:
+        values = [float(x) for x in parts[:2]]
+        count = int(parts[2]) if len(parts) == 3 else 1
+    except ValueError:
+        raise RangeError(f"--{name}: not a number in {spec!r}") from None
+    if not np.isfinite(values).all():
+        raise RangeError(f"--{name} values must be finite, got {spec!r}")
     if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) == 3:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if not (lo > 0.0 and hi > lo and count >= 2):
-            raise RangeError(f"bad sweep range for --{name}: {spec!r}")
-        return [float(x) for x in np.geomspace(lo, hi, count)]
-    raise RangeError(f"--{name} expects VALUE or LO:HI:COUNT, got {spec!r}")
+        return values
+    lo, hi = values
+    if not (lo > 0.0 and hi > lo and count >= 2):
+        raise RangeError(f"bad sweep range for --{name}: {spec!r}")
+    return [float(x) for x in np.geomspace(lo, hi, count)]
 
 
 def make_domain(cfg: RunConfig) -> Domain:

@@ -247,9 +247,18 @@ def test_report_json(capsys):
 
 
 def test_bad_sweep_is_usage_error(capsys):
-    code, _, err = run(capsys, "quotient", "--domain", "interval",
-                       "--n", "64", "--p", "2", "--lambda", "5:1:3")
-    assert code == 2
+    # a reversed range, a malformed value or count, and a non-finite value
+    for cmd, flag, spec in (("quotient", "--lambda", "5:1:3"),
+                            ("quotient", "--lambda", "abc"),
+                            ("quotient", "--lambda", "1:2:x"),
+                            ("quotient", "--lambda", "1:2:3.5"),
+                            ("quotient", "--lambda", "inf"),
+                            ("quotient", "--lambda", "1:inf:3"),
+                            ("quotient", "--lambda", "nan"),
+                            ("klt", "--mu", "abc")):
+        code, _, err = run(capsys, cmd, "--domain", "interval",
+                           "--n", "64", "--p", "2", flag, spec)
+        assert code == 2 and "usage error" in err, (cmd, spec)
     with pytest.raises(RangeError):
         parse_sweep("1:2", "lambda")
     assert parse_sweep("3.5", "lambda") == [3.5]
