@@ -19,6 +19,11 @@ so the quadrature mass of m is conserved to round-off for every step
 size. The deficit functional of u = v^beta with constant (1-theta) times
 the discrete spectral gap is nonincreasing along the flow.
 
+Along both flows ||u||_{p+1}^{p+1} is the conserved mass, int v for the
+heat flow and int m for the nonlinear flow, so each sample takes it from
+that mass and computes no power of u for it. The nonlinear flow takes one
+log m per state and forms each power of m as the exp of a multiple of it.
+
 The heat flow is exact in time. Its semi-discrete system v' = -M^-1 K v
 is linear with constant coefficients, and the (K, M) pencil of every grid
 is a Kronecker sum of 1-D tridiagonal pencils (``Grid.heat_modes``). So
@@ -95,12 +100,32 @@ class _Recorder:
         return [np.asarray(c, dtype=float) for c in cols]
 
 
-def _entropy_pair(grid: Grid, u: np.ndarray, p: float):
-    np1 = grid.lp_norm(u, p + 1.0) ** 2
+def _entropy_pair(grid: Grid, u: np.ndarray, p: float, mass: float):
+    """(e, i) of u, where ``mass`` is int u^(p+1).
+
+    Along both flows int u^(p+1) is the conserved mass of the advanced
+    density (v in the heat flow, m in the nonlinear flow), so the caller
+    already holds it and ||u||_{p+1}^2 = mass^(2/(p+1)) costs no power of
+    u.
+    """
+    np1 = mass ** (2.0 / (p + 1.0))
     n2 = grid.integrate(u * u)
     e = (np1 - n2) / (p - 1.0)
     i = grid.energy(u)
     return e, i
+
+
+def _exp_power(log_m: np.ndarray, a: float,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """m^a as exp(a log m) from log m, into ``out`` when given.
+
+    Rounding log m and the product a log m moves the result by about
+    |a log m| ulp, so it lies within (|a log m| + 2) 2^-52 relative of
+    ``m ** a``: below 1e-14 while |a log m| <= 43. In the nonlinear flow
+    a log m is log v or kappa log v; above its positivity floor
+    v >= 1e-10 max v, with max v near 1, |log v| is at most about 23.
+    """
+    return np.exp(np.multiply(log_m, a, out=out), out=out)
 
 
 def _rkl2_stages(dt: float, dt_stage: float) -> int:
@@ -212,9 +237,9 @@ def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
     rec = _Recorder()
 
     def record(t, dt, v):
-        u = v ** (1.0 / (p + 1.0))
-        e, i = _entropy_pair(grid, u, p)
-        rec.add(t, e, i, i - Lam * e, grid.integrate(v), float(v.min()), dt)
+        mass = grid.integrate(v)
+        e, i = _entropy_pair(grid, v ** (1.0 / (p + 1.0)), p, mass)
+        rec.add(t, e, i, i - Lam * e, mass, float(v.min()), dt)
 
     dt = t_end / n_store
     decay = np.exp(-dt * grid.mode_eigenvalues())
@@ -271,44 +296,60 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
 
     rec = _Recorder()
     quartic: List[float] = []
+    # each power of a state is _exp_power of its log m, taken once per
+    # state into log_m; rhs and check share that expression, so a v
+    # computed afresh equals the stored one to the bit
+    log_m, c_buf, v_buf, rhs_buf = (np.empty_like(v0) for _ in range(4))
+
     # the state _advance holds (the start, or the last one check passed)
     # and its v: check, record and the first stage of the next step share
     # one v = m^(1/m_exp) per accepted state. The state is made read-only,
     # so no later write can leave its v stale.
-    m0 = v0**m_exp
-    m0.flags.writeable = False
-    accepted = [m0, m0 ** (1.0 / m_exp)]
+    accepted = [None, None]
 
     def v_of(m):
-        return accepted[1] if m is accepted[0] else m ** (1.0 / m_exp)
+        if m is accepted[0]:
+            return accepted[1]
+        np.log(m, out=log_m)
+        return _exp_power(log_m, 1.0 / m_exp)
+
+    m0 = v0**m_exp
+    m0.flags.writeable = False
+    accepted[:] = m0, v_of(m0)
 
     def record(t, dt, m):
         v = v_of(m)
-        u = v**beta
-        e, i = _entropy_pair(grid, u, p)
-        rec.add(t, e, i, i - Lam * e, grid.integrate(v**m_exp),
-                float(v.min()), dt)
+        # int u^(p+1) = int m, the conserved mass
+        mass = grid.integrate(m)
+        e, i = _entropy_pair(grid, v**beta, p, mass)
+        rec.add(t, e, i, i - Lam * e, mass, float(v.min()), dt)
         g = grid.nodal_grad_sq(v)
         quartic.append(grid.integrate(g * g / (v * v)))
 
-    rhs_buffer = np.empty_like(v0)
+    rhs_scale = -m_exp / grid.weights
 
     def rhs(m):
-        out = grid.weighted_stiffness_apply(m ** (kappa / m_exp), v_of(m),
-                                            out=rhs_buffer)
-        out *= -m_exp
-        out /= grid.weights
+        np.log(m, out=log_m)
+        c = _exp_power(log_m, kappa / m_exp, c_buf)
+        v = (accepted[1] if m is accepted[0]
+             else _exp_power(log_m, 1.0 / m_exp, v_buf))
+        out = grid.weighted_stiffness_apply(c, v, out=rhs_buf)
+        out *= rhs_scale
         return out
 
     def stage_dt(m):
-        return bound * float((m ** ((2.0 * beta - 2.0) / m_exp)).min())
+        # v^(2 beta - 2) is monotone in v, so its least value is that
+        # power of max v (beta < 1) or of min v
+        v = v_of(m)
+        end = v.max() if beta < 1.0 else v.min()
+        return bound * float(end) ** (2.0 * beta - 2.0)
 
     def check(m):
         if not np.all(np.isfinite(m)):
             return ConvergenceError, "step produced non-finite values"
         if not m.min() > 0.0:
             return PositivityError, "flow lost positivity"
-        v = m ** (1.0 / m_exp)
+        v = v_of(m)
         if not np.all(np.isfinite(v)):
             return ConvergenceError, "step produced non-finite values"
         if not v.min() > floor:

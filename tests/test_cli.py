@@ -141,6 +141,19 @@ def test_klt_csv(tmp_path, capsys):
     assert all(float(r[3]) < 1e-4 for r in rows)
 
 
+def test_sweep_rows_match_single_runs(tmp_path, capsys):
+    # a sweep point gives the row of a run at that value alone
+    base = ("klt", "--domain", "interval", "--n", "64", "--p", "0.5")
+    sweep = tmp_path / "sweep.csv"
+    assert run(capsys, *base, "--mu", "100:300:3", "--out", str(sweep))[0] == 0
+    _, rows = _csv_rows(sweep)
+    assert len(rows) == 3
+    for k, row in enumerate(rows):
+        one = tmp_path / f"one{k}.csv"
+        assert run(capsys, *base, "--mu", row[0], "--out", str(one))[0] == 0
+        assert _csv_rows(one)[1] == [row]
+
+
 def test_mu2_json(capsys):
     code, out, _ = run(capsys, "mu2", "--domain", "interval", "--n", "64",
                        "--p", "2", "--tol", "0.02")

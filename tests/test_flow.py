@@ -272,7 +272,8 @@ def _rkl2_heat_series(g, p, v0, t_end, n_store):
     rows = []
 
     def record(t, dt, v):
-        e, i = flow._entropy_pair(g, v ** (1.0 / (p + 1.0)), p)
+        u = v ** (1.0 / (p + 1.0))
+        e, i = flow._entropy_pair(g, u, p, g.lp_norm(u, p + 1.0) ** (p + 1.0))
         rows.append((i, e, i - lam * e))
 
     flow._advance(g.laplacian, v0.values.copy(), t_end, n_store,
@@ -422,7 +423,7 @@ def test_nonlinear_flow_matches_forward_euler(square32):
             m = m - dt * m_exp * g.weighted_stiffness_apply(v**kappa, v) / g.weights
             t = t_k if dt == left else t + dt
         u = (m ** (1.0 / m_exp)) ** beta
-        e, i = flow._entropy_pair(g, u, p)
+        e, i = flow._entropy_pair(g, u, p, g.lp_norm(u, p + 1.0) ** (p + 1.0))
         rows.append((i, e, i - lam * e))
     ref = np.asarray(rows).T
     got = [tr.production_i, tr.entropy_e, tr.j_lambda]
@@ -478,6 +479,72 @@ def test_nonlinear_flow_same_with_per_axis_stiffness_loop(
     assert ((fast.steps, fast.rhs_evals, fast.halvings)
             == (ref.steps, ref.rhs_evals, ref.halvings))
     assert fast.rhs_evals > 2 * fast.steps
+
+
+@pytest.mark.parametrize("kind", ["nonlinear_square32", "heat_ball3"])
+def test_samples_take_the_conserved_mass(kind, square32, monkeypatch):
+    # each stored mass is the quadrature mass of the advanced density, and
+    # each e, taken from it, matches e with ||u||_{p+1} from lp_norm
+    states = []
+    if kind == "nonlinear_square32":
+        g, p, beta = square32, 2.0, -0.6923
+        advance = flow._advance
+
+        def logged_advance(rhs, y, t_end, n, stage_dt, check, record):
+            def logged_record(t, dt, m):
+                states.append(m)
+                record(t, dt, m)
+            return advance(rhs, y, t_end, n, stage_dt, check, logged_record)
+
+        monkeypatch.setattr(flow, "_advance", logged_advance)
+        tr = nonlinear_flow_run(g, p, beta, 0.9, _perturbed(g), 0.05)
+
+        def u_of(m):
+            return (m ** (1.0 / (beta * (p + 1.0)))) ** beta
+    else:
+        g, p = build_grid(Domain.ball(3, 1.0), 64), 0.5
+        v0 = _perturbed(g, squared=True)
+        states.append(v0.values)
+        from_modes = g.from_modes
+
+        def logged_from_modes(coeffs):
+            states.append(from_modes(coeffs))
+            return states[-1]
+
+        monkeypatch.setattr(g, "from_modes", logged_from_modes)
+        tr = heat_flow_run(g, p, v0, 0.05)
+
+        def u_of(v):
+            return v ** (1.0 / (p + 1.0))
+    assert len(states) == tr.times.size
+    for k, y in enumerate(states):
+        assert tr.mass[k] == g.integrate(y)
+        u = u_of(y)
+        e = (g.lp_norm(u, p + 1.0) ** 2 - g.integrate(u * u)) / (p - 1.0)
+        assert tr.entropy_e[k] == pytest.approx(e, rel=1e-10, abs=0.0)
+
+
+def test_exp_log_powers_match_array_powers(square64):
+    # the powers of the nonlinear benchmark op's initial state, and of
+    # states whose v spans the range the flow accepts, down to its
+    # positivity floor 1e-10 max v, where |a log m| is largest
+    p, beta = 2.0, -0.6923
+    kappa, m_exp = beta * (p - 1.0) + 1.0, beta * (p + 1.0)
+    v0 = _perturbed(square64).values
+    vmax = float(v0.max())
+    spread = vmax * np.geomspace(1e-10, 1.0, v0.size)
+    spaced = vmax * 10.0 ** np.random.default_rng(3).uniform(-10.0, 0.0,
+                                                            v0.size)
+    for v in (v0, spread, spaced):
+        m = v ** m_exp
+        log_m = np.log(m)
+        for a in (kappa / m_exp, 1.0 / m_exp):
+            ref = m ** a
+            got = flow._exp_power(log_m, a)
+            err = np.abs(got - ref)
+            assert np.all(err <= 1e-14 * np.abs(ref))
+            assert np.all(
+                err <= (np.abs(a * log_m) + 2.0) * 2.0**-52 * np.abs(ref))
 
 
 def test_flow_failure_carries_time_and_step(square32, monkeypatch):
