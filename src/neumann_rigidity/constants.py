@@ -74,6 +74,24 @@ def _check_subcritical(p: float, d: int) -> None:
             f"p={p:g} is not sub-critical for d={d} (needs p < {critical_exponent(d) - 1.0:g})")
 
 
+def _check_exponents(p: float, d: int, log_sobolev: bool) -> int:
+    """Validate (p, d) and the log-Sobolev flag; return d as an int.
+
+    d is an integer >= 1, the flag fixes p = 1, p = 1 needs the flag, and
+    any other p is positive and sub-critical.
+    """
+    if d < 1 or int(d) != d:
+        raise RangeError("d must be an integer >= 1")
+    if log_sobolev:
+        if p != 1.0:
+            raise RangeError("the log-Sobolev flag fixes p = 1")
+    elif p == 1.0:
+        raise RangeError("p = 1 requires the log-Sobolev flag")
+    else:
+        _check_subcritical(p, int(d))
+    return int(d)
+
+
 @dataclass(frozen=True)
 class ExponentSet:
     """All closed-form constants derived from (p, d, beta)."""
@@ -100,17 +118,8 @@ def make_exponents(p: float, d: int, beta: float = 0.0,
     exponent must stay below the critical value 2* - 1. ``delta`` is
     marked absent (None) unless beta > 1 and p != 1.
     """
-    if d < 1 or int(d) != d:
-        raise RangeError("d must be an integer >= 1")
-    d = int(d)
-    if log_sobolev:
-        if p != 1.0:
-            raise RangeError("the log-Sobolev flag fixes p = 1")
-        eps = None
-    else:
-        eps = epsilon(p)
-        _check_subcritical(p, d)
-
+    d = _check_exponents(p, d, log_sobolev)
+    eps = None if log_sobolev else epsilon(p)
     kappa = beta * (p - 1.0) + 1.0
     delta = None
     if beta > 1.0 and p != 1.0:
@@ -232,17 +241,7 @@ def rigidity_bounds(p: float, d: int, lambda2: float,
     """
     if not lambda2 > 0.0:
         raise RangeError("lambda2 must be positive")
-    if d < 1 or int(d) != d:
-        raise RangeError("d must be an integer >= 1")
-    d = int(d)
-    if log_sobolev:
-        if p != 1.0:
-            raise RangeError("the log-Sobolev flag fixes p = 1")
-    else:
-        if p == 1.0:
-            raise RangeError("p = 1 requires the log-Sobolev flag")
-        _check_subcritical(p, d)
-
+    d = _check_exponents(p, d, log_sobolev)
     lower_nonlinear = None
     if d >= 2:
         lower_nonlinear = (1.0 - theta_star(p, d)) * lambda2

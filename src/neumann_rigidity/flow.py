@@ -38,7 +38,10 @@ super-time-step (RKL2; Meyer, Balsara & Aslam, J. Comput. Phys. 257
 stable up to (s^2+s-2)/4 forward-Euler steps; s is the least stage count
 that keeps every stage within cfl times the forward-Euler bound. Every
 stage adds multiples of the divergence-form right-hand side to an affine
-combination of earlier stages, so mass stays exact to round-off.
+combination of earlier stages, so mass stays exact to round-off. There is
+no generic integrator: ``nonlinear_flow_run`` owns its step loop, and the
+v = m^(1/(beta(p+1))) it computes for each trial state, when it checks
+the trial, serves that state's record, stage bound and first stage.
 """
 
 from __future__ import annotations
@@ -86,18 +89,6 @@ class FlowTrace:
     steps: int = 0
     rhs_evals: int = 0
     halvings: int = 0
-
-
-class _Recorder:
-    def __init__(self):
-        self.rows: List[tuple] = []
-
-    def add(self, t, e, i, j, mass, vmin, dt):
-        self.rows.append((t, e, i, j, mass, vmin, dt))
-
-    def arrays(self):
-        cols = list(zip(*self.rows))
-        return [np.asarray(c, dtype=float) for c in cols]
 
 
 def _entropy_pair(grid: Grid, u: np.ndarray, p: float, mass: float):
@@ -168,49 +159,6 @@ def _rkl2_step(rhs, y0: np.ndarray, dt: float, s: int) -> np.ndarray:
     return np.add(y0, d_prev, out=d_prev)
 
 
-def _advance(rhs, y: np.ndarray, t_end: float, n_store: int, stage_dt,
-             check, record):
-    """RKL2 steps from each t_k = k t_end / n_store to the next.
-
-    ``stage_dt(y)`` is the step bound of one stage; ``check(y)`` returns
-    None for an acceptable state, else the (exception type, message) of
-    the failure. A rejected trial halves the step and sub-steps to the
-    same t_k. ``record(t, dt, y)`` runs at t = 0 (dt = 0) and at every
-    t_k. Returns (steps, rhs_evals, halvings).
-    """
-    steps = rhs_evals = halvings = 0
-    record(0.0, 0.0, y)
-    t = 0.0
-    for k in range(1, n_store + 1):
-        t_k = k * t_end / n_store
-        dt_try = t_k - t
-        failed = 0
-        while t < t_k:
-            left = t_k - t
-            dt = left if left <= dt_try * (1.0 + 1e-9) else dt_try
-            s = _rkl2_stages(dt, stage_dt(y))
-            with np.errstate(invalid="ignore", divide="ignore",
-                             over="ignore"):
-                y_new = _rkl2_step(rhs, y, dt, s)
-                problem = check(y_new)
-            rhs_evals += s
-            if problem is not None:
-                halvings += 1
-                failed += 1
-                if failed == _MAX_HALVINGS:
-                    kind, message = problem
-                    raise kind(f"{message} at t={t:.6e} with dt={dt:.3e}",
-                               t=t, dt=dt)
-                dt_try = 0.5 * dt
-                continue
-            failed = 0
-            y = y_new
-            t = t_k if dt == left else t + dt
-            steps += 1
-        record(t_k, dt, y)
-    return steps, rhs_evals, halvings
-
-
 def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
                   n_store: int = _STORE_TARGET) -> FlowTrace:
     """Solve the semi-discrete Neumann heat equation; record the u-quantities.
@@ -227,6 +175,8 @@ def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
         raise RangeError("the heat-flow estimate needs p in (0, 1)")
     if not t_end > 0.0:
         raise RangeError("t_end must be positive")
+    if n_store < 1:
+        raise RangeError("n_store must be at least 1")
     v = np.asarray(v0.values, dtype=float)
     if v.min() <= 0.0:
         raise PositivityError("initial data must be strictly positive")
@@ -234,12 +184,12 @@ def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
     lam2 = spectral_gap(grid).eigenvalue
     Lam = (1.0 - p) * lam2
 
-    rec = _Recorder()
+    rows = []
 
     def record(t, dt, v):
         mass = grid.integrate(v)
         e, i = _entropy_pair(grid, v ** (1.0 / (p + 1.0)), p, mass)
-        rec.add(t, e, i, i - Lam * e, mass, float(v.min()), dt)
+        rows.append((t, e, i, i - Lam * e, mass, float(v.min()), dt))
 
     dt = t_end / n_store
     decay = np.exp(-dt * grid.mode_eigenvalues())
@@ -254,7 +204,8 @@ def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
                 f"heat flow lost positivity at t={t:.6e} with dt={dt:.3e}: "
                 "the spatial operator is mis-assembled", t=t, dt=dt)
         record(k * t_end / n_store, dt, v)
-    return FlowTrace(*rec.arrays(), p=p, beta=None, theta=None,
+    series = (np.asarray(c, dtype=float) for c in zip(*rows))
+    return FlowTrace(*series, p=p, beta=None, theta=None,
                      lambda2=lam2, Lambda=Lam, dim=grid.dim,
                      steps=n_store, rhs_evals=0, halvings=0)
 
@@ -271,9 +222,10 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
     the start of the step. A trial that leaves m non-positive or v below
     1e-10 of the initial maximum is halved and sub-stepped to the same
     sample time; forty halvings in a row abort with the time and step.
-    v = m^(1/beta(p+1)) is computed once per accepted state, in the check
-    that accepts it, and reused by its record and the next step's first
-    stage.
+    The step loop is written out here and keeps the accepted m and its
+    v = m^(1/beta(p+1)) as locals. v is computed once per state, when its
+    trial is checked, and an accepted v serves its record, the stage bound
+    of the next step and that step's first stage.
     """
     if p == 1.0 or not p > 0.0:
         raise RangeError("the nonlinear flow needs p > 0, p != 1")
@@ -283,6 +235,8 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
         raise RangeError("beta must be nonzero")
     if not t_end > 0.0:
         raise RangeError("t_end must be positive")
+    if n_store < 1:
+        raise RangeError("n_store must be at least 1")
     v0 = np.asarray(v0.values, dtype=float).copy()
     if v0.min() <= 0.0:
         raise PositivityError("initial data must be strictly positive")
@@ -294,73 +248,73 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
     bound = _CFL * grid.h_min**2 / (2.0 * grid.dim)
     floor = 1e-10 * float(v0.max())
 
-    rec = _Recorder()
-    quartic: List[float] = []
-    # each power of a state is _exp_power of its log m, taken once per
-    # state into log_m; rhs and check share that expression, so a v
-    # computed afresh equals the stored one to the bit
+    rows, quartic = [], []
+    # every power of a state is _exp_power of its log m (taken into
+    # log_m), so a v that rhs computes afresh equals the accepted state's
+    # v to the bit
     log_m, c_buf, v_buf, rhs_buf = (np.empty_like(v0) for _ in range(4))
-
-    # the state _advance holds (the start, or the last one check passed)
-    # and its v: check, record and the first stage of the next step share
-    # one v = m^(1/m_exp) per accepted state. The state is made read-only,
-    # so no later write can leave its v stale.
-    accepted = [None, None]
-
-    def v_of(m):
-        if m is accepted[0]:
-            return accepted[1]
-        np.log(m, out=log_m)
-        return _exp_power(log_m, 1.0 / m_exp)
-
-    m0 = v0**m_exp
-    m0.flags.writeable = False
-    accepted[:] = m0, v_of(m0)
-
-    def record(t, dt, m):
-        v = v_of(m)
-        # int u^(p+1) = int m, the conserved mass
-        mass = grid.integrate(m)
-        e, i = _entropy_pair(grid, v**beta, p, mass)
-        rec.add(t, e, i, i - Lam * e, mass, float(v.min()), dt)
-        g = grid.nodal_grad_sq(v)
-        quartic.append(grid.integrate(g * g / (v * v)))
-
     rhs_scale = -m_exp / grid.weights
 
-    def rhs(m):
-        np.log(m, out=log_m)
+    def rhs(y):
+        np.log(y, out=log_m)
         c = _exp_power(log_m, kappa / m_exp, c_buf)
-        v = (accepted[1] if m is accepted[0]
-             else _exp_power(log_m, 1.0 / m_exp, v_buf))
-        out = grid.weighted_stiffness_apply(c, v, out=rhs_buf)
+        # the first stage of a step starts from the accepted state m
+        w = v if y is m else _exp_power(log_m, 1.0 / m_exp, v_buf)
+        out = grid.weighted_stiffness_apply(c, w, out=rhs_buf)
         out *= rhs_scale
         return out
 
-    def stage_dt(m):
-        # v^(2 beta - 2) is monotone in v, so its least value is that
-        # power of max v (beta < 1) or of min v
-        v = v_of(m)
-        end = v.max() if beta < 1.0 else v.min()
-        return bound * float(end) ** (2.0 * beta - 2.0)
-
-    def check(m):
-        if not np.all(np.isfinite(m)):
-            return ConvergenceError, "step produced non-finite values"
-        if not m.min() > 0.0:
-            return PositivityError, "flow lost positivity"
-        v = v_of(m)
-        if not np.all(np.isfinite(v)):
-            return ConvergenceError, "step produced non-finite values"
-        if not v.min() > floor:
-            return PositivityError, "flow hit the positivity floor"
-        m.flags.writeable = False
-        accepted[:] = m, v
-        return None
-
-    steps, rhs_evals, halvings = _advance(rhs, m0, t_end, n_store,
-                                          stage_dt, check, record)
-    return FlowTrace(*rec.arrays(), p=p, beta=beta, theta=theta,
+    m = v0**m_exp
+    v = _exp_power(np.log(m, out=log_m), 1.0 / m_exp)
+    steps = rhs_evals = halvings = failed = 0
+    t = dt = 0.0
+    # k = 0 takes no step: it records the initial state with dt = 0
+    for k in range(n_store + 1):
+        t_k = k * t_end / n_store
+        dt_try = t_k - t
+        while t < t_k:
+            left = t_k - t
+            dt = left if left <= dt_try * (1.0 + 1e-9) else dt_try
+            # v^(2 beta - 2) is monotone in v, so its least value is that
+            # power of max v (beta < 1) or of min v
+            end = v.max() if beta < 1.0 else v.min()
+            s = _rkl2_stages(dt, bound * float(end) ** (2.0 * beta - 2.0))
+            with np.errstate(invalid="ignore", divide="ignore",
+                             over="ignore"):
+                m_new = _rkl2_step(rhs, m, dt, s)
+                v_new = _exp_power(np.log(m_new, out=log_m), 1.0 / m_exp)
+                if not np.all(np.isfinite(m_new)):
+                    fault = ConvergenceError, "step produced non-finite values"
+                elif not m_new.min() > 0.0:
+                    fault = PositivityError, "flow lost positivity"
+                elif not np.all(np.isfinite(v_new)):
+                    fault = ConvergenceError, "step produced non-finite values"
+                elif not v_new.min() > floor:
+                    fault = PositivityError, "flow hit the positivity floor"
+                else:
+                    fault = None
+            rhs_evals += s
+            if fault is not None:
+                halvings += 1
+                failed += 1
+                if failed == _MAX_HALVINGS:
+                    kind, message = fault
+                    raise kind(f"{message} at t={t:.6e} with dt={dt:.3e}",
+                               t=t, dt=dt)
+                dt_try = 0.5 * dt
+                continue
+            failed = 0
+            m, v = m_new, v_new
+            t = t_k if dt == left else t + dt
+            steps += 1
+        # int u^(p+1) = int m, the conserved mass
+        mass = grid.integrate(m)
+        e, i = _entropy_pair(grid, v**beta, p, mass)
+        rows.append((t_k, e, i, i - Lam * e, mass, float(v.min()), dt))
+        g = grid.nodal_grad_sq(v)
+        quartic.append(grid.integrate(g * g / (v * v)))
+    series = (np.asarray(c, dtype=float) for c in zip(*rows))
+    return FlowTrace(*series, p=p, beta=beta, theta=theta,
                      lambda2=lam2, Lambda=Lam, dim=grid.dim,
                      quartic=np.asarray(quartic), steps=steps,
                      rhs_evals=rhs_evals, halvings=halvings)

@@ -165,6 +165,16 @@ def test_rigidity_bounds_best_below_upper_grid():
             assert rep.best_lower <= rep.upper + 1e-12
 
 
+@pytest.mark.parametrize("p, d, log_sobolev", [
+    (2.0, 0, False), (2.0, 2.5, False), (0.5, 2, True), (1.0, 2, False),
+    (5.0, 3, False), (-0.5, 2, False)])
+def test_exponents_and_bounds_reject_the_same_inputs(p, d, log_sobolev):
+    with pytest.raises(RangeError):
+        make_exponents(p, d, log_sobolev=log_sobolev)
+    with pytest.raises(RangeError):
+        rigidity_bounds(p, d, 1.0, log_sobolev=log_sobolev)
+
+
 def test_rigidity_bounds_guards():
     with pytest.raises(RangeError):
         rigidity_bounds(1.0, 2, 1.0)

@@ -66,6 +66,9 @@ def test_heat_flow_guards(square32):
         heat_flow_run(square32, 1.5, constant_field(square32, 1.0), 0.01)
     with pytest.raises(PositivityError):
         heat_flow_run(square32, 0.5, constant_field(square32, -1.0), 0.01)
+    with pytest.raises(RangeError):
+        heat_flow_run(square32, 0.5, constant_field(square32, 1.0), 0.01,
+                      n_store=0)
 
 
 def test_nonlinear_flow_constant_is_stationary(square32):
@@ -124,6 +127,9 @@ def test_nonlinear_flow_guards(square32):
     with pytest.raises(RangeError):
         nonlinear_flow_run(square32, 2.0, 0.0, 0.9,
                            constant_field(square32, 1.0), 0.01)
+    with pytest.raises(RangeError):
+        nonlinear_flow_run(square32, 2.0, 0.5, 0.9,
+                           constant_field(square32, 1.0), 0.01, n_store=0)
 
 
 def test_demange_constant_and_random(interval128, square32):
@@ -265,19 +271,19 @@ def _heat_series(tr, every=1):
 
 
 def _rkl2_heat_series(g, p, v0, t_end, n_store):
-    # the heat flow integrated with RKL2 steps on the Laplacian, one step
-    # per stored sample, recorded as heat_flow_run records it
+    # the heat flow integrated with one RKL2 step on the Laplacian per
+    # stored sample, recorded as heat_flow_run records it
     lam = (1.0 - p) * spectral_gap(g).eigenvalue
     dt_stage = flow._CFL * g.h_min**2 / (2.0 * g.dim)
-    rows = []
-
-    def record(t, dt, v):
+    v, t, rows = v0.values.copy(), 0.0, []
+    for k in range(n_store + 1):
+        t_k = k * t_end / n_store
+        if k:
+            s = flow._rkl2_stages(t_k - t, dt_stage)
+            v, t = flow._rkl2_step(g.laplacian, v, t_k - t, s), t_k
         u = v ** (1.0 / (p + 1.0))
         e, i = flow._entropy_pair(g, u, p, g.lp_norm(u, p + 1.0) ** (p + 1.0))
         rows.append((i, e, i - lam * e))
-
-    flow._advance(g.laplacian, v0.values.copy(), t_end, n_store,
-                  lambda v: dt_stage, lambda v: None, record)
     return [np.asarray(c) for c in zip(*rows)]
 
 
@@ -488,16 +494,19 @@ def test_samples_take_the_conserved_mass(kind, square32, monkeypatch):
     states = []
     if kind == "nonlinear_square32":
         g, p, beta = square32, 2.0, -0.6923
-        advance = flow._advance
+        v0 = _perturbed(g)
+        # the initial density, then each accepted RKL2 step's state: with
+        # no rejected trial and one step per sample, these are the samples
+        states.append(v0.values ** (beta * (p + 1.0)))
+        step = flow._rkl2_step
 
-        def logged_advance(rhs, y, t_end, n, stage_dt, check, record):
-            def logged_record(t, dt, m):
-                states.append(m)
-                record(t, dt, m)
-            return advance(rhs, y, t_end, n, stage_dt, check, logged_record)
+        def logged_step(rhs, y, dt, s):
+            states.append(step(rhs, y, dt, s))
+            return states[-1]
 
-        monkeypatch.setattr(flow, "_advance", logged_advance)
-        tr = nonlinear_flow_run(g, p, beta, 0.9, _perturbed(g), 0.05)
+        monkeypatch.setattr(flow, "_rkl2_step", logged_step)
+        tr = nonlinear_flow_run(g, p, beta, 0.9, v0, 0.05)
+        assert tr.halvings == 0
 
         def u_of(m):
             return (m ** (1.0 / (beta * (p + 1.0)))) ** beta
@@ -566,3 +575,32 @@ def test_flow_failure_carries_time_and_step(square32, monkeypatch):
     assert info.value.t == 3 * t_end / n
     assert info.value.dt == calls[-1]
     assert info.value.dt == pytest.approx(t_end / n / 2**39, rel=1e-12)
+
+
+def test_flow_recovers_after_a_rejected_trial(square32, monkeypatch):
+    # the 4th trial (from t_3 to t_4) leaves m non-positive; the step is
+    # halved, reaches t_4 in two half steps and the flow runs on
+    p, theta = 2.0, 0.9
+    roots = beta_roots(theta, p, 2)
+    beta = 0.5 * (roots.beta_minus + roots.beta_plus)
+    v0 = _perturbed(square32, 0.1)
+    t_end, n = 0.02, 10
+    plain = nonlinear_flow_run(square32, p, beta, theta, v0, t_end, n_store=n)
+    step = flow._rkl2_step
+    calls = []
+
+    def failing_fourth(rhs, y, dt, s):
+        calls.append(dt)
+        return -np.abs(y) if len(calls) == 4 else step(rhs, y, dt, s)
+
+    monkeypatch.setattr(flow, "_rkl2_step", failing_fourth)
+    tr = nonlinear_flow_run(square32, p, beta, theta, v0, t_end, n_store=n)
+    assert tr.halvings == 1 and tr.steps == n + 1
+    assert tr.rhs_evals > plain.rhs_evals
+    assert np.array_equal(tr.times, plain.times)
+    for f in ("entropy_e", "production_i", "j_lambda", "mass", "min_v",
+              "dt_used", "quartic"):
+        a, b = getattr(tr, f), getattr(plain, f)
+        assert a[:4].tobytes() == b[:4].tobytes(), f
+    assert tr.dt_used[4] == pytest.approx(0.5 * t_end / n, rel=1e-12)
+    assert np.abs(tr.mass - tr.mass[0]).max() / tr.mass[0] <= 1e-14
