@@ -36,14 +36,30 @@ step drops it. Chord iterations converge linearly, hence the growth
 thresholds above count more iterations than a full Newton corrector
 would need.
 
+The equation commutes with the grid's symmetries, so a branch that
+leaves the constant along the gap eigenfunction stays in the fixed-point
+subspace of that mode (Golubitsky, Stewart & Schaeffer, *Singularities
+and Groups in Bifurcation Theory II*, 1988): the fields that are constant
+along every axis on which the eigenfunction is exactly constant. The
+trace's corrector solves there. An index array ``orbits`` names the
+reduced unknown of each node; P x = x[orbits] extends a reduced vector
+to the grid and P^T v = bincount(orbits, v) sums over each orbit. On the
+square the axis branch cos(pi x) then has one unknown per x node, 64 and
+not 4,096 on square64; where no axis collapses (intervals, balls)
+``orbits`` is the identity and the path is the same. Only the Jacobian
+is reduced: residuals, inner products and the arclength metric stay on
+the full grid. A reduced trace says nothing about stability off the
+subspace, so a Morse index of its points has to be taken on the full
+grid. ``newton_solve`` solves on the full grid.
+
 One ``_Jacobian`` per trace (or per ``newton_solve``) holds the factor,
 and its ``refresh`` drops the held one before it builds the next, so
 only one is alive at a time. Every Jacobian has the pattern of
-eps K + diag, whatever u and lam are, so the LU works under one
-symmetric fill-reducing ordering per grid: a minimum-degree ordering of
-K + M, computed once and kept in the grid's cache along with K in that
-order. Each Jacobian is assembled directly in permuted order and
-factored without reordering.
+eps P^T K P + diag, whatever u and lam are, so the LU works under one
+symmetric fill-reducing ordering per grid and subspace: a minimum-degree
+ordering of P^T (K + M) P, computed once and kept in the grid's cache
+along with P^T K P in that order. Each Jacobian is assembled directly in
+permuted order and factored without reordering.
 """
 
 from __future__ import annotations
@@ -89,6 +105,9 @@ class BranchTrace:
     walk never crossed lambda2/|p-1|), ``"no_first_point"`` (no
     non-constant point found off the bifurcation), ``"lam_cap"``,
     ``"n_max"`` (the point budget) or ``"step_failures"``.
+    ``unknowns`` is the number of reduced unknowns the corrector solved
+    on (the size of the gap mode's fixed-point subspace), 0 when the
+    walk never crossed.
     """
 
     points: List[BranchPoint]
@@ -99,6 +118,7 @@ class BranchTrace:
     rejected_steps: int = 0
     stop: str = ""
     refactorizations: int = 0
+    unknowns: int = 0
 
 
 def _residual(grid: Grid, p: float, lam: float, u: np.ndarray) -> np.ndarray:
@@ -111,37 +131,63 @@ def _scaled_norm(grid: Grid, p: float, lam: float, u: np.ndarray,
     return math.sqrt(grid.integrate(F * F)) / scale
 
 
+def _subspace(grid: Grid, mode: np.ndarray) -> np.ndarray:
+    """``orbits`` of the fixed-point subspace of ``mode``: the reduced
+    unknown of each node, in C order.
+
+    Every axis along which ``mode`` is exactly constant collapses, so
+    x[orbits] is constant along it; no collapsed axis gives the identity.
+    """
+    mode = mode.reshape(grid.shape)
+    reduced = [1 if np.all(np.ptp(mode, axis=a) == 0.0) else n
+               for a, n in enumerate(grid.shape)]
+    ids = np.arange(math.prod(reduced)).reshape(reduced)
+    return np.broadcast_to(ids, grid.shape).ravel()
+
+
 class _Jacobian:
-    """A = M dF/du = eps K + diag(w (lam - p u^(p-1))), symmetric, in the
-    grid's ordering, and ``lu``, the factor of the last ``refresh`` or None.
+    """A_r = P^T A P with A = M dF/du = eps K + diag(w (lam - p u^(p-1))),
+    symmetric, on the subspace of ``orbits`` (all nodes when None) and in
+    its ordering, and ``lu``, the factor of the last ``refresh`` or None.
     """
 
-    def __init__(self, grid: Grid, p: float):
-        self.grid, self.p, self.lu = grid, p, None
-        if "jacobian_ordering" not in grid._cache:
-            K = grid.sparse_stiffness()
-            # the pattern of K + M is that of every Jacobian; the probe
-            # factor is dropped before any Jacobian is factored
-            probe = splu((K + sparse.diags(grid.mass_vector())).tocsc(),
+    def __init__(self, grid: Grid, p: float,
+                 orbits: Optional[np.ndarray] = None):
+        if orbits is None:
+            orbits = np.arange(grid.n_nodes)
+        self.grid, self.p, self.orbits, self.lu = grid, p, orbits, None
+        self.unknowns = n = int(orbits.max()) + 1
+        key = ("jacobian_ordering", orbits.tobytes())
+        if key not in grid._cache:
+            K = grid.sparse_stiffness().tocoo()
+            # P^T K P: coo to csc sums the entries each orbit pair collects
+            Kr = sparse.csc_matrix(
+                (K.data, (orbits[K.row], orbits[K.col])), shape=(n, n))
+            mass = np.bincount(orbits, grid.mass_vector(), n)
+            # the pattern of P^T (K + M) P is that of every Jacobian; the
+            # probe factor is dropped before any Jacobian is factored
+            probe = splu((Kr + sparse.diags(mass)).tocsc(),
                          permc_spec="MMD_AT_PLUS_A")
             perm = np.argsort(probe.perm_c)
             del probe
-            Kp = K.tocsc()[perm][:, perm].tocsc()
+            Kp = Kr[perm][:, perm].tocsc()
             # each Jacobian shares these index arrays, and splu sorts the
             # indices of its input in place unless they are sorted already
             Kp.sort_indices()
             # every node has a face, so K stores its whole diagonal
-            cols = np.repeat(np.arange(K.shape[1]), np.diff(Kp.indptr))
-            grid._cache["jacobian_ordering"] = (
-                perm, Kp, np.flatnonzero(Kp.indices == cols))
-        self.perm, self.K, self.diag_pos = grid._cache["jacobian_ordering"]
+            cols = np.repeat(np.arange(n), np.diff(Kp.indptr))
+            grid._cache[key] = (perm, Kp, np.flatnonzero(Kp.indices == cols))
+        self.perm, self.K, self.diag_pos = grid._cache[key]
 
     def refresh(self, lam: float, u: np.ndarray) -> None:
-        """Factor A at (lam, u), dropping the held factor first. A failed
+        """Factor A_r at (lam, u), dropping the held factor first. A failed
         factorization raises SingularJacobianError."""
         self.lu = None
         p = self.p
-        diag = self.grid.mass_vector() * (lam - p * u.ravel() ** (p - 1.0))
+        diag = np.bincount(
+            self.orbits,
+            self.grid.mass_vector() * (lam - p * u.ravel() ** (p - 1.0)),
+            self.unknowns)
         data = epsilon(p) * self.K.data
         data[self.diag_pos] += diag[self.perm]
         A = sparse.csc_matrix((data, self.K.indices, self.K.indptr),
@@ -154,14 +200,17 @@ class _Jacobian:
             raise SingularJacobianError(str(exc)) from exc
 
     def solve(self, rhs_field: np.ndarray) -> np.ndarray:
-        """x with A x = M rhs, in node order and the grid's shape."""
-        rhs = self.grid.mass_vector() * rhs_field.ravel()
+        """P x_r with A_r x_r = P^T M rhs, in node order and the grid's
+        shape: the x of A x = M rhs whenever that x lies in the subspace."""
+        rhs = np.bincount(self.orbits,
+                          self.grid.mass_vector() * rhs_field.ravel(),
+                          self.unknowns)
         out = np.empty_like(rhs)
         out[self.perm] = self.lu.solve(rhs[self.perm])
         if not np.all(np.isfinite(out)):
             raise SingularJacobianError(
                 "Jacobian solve produced non-finite step")
-        return out.reshape(self.grid.shape)
+        return out[self.orbits].reshape(self.grid.shape)
 
 
 def newton_solve(grid: Grid, p: float, lam: float,
@@ -308,7 +357,12 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
     ``_Jacobian`` is carried through the trace: the first corrector call
     starts without a factor, each accepted point hands its factor to the
     next call, and a failed call drops it, so no two factors are ever
-    alive together.
+    alive together. It is built on the fixed-point subspace of the gap
+    eigenfunction (``_subspace``; see the module docstring), whose
+    ordering the grid caches apart from the full grid's, and the trace's
+    ``unknowns`` is that subspace's size. Every iterate then lies in the
+    subspace, while residuals and the step metric stay on the full grid.
+    Stability off the subspace is not tested.
     """
     epsilon(p)
     if direction not in (-1, 1):
@@ -347,7 +401,8 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
     tl = 0.0
     first = None
     ds = 0.0
-    jac = _Jacobian(grid, p)
+    jac = _Jacobian(grid, p, _subspace(grid, u2))
+    trace.unknowns = jac.unknowns
     for amp in (1e-3, 5e-3, 0.02, 0.05, 0.1, 0.2, 0.4):
         ds = amp * max(c_star, 1e-6)
         try:

@@ -280,7 +280,8 @@ def cmd_mu1(cfg: RunConfig) -> None:
                              "corrector_iterations":
                                  trace.corrector_iterations,
                              "rejected_steps": trace.rejected_steps,
-                             "stop": trace.stop}})
+                             "stop": trace.stop,
+                             "unknowns": trace.unknowns}})
 
 
 def _initial_datum(grid, amp: float, squared: bool) -> Field:

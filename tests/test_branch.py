@@ -186,6 +186,40 @@ def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
     assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL", "NATURAL"]
     assert all(perm is perms[0] for perm in perms)
     assert np.array_equal(np.sort(perms[0]), np.arange(g.n_nodes))
+    # the gap mode's subspace has an ordering of its own, probed once and
+    # reused across p and lam; the full grid's stays cached beside it
+    orbits = bmod._subspace(g, spectral_gap(g).eigenfunction.values)
+    reduced = []
+    for p, lam_scale in ((2.0, 1.0), (0.5, 1.0), (2.0, 3.0)):
+        lam, u = _nonconstant_state(g, p)
+        jac = bmod._Jacobian(g, p, orbits)
+        jac.refresh(lam_scale * lam, u)
+        reduced.append(jac.perm)
+    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3 + [
+        "MMD_AT_PLUS_A"] + ["NATURAL"] * 3
+    assert all(perm is reduced[0] for perm in reduced)
+    assert np.array_equal(np.sort(reduced[0]), np.arange(16))
+    assert bmod._Jacobian(g, 2.0).perm is perms[0]
+    assert len(specs) == 8
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0])
+def test_reduced_jacobian_solve_is_the_full_solve(square32, p):
+    # on the gap mode's subspace, P^T A P x_r = P^T M rhs gives the full
+    # solution whenever u and rhs lie in the subspace
+    g = square32
+    lam, u = _nonconstant_state(g, p)
+    orbits = bmod._subspace(g, spectral_gap(g).eigenfunction.values)
+    assert np.array_equal(orbits, np.repeat(np.arange(32), 32))
+    rhs = np.random.default_rng(3).standard_normal(32)[orbits].reshape(
+        g.shape)
+    full, red = bmod._Jacobian(g, p), bmod._Jacobian(g, p, orbits)
+    full.refresh(lam, u)
+    red.refresh(lam, u)
+    assert (full.unknowns, red.unknowns) == (g.n_nodes, 32)
+    x_full, x_red = full.solve(rhs), red.solve(rhs)
+    assert np.all(np.ptp(x_red, axis=1) == 0.0)
+    assert np.abs(x_red - x_full).max() <= 1e-10 * np.abs(x_full).max()
 
 
 # (points, first non-constant lam, last lam) of trace_branch on square32
@@ -193,20 +227,70 @@ def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
 # branch switch alone; the point counts and last lam record the step
 # sequence of the continuation in the scaled metric (u/c*, ell) under the
 # Newton-chord corrector and its growth thresholds
+# _SQUARE32_TRACE is the trace on the full grid, _SQUARE32_REDUCED_TRACE
+# the default one on the gap mode's subspace. At p = 0.5 the two agree
+# for 15 points and then sample the dead-core end differently
 _SQUARE32_TRACE = {0.5: (74, 19.72232663250131, 26.92893908967355),
                    2.0: (49, 9.861176864763076, 102.42052485915306)}
+_SQUARE32_REDUCED_TRACE = {0.5: (84, 19.72232663250131, 43.89143330327887),
+                           2.0: (49, 9.861176864763076, 102.42052485719286)}
 
 
-@pytest.mark.parametrize("p", [0.5, 2.0])
-def test_trace_branch_square32_pins(square32, p):
-    g = square32
+def _full_grid(monkeypatch):
+    # trace_branch's corrector on every node: the identity subspace
+    monkeypatch.setattr(bmod, "_subspace",
+                        lambda grid, mode: np.arange(grid.n_nodes))
+
+
+def _check_square32_pins(g, p, pins):
     lam2 = spectral_gap(g).eigenvalue
     tr = trace_branch(g, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
-    n_points, first_lam, last_lam = _SQUARE32_TRACE[p]
+    n_points, first_lam, last_lam = pins[p]
     assert len(tr.points) == n_points
     first = next(pt for pt in tr.points if pt.deviation > 0.0)
     assert first.lam == pytest.approx(first_lam, rel=1e-10)
     assert tr.points[-1].lam == pytest.approx(last_lam, rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0])
+def test_trace_branch_square32_pins(square32, monkeypatch, p):
+    _full_grid(monkeypatch)
+    _check_square32_pins(square32, p, _SQUARE32_TRACE)
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0])
+def test_trace_branch_square32_reduced_pins(square32, p):
+    _check_square32_pins(square32, p, _SQUARE32_REDUCED_TRACE)
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0])
+@pytest.mark.parametrize("grid_name, collapsed, unknowns", [
+    ("square32", 1, 32), ("square64", 1, 64), ("rect16x40", 0, 40)])
+def test_reduced_trace_matches_full_trace(grid_name, collapsed, unknowns, p,
+                                          request, monkeypatch):
+    # the rectangle's gap mode varies along its long axis 1, so axis 0
+    # collapses, on a non-square index layout
+    g = (build_grid(Domain.rectangle(0.5, 2.0), (16, 40))
+         if grid_name == "rect16x40" else request.getfixturevalue(grid_name))
+    lam0 = 0.8 * spectral_gap(g).eigenvalue / abs(p - 1.0)
+    red = trace_branch(g, p, lam0, direction=1)
+    _full_grid(monkeypatch)
+    full = trace_branch(g, p, lam0, direction=1)
+    assert (red.unknowns, full.unknowns) == (unknowns, g.n_nodes)
+    assert estimate_mu1(red) == pytest.approx(estimate_mu1(full), rel=1e-12)
+    first_red, first_full = (next(pt.lam for pt in tr.points
+                                  if pt.deviation > 0.0)
+                             for tr in (red, full))
+    assert first_red == pytest.approx(first_full, rel=1e-12)
+    if p == 2.0:
+        assert len(red.points) == len(full.points)
+        assert [pt.lam for pt in red.points] == pytest.approx(
+            [pt.lam for pt in full.points], rel=1e-9)
+    for pt in red.points:
+        u = pt.solution.values
+        assert np.all(np.ptp(u, axis=collapsed) == 0.0)
+        F = bmod._residual(g, p, pt.lam, u)
+        assert bmod._scaled_norm(g, p, pt.lam, u, F) <= 1e-9
 
 
 def _counting_splu(monkeypatch):

@@ -180,7 +180,9 @@ def test_mu1_json_solver_block(capsys):
     assert doc["mu1_estimate"] is not None
     solver = doc["solver"]
     assert sorted(solver) == ["corrector_iterations", "factorizations",
-                              "refactorizations", "rejected_steps", "stop"]
+                              "refactorizations", "rejected_steps", "stop",
+                              "unknowns"]
+    assert solver["unknowns"] == 64
     assert solver["stop"] in ("lam_cap", "n_max", "step_failures")
     assert 0 < solver["factorizations"] < solver["corrector_iterations"]
     assert doc["truncated"] == (solver["stop"] == "step_failures")
