@@ -130,9 +130,9 @@ def parse_sweep(spec: str, name: str) -> List[float]:
 
 def make_domain(cfg: RunConfig) -> Domain:
     if cfg.domain == "interval":
-        return Domain.interval(1.0)
+        return Domain.box(1.0)
     if cfg.domain == "rectangle":
-        return Domain.rectangle(cfg.aspect, 1.0)
+        return Domain.box(cfg.aspect, 1.0)
     if cfg.domain == "radial_ball":
         return Domain.ball(max(cfg.d, 2), 1.0)
     raise RangeError(f"--domain must be one of {_DOMAIN_KINDS}")

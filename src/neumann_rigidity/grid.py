@@ -1,9 +1,16 @@
 """Convex computational domains of unit measure and their discrete calculus.
 
-Supported domains are intervals, rectangles (tensor-product finite
-differences) and balls reduced to their radial coordinate (finite volumes
-with the r^(d-1) weight). Every domain is rescaled at construction so its
-measure is exactly 1; the applied scale factor is recorded.
+Supported domains are boxes with one to three sides (intervals, rectangles
+and cuboids: tensor-product finite differences) and balls reduced to their
+radial coordinate (finite volumes with the r^(d-1) weight). Every domain is
+rescaled at construction so its measure is exactly 1; the applied scale
+factor is recorded.
+
+A grid's data are its per-axis 1-D pencils (face coefficients, weights):
+1/h and trapezoid weights on a box axis, r^(d-1) face areas over h and
+exact cell volumes on the ball's radial axis. Quadrature and face weights,
+the sparse stiffness and the Neumann modes are products or Kronecker sums
+of the pencils, built one way for any number of axes.
 
 The discrete operators form a summation-by-parts pair: the stiffness form
 E(u, v) = sum over faces of face_weight * du * dv satisfies
@@ -23,8 +30,10 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
-from typing import IO, List, Optional, Tuple
+from typing import IO, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -32,11 +41,12 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import PositivityError, RangeError
 
-INTERVAL = "interval"
-RECTANGLE = "rectangle"
+BOX = "box"
 RADIAL_BALL = "radial_ball"
 
 _MIN_RESOLUTION = 8
+# field_to_csv names the box coordinates x, y and z
+_BOX_AXES = ("x", "y", "z")
 
 
 def sphere_surface(d: int) -> float:
@@ -44,13 +54,18 @@ def sphere_surface(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+def outer_product(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """The tensor product of 1-D factors, one data axis each."""
+    return functools.reduce(np.multiply.outer, factors)
+
+
 @dataclass(frozen=True)
 class Domain:
     """A convex domain: only convex kinds are constructible.
 
-    ``extents`` holds per-axis lengths for interval/rectangle and the radius
-    for a radial ball. ``scale_factor`` is the multiplicative rescale that
-    was applied to reach unit measure (1.0 before normalization).
+    ``extents`` holds the side lengths of a box and the radius of a radial
+    ball. ``scale_factor`` is the multiplicative rescale that was applied
+    to reach unit measure (1.0 before normalization).
     """
 
     kind: str
@@ -58,31 +73,34 @@ class Domain:
     extents: Tuple[float, ...]
     scale_factor: float = 1.0
 
-    @staticmethod
-    def interval(length: float = 1.0) -> "Domain":
-        return Domain(INTERVAL, 1, (float(length),))
+    def __post_init__(self):
+        if not all(0.0 < e < math.inf for e in self.extents):
+            raise RangeError("domain extents must be finite and positive")
 
     @staticmethod
-    def rectangle(lx: float = 1.0, ly: float = 1.0) -> "Domain":
-        return Domain(RECTANGLE, 2, (float(lx), float(ly)))
+    def box(*extents: float) -> "Domain":
+        """An interval, a rectangle or a cuboid with these side lengths."""
+        if not 1 <= len(extents) <= len(_BOX_AXES):
+            raise RangeError(f"a box has 1 to {len(_BOX_AXES)} sides")
+        return Domain(BOX, len(extents), tuple(map(float, extents)))
 
     @staticmethod
     def ball(dimension: int, radius: float = 1.0) -> "Domain":
-        if dimension < 2:
-            raise RangeError("radial balls need ambient dimension >= 2")
+        if not (isinstance(dimension, numbers.Integral) and dimension >= 2):
+            raise RangeError("radial balls need an integer dimension >= 2")
         return Domain(RADIAL_BALL, int(dimension), (float(radius),))
 
     def measure(self) -> float:
         if self.kind == RADIAL_BALL:
             d = self.dimension
             return sphere_surface(d) * self.extents[0] ** d / d
-        return float(np.prod(self.extents))
+        return math.prod(self.extents)
 
     def normalized(self) -> "Domain":
         """Rescale all extents by a common factor so the measure is 1."""
         m = self.measure()
         if not m > 0.0:
-            raise RangeError("domain has non-positive extents")
+            raise RangeError("domain measure underflows to zero")
         s = m ** (-1.0 / self.dimension)
         return Domain(self.kind, self.dimension,
                       tuple(s * e for e in self.extents), self.scale_factor * s)
@@ -101,18 +119,21 @@ class Grid:
     """
 
     def __init__(self, domain: Domain, axes: List[np.ndarray],
-                 weights: np.ndarray, face_weights: List[np.ndarray],
-                 spacing: Tuple[float, ...],
-                 axis_weights: Tuple[np.ndarray, ...] = ()):
+                 pencils: List[Tuple[np.ndarray, np.ndarray]],
+                 spacing: Tuple[float, ...]):
         self.domain = domain
         self.axes = axes
-        self.weights = weights
-        self.face_weights = face_weights
+        # (face coefficients, weights) of each data axis's 1-D pencil
+        self.pencils = pencils
+        self.weights = outer_product([w for _, w in pencils])
+        # axis a: its own face coefficients times the others' weights
+        self.face_weights = [
+            outer_product([f if b == a else w
+                           for b, (f, w) in enumerate(pencils)])
+            for a in range(len(pencils))]
         self.spacing = spacing
-        # per-axis trapezoid weights of a tensor-product grid
-        self.axis_weights = axis_weights
-        self.shape = weights.shape
-        self.n_nodes = int(weights.size)
+        self.shape = self.weights.shape
+        self.n_nodes = int(self.weights.size)
         self._cache: dict = {}
 
     # ------------------------------------------------------------------
@@ -317,9 +338,9 @@ class Grid:
     def heat_modes(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
         """Generalized eigenpairs (lam_a, C_a) of each data axis's pencil.
 
-        Axis a carries the 1-D pencil (k_a, diag w_a): the radial stiffness
-        and cell volumes of a ball, or the per-axis stiffness with face
-        weight 1/h_a and trapezoid weights of an interval or rectangle.
+        Axis a carries the 1-D pencil (k_a, diag w_a) of ``pencils[a]``:
+        the radial stiffness and cell volumes of a ball, or the per-axis
+        stiffness with face weight 1/h_a and trapezoid weights of a box.
         Their Kronecker sum is the grid's (K, M), so the products of the
         columns of the C_a are the grid's Neumann modes, with eigenvalue
         the sum of the lam_a. Each C_a is n_a x n_a with
@@ -328,7 +349,7 @@ class Grid:
         """
         if "heat_modes" not in self._cache:
             self._cache["heat_modes"] = tuple(
-                _pencil_modes(fc, w) for fc, w in self._axis_pencils())
+                _pencil_modes(fc, w) for fc, w in self.pencils)
         return self._cache["heat_modes"]
 
     def mode_eigenvalues(self) -> np.ndarray:
@@ -337,10 +358,8 @@ class Grid:
         Indexed like the coefficients of ``to_modes``; cached, read-only.
         """
         if "mode_eigenvalues" not in self._cache:
-            eig = np.zeros(self.shape)
-            for a, (lam, _) in enumerate(self.heat_modes()):
-                eig += lam.reshape([-1 if b == a else 1
-                                    for b in range(eig.ndim)])
+            eig = functools.reduce(np.add.outer,
+                                   [lam for lam, _ in self.heat_modes()])
             eig.flags.writeable = False
             self._cache["mode_eigenvalues"] = eig
         return self._cache["mode_eigenvalues"]
@@ -354,27 +373,19 @@ class Grid:
         """Node values C x of modal coefficients x; inverts ``to_modes``."""
         return _axis_products([c for _, c in self.heat_modes()], coeffs)
 
-    def _axis_pencils(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """(face coefficients, weights) of each data axis's 1-D pencil."""
-        if self.domain.kind == RADIAL_BALL:
-            return [(self.face_weights[0], self.weights)]
-        return [(np.full(n - 1, 1.0 / h), w) for n, h, w in
-                zip(self.shape, self.spacing, self.axis_weights)]
-
     def _axis_tridiag(self, fc: np.ndarray, n: int) -> sparse.csr_matrix:
         main = _tridiag_main(fc, n)
         return sparse.diags([-fc, main, -fc], offsets=(-1, 0, 1),
                             format="csr")
 
     def _assemble_stiffness(self) -> sparse.csr_matrix:
-        pencils = self._axis_pencils()
-        mats = [self._axis_tridiag(fc, w.size) for fc, w in pencils]
-        if len(mats) == 1:
-            return mats[0]
-        (_, wx), (_, wy) = pencils
-        kx, ky = mats
-        return (sparse.kron(kx, sparse.diags(wy)) +
-                sparse.kron(sparse.diags(wx), ky)).tocsr()
+        """The Kronecker sum of the axis stiffnesses: axis a's tridiagonal
+        matrix, Kronecker-multiplied by the weight diagonals of the others."""
+        terms = [functools.reduce(sparse.kron, [
+            self._axis_tridiag(f, w.size) if b == a else sparse.diags(w)
+            for b, (f, w) in enumerate(self.pencils)])
+            for a in range(len(self.pencils))]
+        return functools.reduce(operator.add, terms).tocsr()
 
 
 _PICKS = {
@@ -409,11 +420,17 @@ def _pencil_modes(fc: np.ndarray, w: np.ndarray):
 
 
 def _axis_products(mats, x: np.ndarray) -> np.ndarray:
-    """x multiplied by the matrix mats[a] along each data axis a."""
+    """x multiplied by the matrix mats[a] along each data axis a.
+
+    Axis a is moved to the front and the others are flattened into the
+    columns of one matrix product; on 2-D data both reshapes are no-ops.
+    """
     if len(mats) == 1:
         return mats[0] @ x
     for a, mat in enumerate(mats):
-        x = np.moveaxis(mat @ np.moveaxis(x, a, 0), 0, a)
+        front = np.moveaxis(x, a, 0)
+        prod = mat @ front.reshape(front.shape[0], -1)
+        x = np.moveaxis(prod.reshape(front.shape), 0, a)
     return x
 
 
@@ -433,55 +450,29 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
 def build_grid(domain: Domain, resolution) -> Grid:
     """Discretize a domain normalized to unit measure.
 
-    ``resolution`` is the node count per axis (int, or per-axis tuple for
-    rectangles); at least 8 nodes per axis are required.
+    ``resolution`` is the node count per data axis (int, or per-axis tuple
+    for boxes); at least 8 nodes per axis are required.
     """
     dom = domain.normalized()
-    if dom.kind in (INTERVAL, RECTANGLE):
-        naxes = 1 if dom.kind == INTERVAL else 2
-        if np.isscalar(resolution):
-            res = (int(resolution),) * naxes
-        else:
-            res = tuple(int(r) for r in resolution)
-        if len(res) != naxes:
-            raise RangeError("resolution rank does not match the domain")
-        if min(res) < _MIN_RESOLUTION:
-            raise RangeError(f"resolution must be >= {_MIN_RESOLUTION} per axis")
-        axes, spacing, axis_w = [], [], []
-        for n, ext in zip(res, dom.extents):
-            h = ext / (n - 1)
-            axes.append(np.linspace(0.0, ext, n))
-            spacing.append(h)
-            axis_w.append(_trapezoid_weights(n, h))
-        if naxes == 1:
-            weights = axis_w[0].copy()
-            face_weights = [np.full(res[0] - 1, 1.0 / spacing[0])]
-        else:
-            weights = np.outer(axis_w[0], axis_w[1])
-            face_weights = [
-                np.outer(np.full(res[0] - 1, 1.0 / spacing[0]), axis_w[1]),
-                np.outer(axis_w[0], np.full(res[1] - 1, 1.0 / spacing[1])),
-            ]
-        return Grid(dom, axes, weights, face_weights, tuple(spacing),
-                    tuple(axis_w))
-
+    res = ((int(resolution),) * len(dom.extents) if np.isscalar(resolution)
+           else tuple(int(r) for r in resolution))
+    if len(res) != len(dom.extents) or min(res) < _MIN_RESOLUTION:
+        raise RangeError(f"resolution must be one count >= {_MIN_RESOLUTION}"
+                         f" per axis of the domain")
+    axes = [np.linspace(0.0, ext, n) for n, ext in zip(res, dom.extents)]
+    spacing = tuple(ext / (n - 1) for n, ext in zip(res, dom.extents))
     if dom.kind == RADIAL_BALL:
-        n = int(resolution)
-        if n < _MIN_RESOLUTION:
-            raise RangeError(f"resolution must be >= {_MIN_RESOLUTION}")
-        d = dom.dimension
-        radius = dom.extents[0]
-        h = radius / (n - 1)
-        r = np.linspace(0.0, radius, n)
+        (r,), (h,), d = axes, spacing, dom.dimension
         surf = sphere_surface(d)
         # exact cell volumes: positive at the origin, summing to |ball| = 1
-        r_face = np.minimum(r + 0.5 * h, radius)
+        r_face = np.minimum(r + 0.5 * h, dom.extents[0])
         r_face_lo = np.maximum(r - 0.5 * h, 0.0)
-        weights = surf * (r_face**d - r_face_lo**d) / d
-        fc = surf * (r[:-1] + 0.5 * h) ** (d - 1) / h
-        return Grid(dom, [r], weights, [fc], (h,))
-
-    raise RangeError(f"unknown domain kind {dom.kind!r}")
+        pencils = [(surf * (r[:-1] + 0.5 * h) ** (d - 1) / h,
+                    surf * (r_face**d - r_face_lo**d) / d)]
+    else:
+        pencils = [(np.full(n - 1, 1.0 / h), _trapezoid_weights(n, h))
+                   for n, h in zip(res, spacing)]
+    return Grid(dom, axes, pencils, spacing)
 
 
 # ----------------------------------------------------------------------
@@ -560,8 +551,8 @@ def smooth_random_field(grid: Grid, rng, amp: float = 0.3,
 def field_to_csv(f: Field, stream: IO[str], value_name: str = "value") -> None:
     """Write node coordinates and values as CSV rows (C-order nodes)."""
     coords = f.grid.coordinates()
-    names = (["x", "y"][: coords.shape[1]]
-             if f.grid.domain.kind != RADIAL_BALL else ["r"])
+    names = (list(_BOX_AXES[: coords.shape[1]])
+             if f.grid.domain.kind == BOX else ["r"])
     stream.write(",".join(names + [value_name]) + "\n")
     flat = f.values.ravel()
     for i in range(coords.shape[0]):

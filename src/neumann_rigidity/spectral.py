@@ -11,7 +11,6 @@ matrix.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, RangeError
-from .grid import Field, Grid
+from .grid import Field, Grid, outer_product
 
 
 @dataclass
@@ -44,6 +43,10 @@ def spectral_gap(grid: Grid) -> EigenPair:
     constants with ||u||_2 = 1 and is positive at the first node; the
     eigenvalue is its Rayleigh quotient with the grid's K, and the
     residual is measured with K too. Results are cached on the grid.
+
+    On a radial ball this is the second radial eigenvalue, not the
+    ball's gap: that belongs to the l = 1 harmonic and is 4.3-4.7 times
+    smaller (46.12 against 10.65 on the disk at n = 256).
     """
     if "gap" in grid._cache:
         return grid._cache["gap"]
@@ -52,7 +55,7 @@ def spectral_gap(grid: Grid) -> EigenPair:
     axis = min(range(len(modes)), key=lambda a: modes[a][0][1])
     factors = [c[:, 1] if a == axis else np.ones(c.shape[0])
                for a, (_, c) in enumerate(modes)]
-    u = functools.reduce(np.multiply.outer, factors).ravel()
+    u = outer_product(factors).ravel()
     w = grid.mass_vector()
     # unit measure: M-projection onto mean zero; out of place, since in
     # 1-D u may be a view of the cached modes

@@ -6,22 +6,22 @@ from neumann_rigidity import Domain, build_grid
 
 @pytest.fixture(scope="session")
 def interval256():
-    return build_grid(Domain.interval(1.0), 256)
+    return build_grid(Domain.box(1.0), 256)
 
 
 @pytest.fixture(scope="session")
 def interval128():
-    return build_grid(Domain.interval(1.0), 128)
+    return build_grid(Domain.box(1.0), 128)
 
 
 @pytest.fixture(scope="session")
 def square64():
-    return build_grid(Domain.rectangle(1.0, 1.0), 64)
+    return build_grid(Domain.box(1.0, 1.0), 64)
 
 
 @pytest.fixture(scope="session")
 def square32():
-    return build_grid(Domain.rectangle(1.0, 1.0), 32)
+    return build_grid(Domain.box(1.0, 1.0), 32)
 
 
 @pytest.fixture(scope="session")

@@ -201,7 +201,7 @@ def test_criterion_10_improvement_function(interval128):
 def test_criterion_11_scaling_exponent():
     with verdict(11, "large-parameter scaling exponent"):
         from neumann_rigidity import Domain, build_grid
-        g = build_grid(Domain.interval(1.0), 512)
+        g = build_grid(Domain.box(1.0), 512)
         slope = fit_scaling_exponent(g, 3.0, np.geomspace(1e2, 10**3.5, 8))
         assert abs(slope - 0.75) / 0.75 < 0.10
 

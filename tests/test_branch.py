@@ -169,7 +169,7 @@ def test_jacobian_factor_backward_error(grid_name, p, request):
 
 
 def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
-    g = build_grid(Domain.rectangle(1.0, 1.0), 16)
+    g = build_grid(Domain.box(1.0, 1.0), 16)
     specs = []
 
     def counting_splu(A, permc_spec=None, **kwargs):
@@ -270,7 +270,7 @@ def test_reduced_trace_matches_full_trace(grid_name, collapsed, unknowns, p,
                                           request, monkeypatch):
     # the rectangle's gap mode varies along its long axis 1, so axis 0
     # collapses, on a non-square index layout
-    g = (build_grid(Domain.rectangle(0.5, 2.0), (16, 40))
+    g = (build_grid(Domain.box(0.5, 2.0), (16, 40))
          if grid_name == "rect16x40" else request.getfixturevalue(grid_name))
     lam0 = 0.8 * spectral_gap(g).eigenvalue / abs(p - 1.0)
     red = trace_branch(g, p, lam0, direction=1)

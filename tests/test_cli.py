@@ -280,6 +280,15 @@ def test_bad_sweep_is_usage_error(capsys):
     assert len(parse_sweep("1:100:5", "lambda")) == 5
 
 
+def test_bad_domain_geometry_is_usage_error(capsys):
+    # a non-finite or non-positive side is refused before any grid is built
+    for aspect in ("inf", "nan", "-1", "0"):
+        code, out, err = run(capsys, "eigen", "--domain", "rectangle",
+                             "--aspect", aspect, "--n", "16")
+        assert code == 2 and err.startswith("usage error:"), aspect
+        assert out == ""
+
+
 def _fail_with(exc):
     def solver(*args, **kwargs):
         raise exc

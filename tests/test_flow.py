@@ -287,11 +287,12 @@ def _rkl2_heat_series(g, p, v0, t_end, n_store):
     return [np.asarray(c) for c in zip(*rows)]
 
 
-# an interval, a non-square rectangle and a radial 3-ball
-_MODAL_GRIDS = [lambda: build_grid(Domain.interval(1.0), 96),
-                lambda: build_grid(Domain.rectangle(1.0, 1.7), (24, 40)),
+# an interval, a non-square rectangle, a 3-box and a radial 3-ball
+_MODAL_GRIDS = [lambda: build_grid(Domain.box(1.0), 96),
+                lambda: build_grid(Domain.box(1.0, 1.7), (24, 40)),
+                lambda: build_grid(Domain.box(1.5, 1.0, 0.75), (10, 9, 8)),
                 lambda: build_grid(Domain.ball(3, 1.0), 128)]
-_MODAL_IDS = ["interval", "rectangle24x40", "ball3"]
+_MODAL_IDS = ["interval", "rectangle24x40", "box10x9x8", "ball3"]
 
 
 def test_heat_flow_second_order(square32):
@@ -314,10 +315,11 @@ def test_heat_modes_solve_each_axis_pencil(make):
     assert g.heat_modes() is modes
     assert len(modes) == g.ndim_data
     for a, (lam, c) in enumerate(modes):
-        if g.domain.kind == "rectangle":
-            n = g.shape[a]
-            k = g._axis_tridiag(np.full(n - 1, 1.0 / g.spacing[a]), n)
-            w = g.axis_weights[a]
+        if g.domain.kind == "box":
+            n, h = g.shape[a], g.spacing[a]
+            k = g._axis_tridiag(np.full(n - 1, 1.0 / h), n)
+            w = np.full(n, h)
+            w[[0, -1]] = 0.5 * h
         else:
             k, w = g.sparse_stiffness(), g.weights
         k = k.toarray()

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from neumann_rigidity import (Domain, Field, PositivityError, RangeError,
                               build_grid, constant_field, dirichlet_energy,
@@ -13,18 +14,18 @@ from neumann_rigidity.rng import SplitMix64
 
 
 def test_interval_rescaled_to_unit_length():
-    g = build_grid(Domain.interval(2.0), 64)
+    g = build_grid(Domain.box(2.0), 64)
     assert g.domain.extents[0] == pytest.approx(1.0)
     assert g.domain.scale_factor == pytest.approx(0.5)
     assert abs(g.weights.sum() - 1.0) < 1e-10
 
 
 def test_rectangle_node_count_and_measure():
-    g = build_grid(Domain.rectangle(1.0, 1.0), 32)
+    g = build_grid(Domain.box(1.0, 1.0), 32)
     assert g.n_nodes == 1024
     assert abs(g.weights.sum() - 1.0) < 1e-10
     # anisotropic rectangles keep their aspect ratio under normalization
-    g2 = build_grid(Domain.rectangle(2.0, 1.0), (32, 16))
+    g2 = build_grid(Domain.box(2.0, 1.0), (32, 16))
     lx, ly = g2.domain.extents
     assert lx / ly == pytest.approx(2.0)
     assert lx * ly == pytest.approx(1.0)
@@ -41,22 +42,40 @@ def test_radial_ball_weights():
 
 def test_build_grid_guards():
     with pytest.raises(RangeError):
-        build_grid(Domain.interval(1.0), 4)
+        build_grid(Domain.box(1.0), 4)
     with pytest.raises(RangeError):
-        build_grid(Domain.interval(-1.0), 64)
+        build_grid(Domain.box(-1.0), 64)
     with pytest.raises(RangeError):
         Domain.ball(1)
+    # every extent finite and positive, an integer ball dimension, a box
+    # of 1 to 3 sides, and one resolution count per axis
+    for bad in (lambda: Domain.ball(2, -1.0), lambda: Domain.ball(2, 0.0),
+                lambda: Domain.ball(2, math.inf), lambda: Domain.ball(2.7),
+                lambda: Domain.box(-1, -2), lambda: Domain.box(math.inf, 1.0),
+                lambda: Domain.box(math.nan, 1.0), lambda: Domain.box(0.0),
+                lambda: Domain.box(), lambda: Domain.box(1, 1, 1, 1)):
+        with pytest.raises(RangeError):
+            bad()
+    for dom, n in ((Domain.box(1e300, 1e300, 1e300), 8),
+                   (Domain.box(1e-200, 1e-200), 8),
+                   (Domain.box(1.0, 1.0), (16, 16, 16)),
+                   (Domain.box(1.0, 1.0, 1.0), (16, 16)),
+                   (Domain.box(1.0, 1.0), (16, 7)),
+                   (Domain.ball(3), (16, 16))):
+        with pytest.raises(RangeError):
+            build_grid(dom, n)
 
 
 def test_unit_measure_quadrature():
-    for dom, n in ((Domain.interval(3.0), 77), (Domain.rectangle(2.0, 0.5), 24),
+    for dom, n in ((Domain.box(3.0), 77), (Domain.box(2.0, 0.5), 24),
+                   (Domain.box(1.5, 1.0, 0.75), (10, 9, 8)),
                    (Domain.ball(2), 96), (Domain.ball(3), 96)):
         g = build_grid(dom, n)
         assert abs(g.integrate(np.ones(g.shape)) - 1.0) < 1e-10
 
 
 def test_constant_norms():
-    g = build_grid(Domain.rectangle(1, 1), 16)
+    g = build_grid(Domain.box(1, 1), 16)
     f = constant_field(g, -2.5)
     for q in (0.5, 1.0, 2.0, 3.7):
         if q != round(q):
@@ -155,6 +174,17 @@ def test_field_csv(interval128):
     assert float(x0) == 0.0 and float(v0) == 0.0
 
 
+def test_box_csv_names_every_axis():
+    for dom, n, head in ((Domain.box(1.0, 1.0), 8, "x,y,u"),
+                         (Domain.box(1.0, 1.0, 1.0), 8, "x,y,z,u"),
+                         (Domain.ball(3), 8, "r,u")):
+        g = build_grid(dom, n)
+        buf = io.StringIO()
+        field_to_csv(constant_field(g, 1.0), buf, value_name="u")
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == head and len(lines) == g.n_nodes + 1
+
+
 def test_weighted_stiffness_consistency(square32):
     # unit coefficients reduce the weighted form to the plain stiffness
     g = square32
@@ -181,7 +211,7 @@ def test_nodal_grad_sq_matches_energy_for_smooth(interval256):
 
 def test_cache_clear_keeps_grid_data():
     # the cache holds memoized results only, so every operator rebuilds
-    for dom, n in ((Domain.interval(1.0), 32), (Domain.rectangle(2.0, 1.0), 16),
+    for dom, n in ((Domain.box(1.0), 32), (Domain.box(2.0, 1.0), 16),
                    (Domain.ball(2), 32)):
         g = build_grid(dom, n)
         K = g.sparse_stiffness().toarray()
@@ -210,11 +240,12 @@ def test_cache_clear_keeps_grid_data():
 
 
 @pytest.mark.parametrize("dom,n", [
-    (Domain.interval(1.0), 64),
-    (Domain.rectangle(1.0, 1.0), 16),
-    (Domain.rectangle(1.5, 1.0), (24, 17)),
+    (Domain.box(1.0), 64),
+    (Domain.box(1.0, 1.0), 16),
+    (Domain.box(1.5, 1.0), (24, 17)),
+    (Domain.box(1.5, 1.0, 0.75), (10, 9, 8)),
     (Domain.ball(3), 64),
-], ids=["interval64", "square16", "rect24x17", "ball3_64"])
+], ids=["interval64", "square16", "rect24x17", "box10x9x8", "ball3_64"])
 def test_grid_kernels_match_numpy_reference_bit_for_bit(
         dom, n, weighted_stiffness_reference):
     # the kernels reduce with np.add.reduce and difference by slicing; both
@@ -262,8 +293,8 @@ def test_grid_kernels_match_numpy_reference_bit_for_bit(
         # the modal transform: one product per axis, moved to the front
         coeffs, nodes = w * v, v
         for a, (_, c) in enumerate(g.heat_modes()):
-            coeffs = np.moveaxis(c.T @ np.moveaxis(coeffs, a, 0), 0, a)
-            nodes = np.moveaxis(c @ np.moveaxis(nodes, a, 0), 0, a)
+            coeffs = np.moveaxis(np.tensordot(c.T, coeffs, (1, a)), 0, a)
+            nodes = np.moveaxis(np.tensordot(c, nodes, (1, a)), 0, a)
         assert (g.to_modes(v) == coeffs).all()
         assert (g.from_modes(v) == nodes).all()
     if g.ndim_data > 1:
@@ -278,7 +309,7 @@ def test_face_kernels_keep_non_finite_values_inside_their_rows(
     # on the flat array a row's last node sits next to the next row's
     # first node, but no face joins them: an inf at either end must not
     # reach the other, in either stiffness kernel
-    g = build_grid(Domain.rectangle(1.5, 1.0), (24, 17))
+    g = build_grid(Domain.box(1.5, 1.0), (24, 17))
     u = smooth_random_field(g, SplitMix64(7), amp=0.8, modes=4)
     coeff = smooth_random_field(g, SplitMix64(8), amp=0.8, modes=4)
     row, last = 5, g.shape[1] - 1
@@ -304,10 +335,11 @@ def test_face_kernels_keep_non_finite_values_inside_their_rows(
 
 
 @pytest.mark.parametrize("dom,n", [
-    (Domain.interval(1.0), 64),
-    (Domain.rectangle(1.5, 1.0), (24, 17)),
+    (Domain.box(1.0), 64),
+    (Domain.box(1.5, 1.0), (24, 17)),
+    (Domain.box(1.5, 1.0, 0.75), (10, 9, 8)),
     (Domain.ball(3), 64),
-], ids=["interval64", "rect24x17", "ball3_64"])
+], ids=["interval64", "rect24x17", "box10x9x8", "ball3_64"])
 def test_face_kernels_annihilate_constants_exactly(dom, n):
     # every face difference of a constant is exactly zero, so the face
     # kernels give exact zeros. A product with the assembled sparse K sums
@@ -317,3 +349,62 @@ def test_face_kernels_annihilate_constants_exactly(dom, n):
         u = np.full(g.shape, c)
         assert (g.stiffness_apply(u) == 0.0).all()
         assert g.energy(u) == 0.0
+
+
+def _trapezoid(n, h):
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
+
+
+def _tridiag(fc, n):
+    main = np.zeros(n)
+    main[:-1] += fc
+    main[1:] += fc
+    return sparse.diags([-fc, main, -fc], offsets=(-1, 0, 1), format="csr")
+
+
+@pytest.mark.parametrize("dom,n", [
+    (Domain.box(1.0), 64),
+    (Domain.box(1.5, 1.0), (24, 17)),
+], ids=["interval64", "rect24x17"])
+def test_box_products_equal_the_explicit_formulas_bit_for_bit(dom, n):
+    # the grid builds every box from its per-axis pencils in one code path;
+    # the reference writes the interval's and the rectangle's weights,
+    # face weights and stiffness out by hand
+    g = build_grid(dom, n)
+    h = g.spacing
+    axis_w = [_trapezoid(m, hh) for m, hh in zip(g.shape, h)]
+    fc = [np.full(m - 1, 1.0 / hh) for m, hh in zip(g.shape, h)]
+    if g.ndim_data == 1:
+        weights, faces = axis_w[0].copy(), [fc[0]]
+        K = _tridiag(fc[0], g.shape[0])
+    else:
+        weights = np.outer(axis_w[0], axis_w[1])
+        faces = [np.outer(fc[0], axis_w[1]), np.outer(axis_w[0], fc[1])]
+        kx, ky = (_tridiag(f, m) for f, m in zip(fc, g.shape))
+        K = (sparse.kron(kx, sparse.diags(axis_w[1])) +
+             sparse.kron(sparse.diags(axis_w[0]), ky)).tocsr()
+    assert np.array_equal(g.weights, weights)
+    assert len(g.face_weights) == len(faces)
+    for got, ref in zip(g.face_weights, faces):
+        assert np.array_equal(got, ref)
+    assert np.array_equal(g.sparse_stiffness().toarray(), K.toarray())
+
+
+def test_ball_pencil_equals_the_explicit_formulas_bit_for_bit():
+    g = build_grid(Domain.ball(3), 64)
+    d, (r,), (h,) = 3, g.axes, g.spacing
+    radius = g.domain.extents[0]
+    surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    r_hi = np.minimum(r + 0.5 * h, radius)
+    r_lo = np.maximum(r - 0.5 * h, 0.0)
+    weights = surf * (r_hi**d - r_lo**d) / d
+    fc = surf * (r[:-1] + 0.5 * h) ** (d - 1) / h
+    assert np.array_equal(g.weights, weights)
+    assert np.array_equal(g.face_weights[0], fc)
+    assert len(g.pencils) == 1
+    assert np.array_equal(g.pencils[0][0], fc)
+    assert np.array_equal(g.pencils[0][1], weights)
+    K = _tridiag(fc, r.size)
+    assert np.array_equal(g.sparse_stiffness().toarray(), K.toarray())

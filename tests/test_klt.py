@@ -32,7 +32,7 @@ def test_duality_gap_at_roundoff_far_past_the_threshold():
     # p < 1 at about 10 lambda2/|p-1|: the plain solve's starts used to run
     # to the iteration cap and leave a gap near 4e-8
     from neumann_rigidity import Domain, build_grid
-    g = build_grid(Domain.interval(1.0), 64)
+    g = build_grid(Domain.box(1.0), 64)
     res = klt_duality_check(g, 0.5, 200.0)
     assert res.relative_gap <= 1e-10
 

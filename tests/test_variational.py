@@ -364,7 +364,7 @@ def test_line_search_halves_on_while_a_stuck_trial_is_lower(interval128):
 def test_lbfgs_direction_is_the_bfgs_inverse_update():
     # H+ = (I - rho s y^T W) H (I - rho y s^T W) + rho s s^T W with
     # rho = 1/(s^T W y), W the quadrature weights, from H0 = alpha * riesz
-    g = build_grid(Domain.interval(1.0), 16)
+    g = build_grid(Domain.box(1.0), 16)
     n, w = g.shape[0], g.weights
     riesz, _ = vmod._metric(g, 3.0)
     alpha = 0.7
@@ -468,7 +468,7 @@ def test_fit_scaling_exponent_guards(interval128):
 
 
 def test_fit_scaling_exponent_interval():
-    g = build_grid(Domain.interval(1.0), 512)
+    g = build_grid(Domain.box(1.0), 512)
     lams = np.geomspace(1e2, 10**3.5, 8)
     slope = fit_scaling_exponent(g, 3.0, lams)
     assert abs(slope - 0.75) / 0.75 < 0.10
@@ -533,9 +533,9 @@ def test_riesz_map_solves_shifted_system(grid_name, request):
 
 
 @pytest.mark.parametrize("dom,n", [
-    (Domain.interval(1.0), 64),
-    (Domain.rectangle(1.0, 1.0), 16),
-    (Domain.rectangle(1.5, 1.0), (24, 17)),
+    (Domain.box(1.0), 64),
+    (Domain.box(1.0, 1.0), 16),
+    (Domain.box(1.5, 1.0), (24, 17)),
     (Domain.ball(3), 64),
 ], ids=["interval64", "square16", "rect24x17", "ball3_64"])
 def test_dual_norm_is_the_riesz_pairing(dom, n):
