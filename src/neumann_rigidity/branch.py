@@ -72,11 +72,11 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .constants import epsilon
+from .constants import _check_exponents, epsilon
 from .errors import (ConvergenceError, DampingError, PositivityError,
                      RangeError, SingularJacobianError)
-from .grid import Field, Grid
-from .spectral import spectral_gap
+from .grid import Field, Grid, _inner
+from .spectral import _threshold_scale, spectral_gap
 
 _NEWTON_TOL = 1e-9
 _LAM_CAP_FACTOR = 10.0
@@ -233,6 +233,7 @@ def newton_solve(grid: Grid, p: float, lam: float,
     SingularJacobianError when a factorization fails or a solve is not
     finite, and ConvergenceError after 60 iterations.
     """
+    _check_exponents(p, grid.dim, False)
     if not lam > 0.0:
         raise RangeError("lam must be positive")
     u = np.asarray(initial.values, dtype=float)
@@ -245,6 +246,7 @@ def newton_solve(grid: Grid, p: float, lam: float,
 
 
 def constant_solution(grid: Grid, p: float, lam: float) -> BranchPoint:
+    _check_exponents(p, grid.dim, False)
     c = lam ** (1.0 / (p - 1.0))
     u = np.full(grid.shape, c)
     F = _residual(grid, p, lam, u)
@@ -293,8 +295,7 @@ def _arc_correct(jac: _Jacobian, u0: np.ndarray, ell0: float,
         F = _residual(grid, p, lam, u)
         res = _scaled_norm(grid, p, lam, u, F)
         con = 0.0 if tu is None else (
-            float(np.add.reduce(w * tu * (u - base_u), axis=None))
-            + tl * (ell - base_ell) - ds)
+            _inner(w, tu, u - base_u) + tl * (ell - base_ell) - ds)
         if res <= _NEWTON_TOL and abs(con) <= 1e-10 * max(1.0, abs(ds)):
             return u, ell, res, it
         stale = judge and res > 0.25 * last[3]
@@ -315,12 +316,10 @@ def _arc_correct(jac: _Jacobian, u0: np.ndarray, ell0: float,
             dell, du = 0.0, -x1
         else:
             x2 = jac.solve(lam_ref * u)  # dF/d(ell)
-            tux1 = float(np.add.reduce(w * tu * x1, axis=None))
-            tux2 = float(np.add.reduce(w * tu * x2, axis=None))
-            denom = tl - tux2
+            denom = tl - _inner(w, tu, x2)
             if abs(denom) < 1e-14:
                 raise SingularJacobianError("bordered system singular")
-            dell = (-con + tux1) / denom
+            dell = (-con + _inner(w, tu, x1)) / denom
             du = -x1 - dell * x2
         alpha = 1.0
         while alpha >= 1e-10 and (u + alpha * du).min() <= 0.0:
@@ -364,13 +363,11 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
     subspace, while residuals and the step metric stay on the full grid.
     Stability off the subspace is not tested.
     """
-    epsilon(p)
+    _check_exponents(p, grid.dim, False)
     if direction not in (-1, 1):
         raise RangeError("direction must be +1 or -1")
-    gap = spectral_gap(grid)
-    lam2 = gap.eigenvalue
-    u2 = gap.eigenfunction.values
-    lam_star = lam2 / abs(p - 1.0)
+    u2 = spectral_gap(grid).eigenfunction.values
+    lam_star = _threshold_scale(grid, p)
     lam_cap = _LAM_CAP_FACTOR * lam_star
 
     points: List[BranchPoint] = []
@@ -495,8 +492,8 @@ def el_normalization(u: Field, p: float,
     is not supplied it defaults to the field's own ||u||_{p+1}^(p-1), the
     convention under which the input is already normalized.
     """
-    epsilon(p)
     grid = u.grid
+    _check_exponents(p, grid.dim, False)
     vals = u.values
     norm = grid.lp_norm(np.abs(vals), p + 1.0)
     if norm == 0.0:

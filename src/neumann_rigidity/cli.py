@@ -6,12 +6,17 @@ into every CSV/JSON output, so each table records the configuration that
 produced it. All randomness flows from one 64-bit seed. Sweeps accept
 either a single value (``--lambda 3.5``) or a geometric range
 ``lo:hi:count`` (``--lambda 1:100:8``).
+
+``_DOMAINS`` maps each ``--domain`` kind to its constructor. ``_emit``
+writes every output, failure diagnostics included, as one finished
+string, and ``_sweep`` runs the ``quotient`` and ``klt`` sweeps.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -27,9 +32,13 @@ from . import klt as klt_mod
 from . import variational as variational_mod
 from .errors import ConvergenceError, RangeError, ToolkitError
 from .grid import Domain, Field, build_grid, field_to_csv
-from .spectral import spectral_gap
+from .spectral import _gap_datum, _threshold_scale, spectral_gap
 
-_DOMAIN_KINDS = ("interval", "rectangle", "radial_ball")
+_DOMAINS = {
+    "interval": lambda cfg: Domain.box(1.0),
+    "rectangle": lambda cfg: Domain.box(cfg.aspect, 1.0),
+    "radial_ball": lambda cfg: Domain.ball(max(cfg.d, 2), 1.0),
+}
 
 
 @dataclass
@@ -129,13 +138,9 @@ def parse_sweep(spec: str, name: str) -> List[float]:
 
 
 def make_domain(cfg: RunConfig) -> Domain:
-    if cfg.domain == "interval":
-        return Domain.box(1.0)
-    if cfg.domain == "rectangle":
-        return Domain.box(cfg.aspect, 1.0)
-    if cfg.domain == "radial_ball":
-        return Domain.ball(max(cfg.d, 2), 1.0)
-    raise RangeError(f"--domain must be one of {_DOMAIN_KINDS}")
+    if cfg.domain not in _DOMAINS:
+        raise RangeError(f"--domain must be one of {tuple(_DOMAINS)}")
+    return _DOMAINS[cfg.domain](cfg)
 
 
 def make_grid(cfg: RunConfig):
@@ -144,43 +149,30 @@ def make_grid(cfg: RunConfig):
 
 # ----------------------------------------------------------------------
 # output helpers
-class _Sink:
-    def __init__(self, path: str):
-        self.path = path
-        self._fh = open(path, "w", encoding="utf-8") if path else sys.stdout
-
-    def write(self, text: str) -> None:
-        self._fh.write(text)
-
-    def close(self) -> None:
-        if self.path:
-            self._fh.close()
+def _emit(path: str, text: str) -> None:
+    """Write one finished output to ``path``, or to stdout if it is empty."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def write_csv(cfg: RunConfig, header: Sequence[str],
               rows: Sequence[Sequence], note: str = "") -> None:
-    sink = _Sink(cfg.out)
-    try:
-        sink.write(f"# config_sha256={cfg.digest()}\n")
-        if note:
-            sink.write(f"# {note}\n")
-        sink.write(",".join(header) + "\n")
-        for row in rows:
-            sink.write(",".join(
-                repr(float(x)) if isinstance(x, (float, np.floating))
-                else str(x) for x in row) + "\n")
-    finally:
-        sink.close()
+    lines = [f"# config_sha256={cfg.digest()}"]
+    if note:
+        lines.append(f"# {note}")
+    lines.append(",".join(header))
+    lines.extend(",".join(repr(float(x)) if isinstance(x, (float, np.floating))
+                          else str(x) for x in row) for row in rows)
+    _emit(cfg.out, "\n".join(lines) + "\n")
 
 
 def write_json(cfg: RunConfig, payload: dict) -> None:
     payload = {"config_sha256": cfg.digest(), **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True, default=float)
-    sink = _Sink(cfg.out)
-    try:
-        sink.write(text + "\n")
-    finally:
-        sink.close()
+    _emit(cfg.out, json.dumps(payload, indent=2, sort_keys=True,
+                              default=float) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -211,14 +203,12 @@ def cmd_bounds(cfg: RunConfig) -> None:
 def cmd_eigen(cfg: RunConfig) -> None:
     grid = make_grid(cfg)
     pair = spectral_gap(grid)
-    sink = _Sink(cfg.out)
-    try:
-        sink.write(f"# config_sha256={cfg.digest()}\n")
-        sink.write(f"# lambda2={pair.eigenvalue!r} residual={pair.residual!r}"
-                   f" iterations={pair.iterations}\n")
-        field_to_csv(pair.eigenfunction, sink, value_name="u2")
-    finally:
-        sink.close()
+    text = io.StringIO()
+    text.write(f"# config_sha256={cfg.digest()}\n"
+               f"# lambda2={pair.eigenvalue!r} residual={pair.residual!r}"
+               f" iterations={pair.iterations}\n")
+    field_to_csv(pair.eigenfunction, text, value_name="u2")
+    _emit(cfg.out, text.getvalue())
 
 
 def _quotient_task(args):
@@ -230,11 +220,8 @@ def _quotient_task(args):
 
 
 def cmd_quotient(cfg: RunConfig) -> None:
-    lams = parse_sweep(cfg.lam, "lambda")
-    tasks = [(asdict(cfg), lam) for lam in lams]
-    rows = _fan_out(_quotient_task, tasks, cfg.jobs)
-    rows.sort(key=lambda r: r[0])
-    write_csv(cfg, ("lambda", "mu", "constant_deviation", "iterations"), rows)
+    _sweep(cfg, _quotient_task, parse_sweep(cfg.lam, "lambda"),
+           ("lambda", "mu", "constant_deviation", "iterations"))
 
 
 def _mu2(cfg: RunConfig, grid):
@@ -248,8 +235,8 @@ def _mu2(cfg: RunConfig, grid):
 
 def _mu1(cfg: RunConfig, grid):
     """The branch traced from 0.8 lambda2/|p-1| upward and its mu1."""
-    lam_star = spectral_gap(grid).eigenvalue / abs(cfg.p - 1.0)
-    trace = branch_mod.trace_branch(grid, cfg.p, 0.8 * lam_star, direction=1)
+    lam0 = 0.8 * _threshold_scale(grid, cfg.p)
+    trace = branch_mod.trace_branch(grid, cfg.p, lam0, direction=1)
     return trace, branch_mod.estimate_mu1(trace)
 
 
@@ -284,19 +271,13 @@ def cmd_mu1(cfg: RunConfig) -> None:
                              "unknowns": trace.unknowns}})
 
 
-def _initial_datum(grid, amp: float, squared: bool) -> Field:
-    u2 = spectral_gap(grid).eigenfunction.values
-    base = np.maximum(1.0 + amp * u2, 1e-3)
-    return Field(grid, base**2 if squared else base)
-
-
 def cmd_flow(cfg: RunConfig) -> None:
     grid = make_grid(cfg)
     if cfg.kind == "heat":
-        v0 = _initial_datum(grid, cfg.amp, squared=True)
+        v0 = Field(grid, _gap_datum(grid, cfg.amp) ** 2)
         trace = flow_mod.heat_flow_run(grid, cfg.p, v0, cfg.t_end)
     elif cfg.kind == "nonlinear":
-        v0 = _initial_datum(grid, cfg.amp, squared=False)
+        v0 = Field(grid, _gap_datum(grid, cfg.amp))
         trace = flow_mod.nonlinear_flow_run(grid, cfg.p, cfg.beta, cfg.theta,
                                             v0, cfg.t_end)
     else:
@@ -321,13 +302,9 @@ def cmd_klt(cfg: RunConfig) -> None:
     else:
         # default duality sweep: two decades around the threshold scale,
         # twelve points per decade
-        grid = make_grid(cfg)
-        scale = spectral_gap(grid).eigenvalue / abs(cfg.p - 1.0)
+        scale = _threshold_scale(make_grid(cfg), cfg.p)
         mus = [float(x) for x in np.geomspace(0.1 * scale, 10.0 * scale, 25)]
-    tasks = [(asdict(cfg), mu) for mu in mus]
-    rows = _fan_out(_klt_task, tasks, cfg.jobs)
-    rows.sort(key=lambda r: r[0])
-    write_csv(cfg, ("mu", "nu", "lambda_mu", "relative_gap"), rows)
+    _sweep(cfg, _klt_task, mus, ("mu", "nu", "lambda_mu", "relative_gap"))
 
 
 def cmd_report(cfg: RunConfig) -> None:
@@ -364,6 +341,15 @@ def _fan_out(fn, tasks, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
+def _sweep(cfg: RunConfig, task, values: Sequence[float],
+           header: Sequence[str]) -> None:
+    """Run ``task`` at every value of a sweep, ``cfg.jobs`` at a time, and
+    write its rows sorted by the value in their first column."""
+    rows = _fan_out(task, [(asdict(cfg), v) for v in values], cfg.jobs)
+    rows.sort(key=lambda r: r[0])
+    write_csv(cfg, header, rows)
+
+
 # ----------------------------------------------------------------------
 # argument parsing
 _COMMANDS = {
@@ -387,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--config", default="", help="key=value config file")
-        sp.add_argument("--domain", choices=_DOMAIN_KINDS)
+        sp.add_argument("--domain", choices=tuple(_DOMAINS))
         sp.add_argument("--d", type=int, dest="d")
         sp.add_argument("--aspect", type=float)
         sp.add_argument("--n", type=int)
@@ -469,8 +455,7 @@ def _write_failure_diagnostics(cfg: RunConfig, exc: Exception) -> None:
         lines.append(f"# stage={exc.stage} lam={exc.lam!r} "
                      f"step={exc.step!r}")
     try:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _emit(cfg.out, "\n".join(lines) + "\n")
     except OSError:
         pass
 

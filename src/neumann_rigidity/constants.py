@@ -66,30 +66,29 @@ def delta_exponent(p: float, beta: float) -> float:
     return (p + 1.0 + beta * (p - 3.0)) / (2.0 * beta * (p - 1.0))
 
 
-def _check_subcritical(p: float, d: int) -> None:
-    if not p > 0.0:
-        raise RangeError("p must be positive")
-    if d >= 3 and p >= critical_exponent(d) - 1.0:
-        raise RangeError(
-            f"p={p:g} is not sub-critical for d={d} (needs p < {critical_exponent(d) - 1.0:g})")
-
-
 def _check_exponents(p: float, d: int, log_sobolev: bool) -> int:
     """Validate (p, d) and the log-Sobolev flag; return d as an int.
 
-    d is an integer >= 1, the flag fixes p = 1, p = 1 needs the flag, and
-    any other p is positive and sub-critical.
+    The one admissibility rule of the package: d is an integer >= 1, the
+    flag fixes p = 1, p = 1 needs the flag, and any other p is positive
+    and sub-critical (p < 2* - 1 when d >= 3). The quotient, threshold,
+    branch, nonlinear-flow and KLT entry points call it, with
+    ``log_sobolev`` False where p = 1 has no meaning.
     """
     if d < 1 or int(d) != d:
         raise RangeError("d must be an integer >= 1")
+    d = int(d)
     if log_sobolev:
         if p != 1.0:
             raise RangeError("the log-Sobolev flag fixes p = 1")
     elif p == 1.0:
         raise RangeError("p = 1 requires the log-Sobolev flag")
-    else:
-        _check_subcritical(p, int(d))
-    return int(d)
+    elif not p > 0.0:
+        raise RangeError("p must be positive")
+    elif d >= 3 and p >= critical_exponent(d) - 1.0:
+        raise RangeError(f"p={p:g} is not sub-critical for d={d} "
+                         f"(needs p < {critical_exponent(d) - 1.0:g})")
+    return d
 
 
 @dataclass(frozen=True)

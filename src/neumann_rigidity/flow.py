@@ -52,7 +52,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .constants import delta_exponent, r_coefficient, theta_star
+from .constants import (_check_exponents, delta_exponent, r_coefficient,
+                        theta_star)
 from .errors import ConvergenceError, PositivityError, RangeError
 from .grid import Field, Grid
 from .spectral import spectral_gap
@@ -227,8 +228,7 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
     trial is checked, and an accepted v serves its record, the stage bound
     of the next step and that step's first stage.
     """
-    if p == 1.0 or not p > 0.0:
-        raise RangeError("the nonlinear flow needs p > 0, p != 1")
+    _check_exponents(p, grid.dim, False)
     if not theta_star(p, grid.dim) < theta < 1.0:
         raise RangeError("theta must lie in (theta_star, 1)")
     if abs(beta) < 1e-12:

@@ -24,6 +24,9 @@ consequence discrete Cauchy-Schwarz chains such as
     E(u, u)^2 <= <u, u> * <lap u, lap u>
 
 hold in exact arithmetic, mirroring their continuum counterparts.
+
+``_inner(w, a, b)`` is the weighted inner product of the descent and the
+branch corrector.
 """
 
 from __future__ import annotations
@@ -52,6 +55,11 @@ _BOX_AXES = ("x", "y", "z")
 def sphere_surface(d: int) -> float:
     """Surface measure of the unit sphere in R^d (2 for d=1, 2*pi for d=2, ...)."""
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+
+
+def _inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """The weighted inner product sum(w * a * b)."""
+    return float(np.add.reduce(w * a * b, axis=None))
 
 
 def outer_product(factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -92,8 +100,11 @@ class Domain:
 
     def measure(self) -> float:
         if self.kind == RADIAL_BALL:
-            d = self.dimension
-            return sphere_surface(d) * self.extents[0] ** d / d
+            d, r = self.dimension, self.extents[0]
+            try:
+                return sphere_surface(d) * r ** d / d
+            except OverflowError:
+                raise RangeError(f"the {d}-ball's measure overflows") from None
         return math.prod(self.extents)
 
     def normalized(self) -> "Domain":
@@ -275,10 +286,8 @@ class Grid:
         """Nodal |grad u|^2: centered differences inside, one-sided at faces."""
         out = np.zeros_like(u, dtype=float)
         for a, h in enumerate(self.spacing):
-            g = np.empty_like(u, dtype=float)
-            mid, up, dn, first, second, last, prev = _along(
-                u.ndim, a, "stencil")
-            g[mid] = (u[up] - u[dn]) / (2.0 * h)
+            g = self._first_diff_odd(u, a)
+            first, second, last, prev = _along(u.ndim, a, "stencil")[3:]
             g[first] = (u[second] - u[first]) / h
             g[last] = (u[last] - u[prev]) / h
             out += g * g
@@ -472,6 +481,10 @@ def build_grid(domain: Domain, resolution) -> Grid:
     else:
         pencils = [(np.full(n - 1, 1.0 / h), _trapezoid_weights(n, h))
                    for n, h in zip(res, spacing)]
+    if not all(np.all(t > 0.0) for pencil in pencils for t in pencil):
+        # a high-dimensional ball's cells next to the origin underflow
+        raise RangeError("a face coefficient or cell volume of the grid "
+                         "underflows to zero")
     return Grid(dom, axes, pencils, spacing)
 
 

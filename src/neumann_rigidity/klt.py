@@ -14,12 +14,11 @@ the normalization under which the duality nu(mu) = lam(mu) holds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import epsilon
+from .constants import _check_exponents, epsilon
 from .errors import PositivityError, RangeError
 from .grid import Field, Grid
 from .spectral import schrodinger_ground_state
@@ -40,6 +39,12 @@ class KltResult:
         return abs(self.nu - self.lambda_of_mu) / abs(self.lambda_of_mu)
 
 
+def _holder_norm(grid: Grid, phi: np.ndarray, p: float):
+    """q = (p+1)/|p-1| and ||phi^eps||_q, eps the sign of p - 1."""
+    q = (p + 1.0) / abs(p - 1.0)
+    return q, grid.lp_norm(phi if p > 1.0 else 1.0 / phi, q)
+
+
 def optimal_potential(u: Field, mu: float, p: float) -> Field:
     """Saturating potential mu * u^(p-1) / ||u||_{p+1}^(p-1) (both signs of p-1).
 
@@ -47,10 +52,10 @@ def optimal_potential(u: Field, mu: float, p: float) -> Field:
     construction (q = (p+1)/(p-1)), for p < 1 the reciprocal carries the
     norm: ||phi^(-1)||_q = 1/mu.
     """
-    epsilon(p)
+    grid = u.grid
+    _check_exponents(p, grid.dim, False)
     if not mu > 0.0:
         raise RangeError("mu must be positive")
-    grid = u.grid
     vals = np.asarray(u.values, dtype=float)
     norm = grid.lp_norm(np.abs(vals), p + 1.0)
     if norm == 0.0:
@@ -82,11 +87,7 @@ def klt_duality_check(grid: Grid, p: float, mu: float,
     phi = optimal_potential(u, mu, p)
     pair = schrodinger_ground_state(grid, phi, sign=-eps)
     nu = -eps * pair.eigenvalue
-    q = (p + 1.0) / abs(p - 1.0)
-    if eps > 0:
-        holder = grid.lp_norm(phi.values, q)
-    else:
-        holder = grid.lp_norm(1.0 / phi.values, q)
+    q, holder = _holder_norm(grid, phi.values, p)
     return KltResult(mu=mu, nu=nu, lambda_of_mu=sol.mu_out,
                      potential=phi, q=q, holder_norm=holder)
 
@@ -100,21 +101,16 @@ def holder_pairing_check(phi: Field, u: Field, p: float):
     with q = (p+1)/|p-1|. Equality holds exactly for the saturating
     potential built from u.
     """
-    eps = epsilon(p)
-    if phi.values.min() < 0.0:
-        raise PositivityError("the potential must be nonnegative")
     grid = u.grid
-    q = (p + 1.0) / abs(p - 1.0)
-    uv = np.abs(u.values)
-    pv = phi.values
-    if eps > 0:
-        lhs = grid.integrate(pv * uv * uv)
-        rhs = grid.lp_norm(pv, q) * grid.lp_norm(uv, p + 1.0) ** 2
-        return lhs, rhs
-    if pv.min() <= 0.0:
+    _check_exponents(p, grid.dim, False)
+    uv, pv = np.abs(u.values), phi.values
+    if pv.min() < 0.0:
+        raise PositivityError("the potential must be nonnegative")
+    if p < 1.0 and pv.min() <= 0.0:
         raise PositivityError("the p < 1 pairing needs a positive potential")
-    lhs = grid.integrate(uv ** (p + 1.0))
     paired = grid.integrate(pv * uv * uv)
-    rhs = paired ** ((p + 1.0) / 2.0) * \
-        grid.lp_norm(1.0 / pv, q) ** ((p + 1.0) / 2.0)
-    return lhs, rhs
+    _, holder = _holder_norm(grid, pv, p)
+    if p > 1.0:
+        return paired, holder * grid.lp_norm(uv, p + 1.0) ** 2
+    half = (p + 1.0) / 2.0
+    return grid.integrate(uv ** (p + 1.0)), paired ** half * holder ** half

@@ -7,6 +7,10 @@ second mode of one axis times constants on the others; no sparse solve
 is needed. The Schrodinger pencil does not separate and is solved by
 shifted inverse iteration on one sparse factorization of the shifted
 matrix.
+
+The rules built on the gap live here too: the threshold scale
+lambda2/|p-1| (``_threshold_scale``) and the positive gap-mode datum
+max(1 + a u2, 1e-3) of the descent starts and the flows (``_gap_datum``).
 """
 
 from __future__ import annotations
@@ -72,6 +76,19 @@ def spectral_gap(grid: Grid) -> EigenPair:
     pair = EigenPair(lam, Field(grid, u.reshape(grid.shape)), res, 0)
     grid._cache["gap"] = pair
     return pair
+
+
+def _threshold_scale(grid: Grid, p: float) -> float:
+    """The rigidity threshold scale lambda2/|p-1| of the grid."""
+    return spectral_gap(grid).eigenvalue / abs(p - 1.0)
+
+
+def _gap_datum(grid: Grid, amp) -> np.ndarray:
+    """The positive datum max(1 + amp u2, 1e-3), u2 the gap eigenfunction;
+    for a sequence ``amp``, one datum per amplitude along a new first axis.
+    """
+    u2 = spectral_gap(grid).eigenfunction.values
+    return np.maximum(1.0 + np.multiply.outer(amp, u2), 1e-3)
 
 
 def schrodinger_ground_state(grid: Grid, potential, sign: int) -> EigenPair:

@@ -56,11 +56,11 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import _check_subcritical, theta_star
+from .constants import _check_exponents, theta_star
 from .errors import ConvergenceError, PositivityError, RangeError
-from .grid import Field, Grid
+from .grid import Field, Grid, _inner
 from .rng import SplitMix64
-from .spectral import spectral_gap
+from .spectral import _gap_datum, _threshold_scale, spectral_gap
 
 _MAX_ITER = 4000
 _GRAD_TOL = 1e-8
@@ -124,6 +124,7 @@ def j_lambda(u: Field, Lambda: float, p: float) -> float:
     requires a positive field.
     """
     grid = u.grid
+    _check_exponents(p, grid.dim, p == 1.0)
     vals = u.values
     energy = grid.energy(vals)
     if p == 1.0:
@@ -139,10 +140,6 @@ def j_lambda(u: Field, Lambda: float, p: float) -> float:
 
 # ----------------------------------------------------------------------
 # descent engine
-def _inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.add.reduce(w * a * b, axis=None))
-
-
 def _metric(grid: Grid, sigma: float):
     """Riesz map and dual squared norm of the descent metric.
 
@@ -287,10 +284,9 @@ def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
 
 
 def _starts(grid: Grid, seed: int) -> List[np.ndarray]:
-    u2 = spectral_gap(grid).eigenfunction.values
     rng = SplitMix64(seed).spawn(17)
-    return [np.ones(grid.shape), np.maximum(1.0 + 0.2 * u2, 1e-3),
-            np.maximum(1.0 - 0.2 * u2, 1e-3), 0.3 + rng.uniforms(grid.shape)]
+    return [np.ones(grid.shape), *_gap_datum(grid, (0.2, -0.2)),
+            0.3 + rng.uniforms(grid.shape)]
 
 
 # objective factories ---------------------------------------------------
@@ -367,12 +363,6 @@ def _run_multistart(grid: Grid, objective, starts: Sequence[np.ndarray],
     return u, best, records
 
 
-def _check_p(grid: Grid, p: float) -> None:
-    if p == 1.0:
-        raise RangeError("p = 1 is handled by estimate_lambda_star")
-    _check_subcritical(p, grid.dim)
-
-
 def _solve(grid: Grid, param: float, objective, sign: float, seed: int,
            below: Optional[float] = None) -> QuotientSolve:
     """Multistart solve in the metric K + max(1, param)*M; ``sign`` maps
@@ -409,7 +399,7 @@ def minimize_quotient(grid: Grid, lam: float, p: float,
     flagged ``witness``. If no iterate gets below ``below``, the result is
     the one the solve without it gives.
     """
-    _check_p(grid, p)
+    _check_exponents(p, grid.dim, False)
     if not lam > 0.0:
         raise RangeError("the quotient parameter must be positive")
     objective = (_quotient_p_gt1(grid, lam, p) if p > 1.0
@@ -425,7 +415,7 @@ def lambda_of_mu(grid: Grid, mu: float, p: float, seed: int = 0
     the concave-side optimization sup_u (mu ||u||_{p+1}^2 - energy)/||u||_2^2,
     whose optimizers solve the same Euler-Lagrange equation.
     """
-    _check_p(grid, p)
+    _check_exponents(p, grid.dim, False)
     if not mu > 0.0:
         raise RangeError("mu must be positive")
     if p < 1.0:
@@ -498,10 +488,10 @@ def estimate_mu2(grid: Grid, p: float, tol: float = 0.01,
     A ConvergenceError raised here carries the stage ``"mu2 bisection"``
     (see ``_threshold_bracket``).
     """
-    _check_p(grid, p)
+    _check_exponents(p, grid.dim, False)
     if not tol > 0.0:
         raise RangeError("tol must be positive")
-    scale = spectral_gap(grid).eigenvalue / abs(p - 1.0)
+    scale = _threshold_scale(grid, p)
 
     def broken(x: float) -> bool:
         thr = x * (1.0 - 1e-6)
@@ -521,6 +511,7 @@ def fit_scaling_exponent(grid: Grid, p: float,
     from the previous minimizer, which keeps the localized optimizers on
     track at large lam.
     """
+    _check_exponents(p, grid.dim, False)
     if not p > 1.0:
         raise RangeError("the scaling fit needs p > 1")
     lams = np.sort(np.asarray([float(x) for x in lambda_list]))

@@ -281,12 +281,22 @@ def test_bad_sweep_is_usage_error(capsys):
 
 
 def test_bad_domain_geometry_is_usage_error(capsys):
-    # a non-finite or non-positive side is refused before any grid is built
-    for aspect in ("inf", "nan", "-1", "0"):
-        code, out, err = run(capsys, "eigen", "--domain", "rectangle",
-                             "--aspect", aspect, "--n", "16")
-        assert code == 2 and err.startswith("usage error:"), aspect
+    # a non-finite or non-positive side is refused before any grid is
+    # built, and so is a ball whose measure overflows
+    bad = [("--domain", "rectangle", "--aspect", aspect)
+           for aspect in ("inf", "nan", "-1", "0")]
+    bad.append(("--domain", "radial_ball", "--d", "400"))
+    for flags in bad:
+        code, out, err = run(capsys, "eigen", *flags, "--n", "16")
+        assert code == 2 and err.startswith("usage error:"), flags
         assert out == ""
+
+
+def test_inadmissible_exponent_is_usage_error(capsys):
+    code, out, err = run(capsys, "mu1", "--domain", "interval", "--n", "64",
+                         "--p", "-1")
+    assert code == 2 and err.startswith("usage error:")
+    assert out == ""
 
 
 def _fail_with(exc):

@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from neumann_rigidity import (NoRealRootsError, RangeError, beckner_bound,
-                              beta_roots, improvement_phi, make_exponents,
-                              r_coefficient, rigidity_bounds,
-                              scaling_exponent, theta_star, vartheta)
+from neumann_rigidity import (Domain, NoRealRootsError, RangeError,
+                              beckner_bound, beta_roots, build_grid,
+                              constant_field, constant_solution,
+                              el_normalization, estimate_mu2,
+                              fit_scaling_exponent, holder_pairing_check,
+                              improvement_phi, j_lambda, lambda_of_mu,
+                              make_exponents, minimize_quotient,
+                              newton_solve, nonlinear_flow_run,
+                              optimal_potential, r_coefficient,
+                              rigidity_bounds, scaling_exponent, theta_star,
+                              trace_branch, vartheta)
 from neumann_rigidity.constants import delta_exponent, epsilon, p_sharp
 
 
@@ -173,6 +180,50 @@ def test_exponents_and_bounds_reject_the_same_inputs(p, d, log_sobolev):
         make_exponents(p, d, log_sobolev=log_sobolev)
     with pytest.raises(RangeError):
         rigidity_bounds(p, d, 1.0, log_sobolev=log_sobolev)
+
+
+def _ones(grid):
+    return constant_field(grid, 1.0)
+
+
+# every solver that takes p, called with valid arguments besides p
+_EXPONENT_ENTRY_POINTS = {
+    "minimize_quotient": lambda g, p: minimize_quotient(g, 2.0, p),
+    "lambda_of_mu": lambda g, p: lambda_of_mu(g, 2.0, p),
+    "estimate_mu2": lambda g, p: estimate_mu2(g, p),
+    "fit_scaling_exponent": lambda g, p: fit_scaling_exponent(
+        g, p, [1.0, 10.0, 100.0]),
+    "j_lambda": lambda g, p: j_lambda(_ones(g), 1.0, p),
+    "trace_branch": lambda g, p: trace_branch(g, p, 1.0),
+    "newton_solve": lambda g, p: newton_solve(g, p, 1.0, _ones(g)),
+    "constant_solution": lambda g, p: constant_solution(g, p, 1.0),
+    "el_normalization": lambda g, p: el_normalization(_ones(g), p),
+    "optimal_potential": lambda g, p: optimal_potential(_ones(g), 1.0, p),
+    "holder_pairing_check": lambda g, p: holder_pairing_check(
+        _ones(g), _ones(g), p),
+    "nonlinear_flow_run": lambda g, p: nonlinear_flow_run(
+        g, p, 1.2, 0.5, _ones(g), 0.01),
+}
+
+
+@pytest.fixture(scope="module")
+def ball3_32():
+    return build_grid(Domain.ball(3), 32)
+
+
+@pytest.mark.parametrize("p", [-1.0, 0.0, 1.0, 5.5])
+@pytest.mark.parametrize("entry", sorted(_EXPONENT_ENTRY_POINTS))
+def test_every_solver_applies_the_exponent_rule(ball3_32, entry, p):
+    # p <= 0, p = 1 and the super-critical p = 5.5 >= 2* - 1 = 5 of the
+    # 3-ball are refused by the one rule, before any solve
+    call = _EXPONENT_ENTRY_POINTS[entry]
+    if entry == "j_lambda" and p == 1.0:
+        # the deficit's log-Sobolev form, which vanishes at the constants
+        assert call(ball3_32, p) == pytest.approx(0.0, abs=1e-12)
+        return
+    with pytest.raises(RangeError, match="p must be positive|"
+                       "p = 1 requires|not sub-critical"):
+        call(ball3_32, p)
 
 
 def test_rigidity_bounds_guards():

@@ -61,7 +61,9 @@ def test_build_grid_guards():
                    (Domain.box(1.0, 1.0), (16, 16, 16)),
                    (Domain.box(1.0, 1.0, 1.0), (16, 16)),
                    (Domain.box(1.0, 1.0), (16, 7)),
-                   (Domain.ball(3), (16, 16))):
+                   (Domain.ball(3), (16, 16)),
+                   # r^d overflows; the cells next to the origin underflow
+                   (Domain.ball(3, 1e200), 8), (Domain.ball(200), 64)):
         with pytest.raises(RangeError):
             build_grid(dom, n)
 
