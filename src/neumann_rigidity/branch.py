@@ -15,11 +15,12 @@ solve at fixed lam (``newton_solve``).
 The continuation measures the branch in the dimensionless pair
 (u/c*, ell), with c* = lam_bif^(1/(p-1)) the constant at the bifurcation
 and ell = lam/lam_bif, so one step length serves every p: for p < 1 the
-constant c* is tiny while ell stays of order one. The step grows 2x after
-a corrector that needed at most four iterations, 1.3x after five or six,
-and halves after each rejected step. The trace allows 40 rejected steps
-in all, not 40 in a row, and ends at the next one or once the step falls
-below 1e-8.
+constant c* is tiny while ell stays of order one. The switch off the
+bifurcation is the first continuation step in this metric, along the gap
+mode. The step grows 2x after a corrector that needed at most four
+iterations, 1.3x after five or six, and halves after each rejected step.
+The trace allows 40 rejected steps in all, not 40 in a row, and ends at
+the next one or once the step falls below 1e-8.
 
 The corrector is a Newton-chord (simplified Newton) iteration: it
 solves every (bordered) step with the Jacobian factor it holds, and a
@@ -125,7 +126,7 @@ def _residual(grid: Grid, p: float, lam: float, u: np.ndarray) -> np.ndarray:
     return -epsilon(p) * grid.laplacian(u) + lam * u - u**p
 
 
-def _scaled_norm(grid: Grid, p: float, lam: float, u: np.ndarray,
+def _scaled_norm(grid: Grid, lam: float, u: np.ndarray,
                  F: np.ndarray) -> float:
     scale = max(1.0, abs(lam) * math.sqrt(grid.integrate(u * u)))
     return math.sqrt(grid.integrate(F * F)) / scale
@@ -251,7 +252,7 @@ def constant_solution(grid: Grid, p: float, lam: float) -> BranchPoint:
     u = np.full(grid.shape, c)
     F = _residual(grid, p, lam, u)
     return BranchPoint(lam, Field(grid, u), 0.0,
-                       _scaled_norm(grid, p, lam, u, F), 0.0)
+                       _scaled_norm(grid, lam, u, F), 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +294,7 @@ def _arc_correct(jac: _Jacobian, u0: np.ndarray, ell0: float,
         if lam <= 0.0:
             raise DampingError("corrector left lam > 0")
         F = _residual(grid, p, lam, u)
-        res = _scaled_norm(grid, p, lam, u, F)
+        res = _scaled_norm(grid, lam, u, F)
         con = 0.0 if tu is None else (
             _inner(w, tu, u - base_u) + tl * (ell - base_ell) - ds)
         if res <= _NEWTON_TOL and abs(con) <= 1e-10 * max(1.0, abs(ds)):
@@ -338,19 +339,22 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
 
     Constant points are emitted while walking from ``lambda_start`` in the
     given direction. When the gap-mode eigenvalue of the linearization
-    changes sign the bifurcation value lambda2/|p-1| is recorded, the
-    branch is switched along the gap eigenfunction, and pseudo-arclength
-    continuation follows the non-constant branch until lam passes the
-    cap 10 lambda2/|p-1| (which ends the constant walk too), the point
-    budget, or repeated step failures (flagged as truncated).
+    changes sign the bifurcation value lambda2/|p-1| is recorded and
+    pseudo-arclength continuation switches onto the non-constant branch
+    and follows it until lam passes the cap 10 lambda2/|p-1| (which ends
+    the constant walk too), the point budget, or repeated step failures
+    (flagged as truncated).
 
     Steps are measured in the scaled metric sqrt(||du||^2/c*^2 + dell^2)
-    of the module docstring, start at the switching amplitude over c* and
-    stay at most 0.5; a step grows 2x after a corrector that needed at
-    most four iterations and 1.3x after five or six. Each rejected step
-    halves it, and the 41st rejection overall (not the 41st in a row) or
-    a step below 1e-8 ends the trace. ``arclength`` accumulates the steps
-    times c*, in the units of u.
+    of the module docstring, and each is one predictor-corrector step
+    along a unit tangent of it. The switch is the first: from c* at
+    ell = 1 along (u2/||u2||, 0) it tries the lengths 1e-3 ... 0.4 and
+    keeps the first point deviating by more than 0.3 c* times the length.
+    Later steps follow the secant from the switch's length, at most 0.5;
+    a step grows 2x after a corrector that needed at most four iterations
+    and 1.3x after five or six. Each rejected step halves it, and the 41st
+    rejection overall (not the 41st in a row) or a step below 1e-8 ends
+    the trace. ``arclength`` accumulates the steps times c*, in u's units.
 
     The corrector is Newton-chord (see ``_arc_correct``). One
     ``_Jacobian`` is carried through the trace: the first corrector call
@@ -367,64 +371,57 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
     if direction not in (-1, 1):
         raise RangeError("direction must be +1 or -1")
     u2 = spectral_gap(grid).eigenfunction.values
-    lam_star = _threshold_scale(grid, p)
-    lam_cap = _LAM_CAP_FACTOR * lam_star
+    bif = _threshold_scale(grid, p)
+    lam_cap = _LAM_CAP_FACTOR * bif
 
     points: List[BranchPoint] = []
     trace = BranchTrace(points, None, stop="no_crossing")
     lam = float(lambda_start)
-    step = 0.02 * lam_star * direction
-    crossed = False
+    dlam = 0.02 * bif * direction
     for _ in range(25):
         if lam <= 0.0 or lam > lam_cap:
-            break
+            return trace
         points.append(constant_solution(grid, p, lam))
-        nxt = lam + step
-        if (lam - lam_star) * (nxt - lam_star) <= 0.0 and lam != lam_star:
-            crossed = True
+        nxt = lam + dlam
+        if (lam - bif) * (nxt - bif) <= 0.0 and lam != bif:
             break
         lam = nxt
-    if not crossed:
+    else:
         return trace
 
     # gap-mode eigenvalue of the constant-branch Jacobian vanishes here
-    bif = lam_star
     trace.bifurcation_lambda = bif
     points.append(constant_solution(grid, p, bif))
 
     c_star = bif ** (1.0 / (p - 1.0))
-    base_u = np.full(grid.shape, c_star)
-    tu = u2 / math.sqrt(grid.integrate(u2 * u2))
-    tl = 0.0
-    first = None
-    ds = 0.0
+    scale = max(c_star, 1e-6)
     jac = _Jacobian(grid, p, _subspace(grid, u2))
     trace.unknowns = jac.unknowns
-    for amp in (1e-3, 5e-3, 0.02, 0.05, 0.1, 0.2, 0.4):
-        ds = amp * max(c_star, 1e-6)
+
+    def step(u, ell, tu, tl, ds):
         try:
-            u, ell, res, _ = _arc_correct(
-                jac, base_u + ds * tu, 1.0, tu, tl, ds, bif, base_u, 1.0,
-                work=trace)
+            return _arc_correct(jac, u + ds * scale * tu, ell + ds * tl,
+                                tu / scale, tl, ds, bif, u, ell, work=trace)
         except (ConvergenceError, DampingError, SingularJacobianError):
             jac.lu = None
-            continue
-        if grid.deviation(u) > 0.3 * ds:
-            first = (u, ell, res)
+            return None
+
+    # the switch: the first step off the constant, along the gap mode
+    u = np.full(grid.shape, c_star)
+    tu = u2 / math.sqrt(grid.integrate(u2 * u2))
+    for ds in (1e-3, 5e-3, 0.02, 0.05, 0.1, 0.2, 0.4):
+        out = step(u, 1.0, tu, 0.0, ds)
+        if out is not None and grid.deviation(out[0]) > 0.3 * (ds * scale):
             break
-    if first is None:
+    else:
         trace.truncated, trace.stop = True, "no_first_point"
         return trace
 
-    u, ell, res = first
-    arclen = ds
+    prev_u, prev_ell = u, 1.0
+    u, ell, res, _ = out
+    arclen = ds * scale
     points.append(BranchPoint(bif * ell, Field(grid, u.copy()),
                               grid.deviation(u), res, arclen))
-    prev_u, prev_ell = base_u, 1.0
-    scale = max(c_star, 1e-6)
-    ds = amp
-    ds_max = 0.5
-    ds_min = 1e-8
     trace.stop = "n_max"
     while len(points) < n_max:
         lam = bif * ell
@@ -437,28 +434,23 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
         if nrm == 0.0:
             trace.truncated, trace.stop = True, "step_failures"
             break
-        tu, tl = dm / nrm, dl / nrm
-        try:
-            unew, ellnew, res, nit = _arc_correct(
-                jac, u + ds * scale * tu, ell + ds * tl, tu / scale, tl, ds,
-                bif, u, ell, work=trace)
-        except (ConvergenceError, DampingError, SingularJacobianError):
-            jac.lu = None
+        out = step(u, ell, dm / nrm, dl / nrm, ds)
+        if out is None:
             ds *= 0.5
             trace.rejected_steps += 1
-            if ds < ds_min or trace.rejected_steps > 40:
+            if ds < 1e-8 or trace.rejected_steps > 40:
                 trace.truncated, trace.stop = True, "step_failures"
                 break
             continue
         prev_u, prev_ell = u, ell
-        u, ell = unew, ellnew
+        u, ell, res, nit = out
         arclen += ds * scale
         points.append(BranchPoint(bif * ell, Field(grid, u.copy()),
                                   grid.deviation(u), res, arclen))
         if nit <= 4:
-            ds = min(2.0 * ds, ds_max)
+            ds = min(2.0 * ds, 0.5)
         elif nit <= 6:
-            ds = min(1.3 * ds, ds_max)
+            ds = min(1.3 * ds, 0.5)
     return trace
 
 
@@ -466,8 +458,7 @@ def estimate_mu1(branches: Union[BranchTrace, Sequence]) -> Optional[float]:
     """Smallest lam carrying a genuinely non-constant branch point.
 
     Points count as non-constant when their deviation exceeds 1e-4 times
-    the solution norm. Returns None when no trace
-    contains such a point.
+    the solution norm. Returns None when no trace contains such a point.
     """
     if isinstance(branches, BranchTrace):
         branches = [branches]

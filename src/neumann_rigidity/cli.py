@@ -7,9 +7,10 @@ produced it. All randomness flows from one 64-bit seed. Sweeps accept
 either a single value (``--lambda 3.5``) or a geometric range
 ``lo:hi:count`` (``--lambda 1:100:8``).
 
-``_DOMAINS`` maps each ``--domain`` kind to its constructor. ``_emit``
-writes every output, failure diagnostics included, as one finished
-string, and ``_sweep`` runs the ``quotient`` and ``klt`` sweeps.
+``_validate`` refuses every non-finite float option and a negative
+``lambda2``. ``_DOMAINS`` maps each ``--domain`` kind to its constructor.
+``_emit`` writes every output, failure diagnostics included, as one
+finished string, and ``_sweep`` runs the ``quotient`` and ``klt`` sweeps.
 """
 
 from __future__ import annotations
@@ -178,14 +179,11 @@ def write_json(cfg: RunConfig, payload: dict) -> None:
 # ----------------------------------------------------------------------
 # subcommands
 def cmd_bounds(cfg: RunConfig) -> None:
-    if cfg.lambda2 > 0.0:
-        lam2 = cfg.lambda2
-        d = cfg.d
-    else:
-        grid = make_grid(cfg)
-        lam2 = spectral_gap(grid).eigenvalue
-        d = grid.dim
-    rep = constants_mod.rigidity_bounds(cfg.p, d, lam2,
+    # with lambda2 = 0, _validate has synced d with the domain
+    lam2 = cfg.lambda2
+    if lam2 == 0.0:
+        lam2 = spectral_gap(make_grid(cfg)).eigenvalue
+    rep = constants_mod.rigidity_bounds(cfg.p, cfg.d, lam2,
                                         log_sobolev=cfg.log_sobolev)
     rows = [(name, "-" if val is None else val) for name, val in (
         ("lambda2", rep.lambda2),
@@ -197,7 +195,7 @@ def cmd_bounds(cfg: RunConfig) -> None:
         ("upper", rep.upper),
     )]
     write_csv(cfg, ("bound", "value"), rows,
-              note=f"p={cfg.p!r} d={d} scale=interpolation-constant")
+              note=f"p={cfg.p!r} d={cfg.d} scale=interpolation-constant")
 
 
 def cmd_eigen(cfg: RunConfig) -> None:
@@ -429,6 +427,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _validate(cfg: RunConfig) -> None:
+    for key, value in asdict(cfg).items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise RangeError(f"{key} must be finite, got {value!r}")
+    if cfg.lambda2 < 0.0:
+        raise RangeError("--lambda2 must be positive (0 computes it)")
     if cfg.p == 1.0 and not cfg.log_sobolev:
         raise RangeError("p = 1 requires --log-sobolev")
     if cfg.command == "bounds" and cfg.lambda2 == 0.0:

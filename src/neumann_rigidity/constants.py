@@ -66,6 +66,16 @@ def delta_exponent(p: float, beta: float) -> float:
     return (p + 1.0 + beta * (p - 3.0)) / (2.0 * beta * (p - 1.0))
 
 
+def _kappa(p: float, beta: float) -> float:
+    """The nonlinear-flow exponent kappa = beta(p-1)+1."""
+    return beta * (p - 1.0) + 1.0
+
+
+def _q_holder(p: float) -> float:
+    """The Holder exponent q = (p+1)/|p-1| of the duality (p != 1)."""
+    return (p + 1.0) / abs(p - 1.0)
+
+
 def _check_exponents(p: float, d: int, log_sobolev: bool) -> int:
     """Validate (p, d) and the log-Sobolev flag; return d as an int.
 
@@ -119,15 +129,12 @@ def make_exponents(p: float, d: int, beta: float = 0.0,
     """
     d = _check_exponents(p, d, log_sobolev)
     eps = None if log_sobolev else epsilon(p)
-    kappa = beta * (p - 1.0) + 1.0
-    delta = None
-    if beta > 1.0 and p != 1.0:
-        delta = delta_exponent(p, beta)
-    q = None if p == 1.0 else (p + 1.0) / abs(p - 1.0)
+    delta = delta_exponent(p, beta) if beta > 1.0 and p != 1.0 else None
+    q = None if p == 1.0 else _q_holder(p)
     return ExponentSet(
         p=float(p), d=d, epsilon=eps, two_star=critical_exponent(d),
         theta_star=theta_star(p, d), vartheta=vartheta(p, d),
-        p_sharp=p_sharp(d), beta=float(beta), kappa_flow=kappa,
+        p_sharp=p_sharp(d), beta=float(beta), kappa_flow=_kappa(p, beta),
         delta=delta, q_holder=q, log_sobolev=log_sobolev)
 
 
@@ -143,7 +150,7 @@ def r_coefficient(theta: float, beta: float, p: float, d: int) -> float:
         raise RangeError("theta must be positive (theta = 0 divides by zero)")
     if theta > 1.0:
         raise RangeError("theta must lie in (0, 1]")
-    kappa = beta * (p - 1.0) + 1.0
+    kappa = _kappa(p, beta)
     s = kappa + beta - 1.0      # equals beta*p
     ratio = (d - 1.0) / (d + 2.0)
     return (-(ratio**2) * s**2 / theta + kappa * (beta - 1.0)
@@ -238,8 +245,8 @@ def rigidity_bounds(p: float, d: int, lambda2: float,
                           log-Sobolev constant as input)
     upper                lambda2 always.
     """
-    if not lambda2 > 0.0:
-        raise RangeError("lambda2 must be positive")
+    if not 0.0 < lambda2 < math.inf:
+        raise RangeError("lambda2 must be positive and finite")
     d = _check_exponents(p, d, log_sobolev)
     lower_nonlinear = None
     if d >= 2:

@@ -52,8 +52,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .constants import (_check_exponents, delta_exponent, r_coefficient,
-                        theta_star)
+from .constants import (_check_exponents, _kappa, delta_exponent,
+                        r_coefficient, theta_star)
 from .errors import ConvergenceError, PositivityError, RangeError
 from .grid import Field, Grid
 from .spectral import spectral_gap
@@ -160,6 +160,18 @@ def _rkl2_step(rhs, y0: np.ndarray, dt: float, s: int) -> np.ndarray:
     return np.add(y0, d_prev, out=d_prev)
 
 
+def _flow_data(v0: Field, t_end: float, n_store: int) -> np.ndarray:
+    """v0's values as floats, after the checks that both flows make."""
+    if not t_end > 0.0:
+        raise RangeError("t_end must be positive")
+    if n_store < 1:
+        raise RangeError("n_store must be at least 1")
+    v = np.asarray(v0.values, dtype=float)
+    if v.min() <= 0.0:
+        raise PositivityError("initial data must be strictly positive")
+    return v
+
+
 def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
                   n_store: int = _STORE_TARGET) -> FlowTrace:
     """Solve the semi-discrete Neumann heat equation; record the u-quantities.
@@ -174,13 +186,7 @@ def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
     """
     if not 0.0 < p < 1.0:
         raise RangeError("the heat-flow estimate needs p in (0, 1)")
-    if not t_end > 0.0:
-        raise RangeError("t_end must be positive")
-    if n_store < 1:
-        raise RangeError("n_store must be at least 1")
-    v = np.asarray(v0.values, dtype=float)
-    if v.min() <= 0.0:
-        raise PositivityError("initial data must be strictly positive")
+    v = _flow_data(v0, t_end, n_store)
 
     lam2 = spectral_gap(grid).eigenvalue
     Lam = (1.0 - p) * lam2
@@ -233,15 +239,9 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
         raise RangeError("theta must lie in (theta_star, 1)")
     if abs(beta) < 1e-12:
         raise RangeError("beta must be nonzero")
-    if not t_end > 0.0:
-        raise RangeError("t_end must be positive")
-    if n_store < 1:
-        raise RangeError("n_store must be at least 1")
-    v0 = np.asarray(v0.values, dtype=float).copy()
-    if v0.min() <= 0.0:
-        raise PositivityError("initial data must be strictly positive")
+    v0 = _flow_data(v0, t_end, n_store)
 
-    kappa = beta * (p - 1.0) + 1.0
+    kappa = _kappa(p, beta)
     m_exp = beta * (p + 1.0)
     lam2 = spectral_gap(grid).eigenvalue
     Lam = (1.0 - theta) * lam2
@@ -408,9 +408,7 @@ def entropy_production_inequality_check(trace: FlowTrace, exponents,
     """
     if trace.times.size < 10:
         raise RangeError("trace too short (need at least 10 stored steps)")
-    p = exponents.p
-    beta = exponents.beta
-    d = exponents.d
+    p, beta, d = exponents.p, exponents.beta, exponents.d
     if beta in (0.0, 1.0) or p == 1.0:
         raise RangeError("the inequality needs beta not in {0,1} and p != 1")
     R = r_coefficient(theta, beta, p, d)

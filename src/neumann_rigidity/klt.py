@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _check_exponents, epsilon
+from .constants import _check_exponents, _q_holder, epsilon
 from .errors import PositivityError, RangeError
 from .grid import Field, Grid
 from .spectral import schrodinger_ground_state
@@ -41,7 +41,7 @@ class KltResult:
 
 def _holder_norm(grid: Grid, phi: np.ndarray, p: float):
     """q = (p+1)/|p-1| and ||phi^eps||_q, eps the sign of p - 1."""
-    q = (p + 1.0) / abs(p - 1.0)
+    q = _q_holder(p)
     return q, grid.lp_norm(phi if p > 1.0 else 1.0 / phi, q)
 
 

@@ -12,6 +12,7 @@ from neumann_rigidity import (Domain, Field, PositivityError, build_grid,
                               constant_solution, el_normalization,
                               estimate_mu1, lambda_of_mu, newton_solve,
                               smooth_random_field, spectral_gap, trace_branch)
+from neumann_rigidity.errors import DampingError
 from neumann_rigidity.rng import SplitMix64
 
 PI2 = math.pi**2
@@ -290,7 +291,7 @@ def test_reduced_trace_matches_full_trace(grid_name, collapsed, unknowns, p,
         u = pt.solution.values
         assert np.all(np.ptp(u, axis=collapsed) == 0.0)
         F = bmod._residual(g, p, pt.lam, u)
-        assert bmod._scaled_norm(g, p, pt.lam, u, F) <= 1e-9
+        assert bmod._scaled_norm(g, pt.lam, u, F) <= 1e-9
 
 
 def _counting_splu(monkeypatch):
@@ -459,6 +460,47 @@ def test_trace_branch_stop_reasons(interval128):
     assert tr.points[-1].lam > 10.0 * tr.bifurcation_lambda
     budget = trace_branch(g, 2.0, 0.8 * lam2, direction=1, n_max=30)
     assert (budget.stop, len(budget.points)) == ("n_max", 30)
+
+
+def test_trace_branch_steps_in_the_scaled_metric(monkeypatch):
+    # the switch and every continuation step hand the corrector a unit
+    # tangent of the scaled metric, (tu c*, tl), and a dimensionless length
+    g = build_grid(Domain.box(1.0), 64)
+    calls = []
+    correct = bmod._arc_correct
+
+    def recording(jac, u0, ell0, tu, tl, ds, *args, **kwargs):
+        calls.append((tu, tl, ds))
+        return correct(jac, u0, ell0, tu, tl, ds, *args, **kwargs)
+
+    monkeypatch.setattr(bmod, "_arc_correct", recording)
+    p = 0.5
+    lam2 = spectral_gap(g).eigenvalue
+    tr = trace_branch(g, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
+    c_star = tr.bifurcation_lambda ** (1.0 / (p - 1.0))
+    assert c_star == pytest.approx(2.6e-3, rel=0.02)
+    assert len(calls) > 10
+    for tu, tl, ds in calls:
+        scaled = tu * c_star
+        assert g.integrate(scaled * scaled) + tl * tl == pytest.approx(
+            1.0, abs=1e-12)
+        assert 0.0 < ds <= 0.5
+
+
+def test_trace_branch_no_first_point(interval128, monkeypatch):
+    def failing(*args, **kwargs):
+        raise DampingError("predictor left the positive cone")
+
+    monkeypatch.setattr(bmod, "_arc_correct", failing)
+    g = interval128
+    lam2 = spectral_gap(g).eigenvalue
+    tr = trace_branch(g, 2.0, 0.8 * lam2, direction=1)
+    assert (tr.stop, tr.truncated, tr.rejected_steps) == (
+        "no_first_point", True, 0)
+    assert tr.bifurcation_lambda == pytest.approx(lam2)
+    for pt in tr.points:
+        assert pt.deviation == 0.0
+        assert np.ptp(pt.solution.values) == 0.0
 
 
 def test_el_normalization_examples(interval256):

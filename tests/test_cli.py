@@ -292,6 +292,26 @@ def test_bad_domain_geometry_is_usage_error(capsys):
         assert out == ""
 
 
+def test_non_finite_float_option_is_usage_error(tmp_path, capsys):
+    # every float option must be finite, from a flag or a config file, and
+    # --lambda2 may not be negative (0 computes it from the domain)
+    bounds = ("bounds", "--domain", "rectangle", "--n", "16", "--p", "2")
+    common = ("--domain", "interval", "--n", "16")
+    heat = ("flow", "heat", *common, "--p", "0.5")
+    nonlinear = ("flow", "nonlinear", *common, "--p", "2", "--theta", "0.5")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("amp=nan\n")
+    bad = [(*bounds, "--lambda2", v) for v in ("-1", "nan", "inf")]
+    bad += [(*heat, "--t-end", "inf"), (*heat, "--amp", "nan"),
+            (*heat, "--amp", "inf"), (*heat, "--config", str(cfg)),
+            (*nonlinear, "--beta", "nan"), (*nonlinear, "--beta", "inf"),
+            ("mu2", *common, "--tol", "inf")]
+    for argv in bad:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("usage error:"), argv
+        assert out == "", argv
+
+
 def test_inadmissible_exponent_is_usage_error(capsys):
     code, out, err = run(capsys, "mu1", "--domain", "interval", "--n", "64",
                          "--p", "-1")

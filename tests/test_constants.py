@@ -229,8 +229,9 @@ def test_every_solver_applies_the_exponent_rule(ball3_32, entry, p):
 def test_rigidity_bounds_guards():
     with pytest.raises(RangeError):
         rigidity_bounds(1.0, 2, 1.0)
-    with pytest.raises(RangeError):
-        rigidity_bounds(2.0, 2, -1.0)
+    for lam2 in (-1.0, math.inf, math.nan):
+        with pytest.raises(RangeError):
+            rigidity_bounds(2.0, 2, lam2)
     with pytest.raises(RangeError):
         rigidity_bounds(5.0, 3, 1.0)
 
