@@ -41,33 +41,30 @@ The equation commutes with the grid's symmetries, so a branch that
 leaves the constant along the gap eigenfunction stays in the fixed-point
 subspace of that mode (Golubitsky, Stewart & Schaeffer, *Singularities
 and Groups in Bifurcation Theory II*, 1988): the fields that are constant
-along every axis on which the eigenfunction is exactly constant. The
-trace's corrector solves there. An index array ``orbits`` names the
-reduced unknown of each node; P x = x[orbits] extends a reduced vector
-to the grid and P^T v = bincount(orbits, v) sums over each orbit. On the
-square the axis branch cos(pi x) then has one unknown per x node, 64 and
-not 4,096 on square64; where no axis collapses (intervals, balls)
-``orbits`` is the identity and the path is the same. Only the Jacobian
-is reduced: residuals, inner products and the arclength metric stay on
-the full grid. A reduced trace says nothing about stability off the
-subspace, so a Morse index of its points has to be taken on the full
-grid. ``newton_solve`` solves on the full grid.
+along every axis on which the eigenfunction is exactly constant. They
+are the fields of a grid of the other axes (``_subspace``), and the
+whole trace runs on it: on the square the axis branch cos(pi x) has one
+unknown per x node, 64 and not 4,096 on square64. Only emitted points
+are extended to the caller's grid; where no axis collapses (intervals,
+balls) the subspace grid is that grid. A trace on the subspace says
+nothing about stability off it, so a Morse index of its points has to
+be taken on the full grid, where ``newton_solve`` solves.
 
 One ``_Jacobian`` per trace (or per ``newton_solve``) holds the factor,
 and its ``refresh`` drops the held one before it builds the next, so
-only one is alive at a time. Every Jacobian has the pattern of
-eps P^T K P + diag, whatever u and lam are, so the LU works under one
-symmetric fill-reducing ordering per grid and subspace: a minimum-degree
-ordering of P^T (K + M) P, computed once and kept in the grid's cache
-along with P^T K P in that order. Each Jacobian is assembled directly in
-permuted order and factored without reordering.
+only one is alive at a time. Every Jacobian of a grid has the pattern of
+eps K + diag, whatever u and lam are, so the LU works under one
+symmetric fill-reducing ordering per grid: a minimum-degree ordering of
+K + M, computed once and kept in the grid's cache along with K in that
+order. Each Jacobian is assembled directly in permuted order and
+factored without reordering.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -106,8 +103,8 @@ class BranchTrace:
     walk never crossed lambda2/|p-1|), ``"no_first_point"`` (no
     non-constant point found off the bifurcation), ``"lam_cap"``,
     ``"n_max"`` (the point budget) or ``"step_failures"``.
-    ``unknowns`` is the number of reduced unknowns the corrector solved
-    on (the size of the gap mode's fixed-point subspace), 0 when the
+    ``unknowns`` is the number of nodes of the subspace grid the trace
+    ran on (the size of the gap mode's fixed-point subspace), 0 when the
     walk never crossed.
     """
 
@@ -132,63 +129,65 @@ def _scaled_norm(grid: Grid, lam: float, u: np.ndarray,
     return math.sqrt(grid.integrate(F * F)) / scale
 
 
-def _subspace(grid: Grid, mode: np.ndarray) -> np.ndarray:
-    """``orbits`` of the fixed-point subspace of ``mode``: the reduced
-    unknown of each node, in C order.
+def _subspace(grid: Grid, mode: np.ndarray) -> Tuple[Grid, Tuple[int, ...]]:
+    """(sub, ext) of the fixed-point subspace of ``mode``.
 
-    Every axis along which ``mode`` is exactly constant collapses, so
-    x[orbits] is constant along it; no collapsed axis gives the identity.
+    The axes along which ``mode`` is exactly constant collapse: ``ext`` is
+    grid.shape with 1 on them, and the cached ``sub`` is the grid of the
+    other axes' pencils, the first scaled by the collapsed axes' weight.
+    A field u of ``sub`` then has the integral, energy, Laplacian and
+    deviation of u.reshape(ext) on ``grid``, to round-off. With no axis
+    collapsed ``sub`` is ``grid``.
     """
     mode = mode.reshape(grid.shape)
-    reduced = [1 if np.all(np.ptp(mode, axis=a) == 0.0) else n
-               for a, n in enumerate(grid.shape)]
-    ids = np.arange(math.prod(reduced)).reshape(reduced)
-    return np.broadcast_to(ids, grid.shape).ravel()
+    ext = tuple(1 if np.all(np.ptp(mode, axis=a) == 0.0) else n
+                for a, n in enumerate(grid.shape))
+    if ext == grid.shape:
+        return grid, ext
+    key = ("subspace", ext)
+    if key not in grid._cache:
+        keep = [a for a, n in enumerate(ext) if n > 1]
+        total = math.prod(float(np.sum(w)) for (_, w), n
+                          in zip(grid.pencils, ext) if n == 1)
+        pencils = [grid.pencils[a] for a in keep]
+        pencils[0] = tuple(total * t for t in pencils[0])
+        grid._cache[key] = Grid(grid.domain, [grid.axes[a] for a in keep],
+                                pencils, tuple(grid.spacing[a] for a in keep))
+    return grid._cache[key], ext
 
 
 class _Jacobian:
-    """A_r = P^T A P with A = M dF/du = eps K + diag(w (lam - p u^(p-1))),
-    symmetric, on the subspace of ``orbits`` (all nodes when None) and in
-    its ordering, and ``lu``, the factor of the last ``refresh`` or None.
+    """A = M dF/du = eps K + diag(w (lam - p u^(p-1))) of ``grid``,
+    symmetric and in the grid's cached ordering, and ``lu``, the factor of
+    the last ``refresh`` or None.
     """
 
-    def __init__(self, grid: Grid, p: float,
-                 orbits: Optional[np.ndarray] = None):
-        if orbits is None:
-            orbits = np.arange(grid.n_nodes)
-        self.grid, self.p, self.orbits, self.lu = grid, p, orbits, None
-        self.unknowns = n = int(orbits.max()) + 1
-        key = ("jacobian_ordering", orbits.tobytes())
-        if key not in grid._cache:
-            K = grid.sparse_stiffness().tocoo()
-            # P^T K P: coo to csc sums the entries each orbit pair collects
-            Kr = sparse.csc_matrix(
-                (K.data, (orbits[K.row], orbits[K.col])), shape=(n, n))
-            mass = np.bincount(orbits, grid.mass_vector(), n)
-            # the pattern of P^T (K + M) P is that of every Jacobian; the
-            # probe factor is dropped before any Jacobian is factored
-            probe = splu((Kr + sparse.diags(mass)).tocsc(),
+    def __init__(self, grid: Grid, p: float):
+        self.grid, self.p, self.lu = grid, p, None
+        if "jacobian_ordering" not in grid._cache:
+            K = grid.sparse_stiffness()
+            # the pattern of K + M is that of every Jacobian; the probe
+            # factor is dropped before any Jacobian is factored
+            probe = splu((K + sparse.diags(grid.mass_vector())).tocsc(),
                          permc_spec="MMD_AT_PLUS_A")
             perm = np.argsort(probe.perm_c)
             del probe
-            Kp = Kr[perm][:, perm].tocsc()
+            Kp = K[perm][:, perm].tocsc()
             # each Jacobian shares these index arrays, and splu sorts the
             # indices of its input in place unless they are sorted already
             Kp.sort_indices()
             # every node has a face, so K stores its whole diagonal
-            cols = np.repeat(np.arange(n), np.diff(Kp.indptr))
-            grid._cache[key] = (perm, Kp, np.flatnonzero(Kp.indices == cols))
-        self.perm, self.K, self.diag_pos = grid._cache[key]
+            cols = np.repeat(np.arange(grid.n_nodes), np.diff(Kp.indptr))
+            grid._cache["jacobian_ordering"] = (
+                perm, Kp, np.flatnonzero(Kp.indices == cols))
+        self.perm, self.K, self.diag_pos = grid._cache["jacobian_ordering"]
 
     def refresh(self, lam: float, u: np.ndarray) -> None:
-        """Factor A_r at (lam, u), dropping the held factor first. A failed
+        """Factor A at (lam, u), dropping the held factor first. A failed
         factorization raises SingularJacobianError."""
         self.lu = None
         p = self.p
-        diag = np.bincount(
-            self.orbits,
-            self.grid.mass_vector() * (lam - p * u.ravel() ** (p - 1.0)),
-            self.unknowns)
+        diag = self.grid.mass_vector() * (lam - p * u.ravel() ** (p - 1.0))
         data = epsilon(p) * self.K.data
         data[self.diag_pos] += diag[self.perm]
         A = sparse.csc_matrix((data, self.K.indices, self.K.indptr),
@@ -201,17 +200,14 @@ class _Jacobian:
             raise SingularJacobianError(str(exc)) from exc
 
     def solve(self, rhs_field: np.ndarray) -> np.ndarray:
-        """P x_r with A_r x_r = P^T M rhs, in node order and the grid's
-        shape: the x of A x = M rhs whenever that x lies in the subspace."""
-        rhs = np.bincount(self.orbits,
-                          self.grid.mass_vector() * rhs_field.ravel(),
-                          self.unknowns)
+        """x with A x = M rhs, in the grid's shape."""
+        rhs = self.grid.mass_vector() * rhs_field.ravel()
         out = np.empty_like(rhs)
         out[self.perm] = self.lu.solve(rhs[self.perm])
         if not np.all(np.isfinite(out)):
             raise SingularJacobianError(
                 "Jacobian solve produced non-finite step")
-        return out[self.orbits].reshape(self.grid.shape)
+        return out.reshape(self.grid.shape)
 
 
 def newton_solve(grid: Grid, p: float, lam: float,
@@ -360,12 +356,9 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
     ``_Jacobian`` is carried through the trace: the first corrector call
     starts without a factor, each accepted point hands its factor to the
     next call, and a failed call drops it, so no two factors are ever
-    alive together. It is built on the fixed-point subspace of the gap
-    eigenfunction (``_subspace``; see the module docstring), whose
-    ordering the grid caches apart from the full grid's, and the trace's
-    ``unknowns`` is that subspace's size. Every iterate then lies in the
-    subspace, while residuals and the step metric stay on the full grid.
-    Stability off the subspace is not tested.
+    alive together. Everything after the constant walk runs on the gap
+    mode's subspace grid (module docstring), of ``unknowns`` nodes;
+    stability off the subspace is not tested.
     """
     _check_exponents(p, grid.dim, False)
     if direction not in (-1, 1):
@@ -395,8 +388,15 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
 
     c_star = bif ** (1.0 / (p - 1.0))
     scale = max(c_star, 1e-6)
-    jac = _Jacobian(grid, p, _subspace(grid, u2))
-    trace.unknowns = jac.unknowns
+    sub, ext = _subspace(grid, u2)
+    jac = _Jacobian(sub, p)
+    trace.unknowns = sub.n_nodes
+    u2 = u2[tuple(slice(None) if n > 1 else 0 for n in ext)]
+
+    def point(ell, u, res, arclen):
+        full = np.broadcast_to(u.reshape(ext), grid.shape).copy()
+        return BranchPoint(bif * ell, Field(grid, full), sub.deviation(u),
+                           res, arclen)
 
     def step(u, ell, tu, tl, ds):
         try:
@@ -407,11 +407,11 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
             return None
 
     # the switch: the first step off the constant, along the gap mode
-    u = np.full(grid.shape, c_star)
-    tu = u2 / math.sqrt(grid.integrate(u2 * u2))
+    u = np.full(sub.shape, c_star)
+    tu = u2 / math.sqrt(sub.integrate(u2 * u2))
     for ds in (1e-3, 5e-3, 0.02, 0.05, 0.1, 0.2, 0.4):
         out = step(u, 1.0, tu, 0.0, ds)
-        if out is not None and grid.deviation(out[0]) > 0.3 * (ds * scale):
+        if out is not None and sub.deviation(out[0]) > 0.3 * (ds * scale):
             break
     else:
         trace.truncated, trace.stop = True, "no_first_point"
@@ -420,8 +420,7 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
     prev_u, prev_ell = u, 1.0
     u, ell, res, _ = out
     arclen = ds * scale
-    points.append(BranchPoint(bif * ell, Field(grid, u.copy()),
-                              grid.deviation(u), res, arclen))
+    points.append(point(ell, u, res, arclen))
     trace.stop = "n_max"
     while len(points) < n_max:
         lam = bif * ell
@@ -430,7 +429,7 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
             break
         dm = (u - prev_u) / scale
         dl = ell - prev_ell
-        nrm = math.sqrt(grid.integrate(dm * dm) + dl * dl)
+        nrm = math.sqrt(sub.integrate(dm * dm) + dl * dl)
         if nrm == 0.0:
             trace.truncated, trace.stop = True, "step_failures"
             break
@@ -445,8 +444,7 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
         prev_u, prev_ell = u, ell
         u, ell, res, nit = out
         arclen += ds * scale
-        points.append(BranchPoint(bif * ell, Field(grid, u.copy()),
-                                  grid.deviation(u), res, arclen))
+        points.append(point(ell, u, res, arclen))
         if nit <= 4:
             ds = min(2.0 * ds, 0.5)
         elif nit <= 6:

@@ -180,9 +180,10 @@ def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
     in time: the modal coefficients of v0 (``grid.to_modes``) are
     multiplied by exp(-dt Lambda), dt = t_end / n_store, once per stored
     sample and mapped back to node values. The heat flow preserves
-    positivity, so a sample that loses it means the spatial operator is
-    mis-assembled; the error carries the start and length of that sample
-    interval.
+    positivity, so a sample that loses it means the modal transform
+    C = W^-1/2 Q lost precision, as it does where a weight is tiny (9.4e-148
+    next to the 70-ball's origin at n = 64). The error names the smallest
+    weight and carries the start and length of that sample interval.
     """
     if not 0.0 < p < 1.0:
         raise RangeError("the heat-flow estimate needs p in (0, 1)")
@@ -209,7 +210,8 @@ def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
             t = (k - 1) * t_end / n_store
             raise PositivityError(
                 f"heat flow lost positivity at t={t:.6e} with dt={dt:.3e}: "
-                "the spatial operator is mis-assembled", t=t, dt=dt)
+                "the modal transform lost precision (smallest grid weight "
+                f"{grid.weights.min():.1e})", t=t, dt=dt)
         record(k * t_end / n_store, dt, v)
     series = (np.asarray(c, dtype=float) for c in zip(*rows))
     return FlowTrace(*series, p=p, beta=None, theta=None,

@@ -120,13 +120,13 @@ class Domain:
 class Grid:
     """Nodes, quadrature weights and difference operators on a Domain.
 
-    Construct through :func:`build_grid`. Grids are immutable from the
-    caller's perspective; all operators return new arrays unless given an
-    ``out`` buffer. ``_cache`` holds only memoized results, so clearing it
-    never loses grid data: the sparse stiffness ``K``, the axis modes and
+    Construct through :func:`build_grid`, or from some of a grid's pencils
+    as the branch trace's subspace grid (``branch._subspace``). Grids are
+    immutable to callers; operators return new arrays unless given an
+    ``out`` buffer. ``_cache`` holds only memoized results (clearing it
+    loses no grid data): the sparse stiffness ``K``, the axis modes and
     their eigenvalues, the spectral gap, the branch Jacobian's ordering,
-    and the per-axis flat face tables of the stiffness kernels
-    (``_flat_faces``). It holds no scratch buffers.
+    the subspace grids and the per-axis face tables (``_flat_faces``).
     """
 
     def __init__(self, domain: Domain, axes: List[np.ndarray],

@@ -169,6 +169,11 @@ def test_jacobian_factor_backward_error(grid_name, p, request):
     assert res <= 1e-12 * scale
 
 
+def _restrict(u, ext):
+    # the subspace grid's values of a field constant along collapsed axes
+    return u[tuple(slice(None) if n > 1 else 0 for n in ext)]
+
+
 def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
     g = build_grid(Domain.box(1.0, 1.0), 16)
     specs = []
@@ -187,14 +192,16 @@ def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
     assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL", "NATURAL"]
     assert all(perm is perms[0] for perm in perms)
     assert np.array_equal(np.sort(perms[0]), np.arange(g.n_nodes))
-    # the gap mode's subspace has an ordering of its own, probed once and
-    # reused across p and lam; the full grid's stays cached beside it
-    orbits = bmod._subspace(g, spectral_gap(g).eigenfunction.values)
+    # the gap mode's subspace grid has an ordering of its own, probed once
+    # and reused across p and lam; the full grid's stays cached beside it
+    mode = spectral_gap(g).eigenfunction.values
+    sub, ext = bmod._subspace(g, mode)
+    assert bmod._subspace(g, mode)[0] is sub
     reduced = []
     for p, lam_scale in ((2.0, 1.0), (0.5, 1.0), (2.0, 3.0)):
         lam, u = _nonconstant_state(g, p)
-        jac = bmod._Jacobian(g, p, orbits)
-        jac.refresh(lam_scale * lam, u)
+        jac = bmod._Jacobian(sub, p)
+        jac.refresh(lam_scale * lam, _restrict(u, ext))
         reduced.append(jac.perm)
     assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3 + [
         "MMD_AT_PLUS_A"] + ["NATURAL"] * 3
@@ -206,21 +213,60 @@ def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
 
 @pytest.mark.parametrize("p", [0.5, 2.0])
 def test_reduced_jacobian_solve_is_the_full_solve(square32, p):
-    # on the gap mode's subspace, P^T A P x_r = P^T M rhs gives the full
-    # solution whenever u and rhs lie in the subspace
+    # on the gap mode's subspace grid, A_sub x = M_sub rhs extends to the
+    # full solution whenever u and rhs lie in the subspace
     g = square32
     lam, u = _nonconstant_state(g, p)
-    orbits = bmod._subspace(g, spectral_gap(g).eigenfunction.values)
-    assert np.array_equal(orbits, np.repeat(np.arange(32), 32))
-    rhs = np.random.default_rng(3).standard_normal(32)[orbits].reshape(
-        g.shape)
-    full, red = bmod._Jacobian(g, p), bmod._Jacobian(g, p, orbits)
+    sub, ext = bmod._subspace(g, spectral_gap(g).eigenfunction.values)
+    assert (ext, sub.shape) == ((32, 1), (32,))
+    rhs = np.broadcast_to(
+        np.random.default_rng(3).standard_normal(32).reshape(ext), g.shape)
+    full, red = bmod._Jacobian(g, p), bmod._Jacobian(sub, p)
     full.refresh(lam, u)
-    red.refresh(lam, u)
-    assert (full.unknowns, red.unknowns) == (g.n_nodes, 32)
-    x_full, x_red = full.solve(rhs), red.solve(rhs)
-    assert np.all(np.ptp(x_red, axis=1) == 0.0)
-    assert np.abs(x_red - x_full).max() <= 1e-10 * np.abs(x_full).max()
+    red.refresh(lam, _restrict(u, ext))
+    assert (full.grid.n_nodes, red.grid.n_nodes) == (g.n_nodes, 32)
+    x_full, x_red = full.solve(rhs), red.solve(_restrict(rhs, ext))
+    assert x_red.shape == sub.shape
+    x_ext = np.broadcast_to(x_red.reshape(ext), g.shape)
+    assert np.abs(x_ext - x_full).max() <= 1e-10 * np.abs(x_full).max()
+
+
+# boxes built in the tests that use them: (extents, nodes per axis)
+_BOXES = {"rect16x40": ((0.5, 2.0), (16, 40)),
+          "box10x9x8": ((1.5, 1.0, 0.75), (10, 9, 8))}
+
+
+def _grid(name, request):
+    if name in _BOXES:
+        extents, n = _BOXES[name]
+        return build_grid(Domain.box(*extents), n)
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("grid_name, unknowns", [
+    ("square32", 32), ("rect16x40", 40), ("box10x9x8", 10)])
+def test_subspace_grid_is_its_extension(grid_name, unknowns, request):
+    # a field constant along the collapsed axes has the same integral,
+    # energy, deviation and Laplacian on the subspace grid as extended
+    g = _grid(grid_name, request)
+    sub, ext = bmod._subspace(g, spectral_gap(g).eigenfunction.values)
+    assert sub.n_nodes == unknowns
+    assert math.fsum(sub.weights.ravel()) == pytest.approx(1.0, rel=1e-13)
+    u = 2.0 + np.random.default_rng(5).standard_normal(sub.shape)
+    full = np.broadcast_to(u.reshape(ext), g.shape)
+    for name in ("integrate", "energy", "deviation"):
+        assert getattr(sub, name)(u) == pytest.approx(
+            getattr(g, name)(full), rel=1e-13), name
+    lap_full = g.laplacian(full)
+    lap_sub = np.broadcast_to(sub.laplacian(u).reshape(ext), g.shape)
+    assert np.abs(lap_sub - lap_full).max() <= 1e-13 * np.abs(lap_full).max()
+
+
+@pytest.mark.parametrize("grid_name", ["interval128", "ball256"])
+def test_subspace_of_a_one_axis_grid_is_the_grid(grid_name, request):
+    g = request.getfixturevalue(grid_name)
+    sub, ext = bmod._subspace(g, spectral_gap(g).eigenfunction.values)
+    assert sub is g and ext == g.shape
 
 
 # (points, first non-constant lam, last lam) of trace_branch on square32
@@ -240,7 +286,7 @@ _SQUARE32_REDUCED_TRACE = {0.5: (84, 19.72232663250131, 43.89143330327887),
 def _full_grid(monkeypatch):
     # trace_branch's corrector on every node: the identity subspace
     monkeypatch.setattr(bmod, "_subspace",
-                        lambda grid, mode: np.arange(grid.n_nodes))
+                        lambda grid, mode: (grid, grid.shape))
 
 
 def _check_square32_pins(g, p, pins):
@@ -266,13 +312,15 @@ def test_trace_branch_square32_reduced_pins(square32, p):
 
 @pytest.mark.parametrize("p", [0.5, 2.0])
 @pytest.mark.parametrize("grid_name, collapsed, unknowns", [
-    ("square32", 1, 32), ("square64", 1, 64), ("rect16x40", 0, 40)])
+    ("square32", (1,), 32), ("square64", (1,), 64), ("rect16x40", (0,), 40),
+    ("box10x9x8", (1, 2), 10)],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else None)
 def test_reduced_trace_matches_full_trace(grid_name, collapsed, unknowns, p,
                                           request, monkeypatch):
     # the rectangle's gap mode varies along its long axis 1, so axis 0
-    # collapses, on a non-square index layout
-    g = (build_grid(Domain.box(0.5, 2.0), (16, 40))
-         if grid_name == "rect16x40" else request.getfixturevalue(grid_name))
+    # collapses, on a non-square index layout; the box's varies along its
+    # long axis 0, so two axes collapse
+    g = _grid(grid_name, request)
     lam0 = 0.8 * spectral_gap(g).eigenvalue / abs(p - 1.0)
     red = trace_branch(g, p, lam0, direction=1)
     _full_grid(monkeypatch)

@@ -389,6 +389,17 @@ def test_heat_flow_failure_carries_time_and_step(square32, monkeypatch):
     assert info.value.dt == t_end / n
 
 
+def test_heat_flow_failure_names_the_modal_transform():
+    # the 70-ball's cells next to the origin weigh 9.4e-148 at n = 64, so
+    # C = W^-1/2 Q loses every digit and the first sample is not positive
+    g = build_grid(Domain.ball(70), 64)
+    assert g.weights.min() == pytest.approx(9.42e-148, rel=1e-3)
+    with pytest.raises(PositivityError, match=r"modal transform lost "
+                       r"precision \(smallest grid weight 9\.4e-148\)") as info:
+        heat_flow_run(g, 0.5, _perturbed(g, 0.1, squared=True), 0.05)
+    assert info.value.t == 0.0
+
+
 def test_flows_store_each_sample_time(square32):
     g = square32
     p, theta = 2.0, 0.9
