@@ -52,12 +52,8 @@ be taken on the full grid, where ``newton_solve`` solves.
 
 One ``_Jacobian`` per trace (or per ``newton_solve``) holds the factor,
 and its ``refresh`` drops the held one before it builds the next, so
-only one is alive at a time. Every Jacobian of a grid has the pattern of
-eps K + diag, whatever u and lam are, so the LU works under one
-symmetric fill-reducing ordering per grid: a minimum-degree ordering of
-K + M, computed once and kept in the grid's cache along with K in that
-order. Each Jacobian is assembled directly in permuted order and
-factored without reordering.
+only one is alive at a time. It factors the matrix that
+``Grid.shifted_stiffness`` assembles, in the grid's cached order.
 """
 
 from __future__ import annotations
@@ -67,7 +63,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .constants import _check_exponents, epsilon
@@ -158,40 +153,20 @@ def _subspace(grid: Grid, mode: np.ndarray) -> Tuple[Grid, Tuple[int, ...]]:
 
 class _Jacobian:
     """A = M dF/du = eps K + diag(w (lam - p u^(p-1))) of ``grid``,
-    symmetric and in the grid's cached ordering, and ``lu``, the factor of
-    the last ``refresh`` or None.
+    symmetric and in the grid's cached order ``perm``, and ``lu``, the
+    factor of the last ``refresh`` or None.
     """
 
     def __init__(self, grid: Grid, p: float):
-        self.grid, self.p, self.lu = grid, p, None
-        if "jacobian_ordering" not in grid._cache:
-            K = grid.sparse_stiffness()
-            # the pattern of K + M is that of every Jacobian; the probe
-            # factor is dropped before any Jacobian is factored
-            probe = splu((K + sparse.diags(grid.mass_vector())).tocsc(),
-                         permc_spec="MMD_AT_PLUS_A")
-            perm = np.argsort(probe.perm_c)
-            del probe
-            Kp = K[perm][:, perm].tocsc()
-            # each Jacobian shares these index arrays, and splu sorts the
-            # indices of its input in place unless they are sorted already
-            Kp.sort_indices()
-            # every node has a face, so K stores its whole diagonal
-            cols = np.repeat(np.arange(grid.n_nodes), np.diff(Kp.indptr))
-            grid._cache["jacobian_ordering"] = (
-                perm, Kp, np.flatnonzero(Kp.indices == cols))
-        self.perm, self.K, self.diag_pos = grid._cache["jacobian_ordering"]
+        self.grid, self.p, self.lu, self.perm = grid, p, None, None
 
     def refresh(self, lam: float, u: np.ndarray) -> None:
         """Factor A at (lam, u), dropping the held factor first. A failed
         factorization raises SingularJacobianError."""
         self.lu = None
         p = self.p
-        diag = self.grid.mass_vector() * (lam - p * u.ravel() ** (p - 1.0))
-        data = epsilon(p) * self.K.data
-        data[self.diag_pos] += diag[self.perm]
-        A = sparse.csc_matrix((data, self.K.indices, self.K.indptr),
-                              shape=self.K.shape)
+        A, self.perm = self.grid.shifted_stiffness(
+            epsilon(p), lam - p * u.ravel() ** (p - 1.0))
         try:
             # one-column panels factor these grid Jacobians about 30%
             # faster than SuperLU's default panels, with the same fill

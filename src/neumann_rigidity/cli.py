@@ -8,7 +8,8 @@ either a single value (``--lambda 3.5``) or a geometric range
 ``lo:hi:count`` (``--lambda 1:100:8``).
 
 ``_validate`` refuses every non-finite float option and a negative
-``lambda2``. ``_DOMAINS`` maps each ``--domain`` kind to its constructor.
+``lambda2``, and sets the dimension ``d`` of ``bounds``. ``_DOMAINS``
+maps each ``--domain`` kind to its constructor.
 ``_emit`` writes every output, failure diagnostics included, as one
 finished string, and ``_sweep`` runs the ``quotient`` and ``klt`` sweeps.
 """
@@ -69,13 +70,9 @@ class RunConfig:
     def canonical_text(self) -> str:
         # the output path never affects computed values, so it stays out
         # of the identity that gets stamped into result files
-        items = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            if f.name == "out":
-                continue
-            v = getattr(self, f.name)
-            items.append(f"{f.name}={v!r}")
-        return "\n".join(items) + "\n"
+        return "".join(f"{f.name}={getattr(self, f.name)!r}\n"
+                       for f in sorted(fields(self), key=lambda f: f.name)
+                       if f.name != "out")
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
@@ -100,8 +97,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _coerce(cfg: RunConfig, key: str, raw: str) -> None:
-    ftypes = {f.name: f.type for f in fields(cfg)}
-    if key not in ftypes:
+    if key not in {f.name for f in fields(cfg)}:
         raise RangeError(f"unknown config key {key!r}")
     current = getattr(cfg, key)
     if isinstance(current, bool):
@@ -179,21 +175,16 @@ def write_json(cfg: RunConfig, payload: dict) -> None:
 # ----------------------------------------------------------------------
 # subcommands
 def cmd_bounds(cfg: RunConfig) -> None:
-    # with lambda2 = 0, _validate has synced d with the domain
+    # _validate has set d from the domain (see its rule there)
     lam2 = cfg.lambda2
     if lam2 == 0.0:
         lam2 = spectral_gap(make_grid(cfg)).eigenvalue
     rep = constants_mod.rigidity_bounds(cfg.p, cfg.d, lam2,
                                         log_sobolev=cfg.log_sobolev)
     rows = [(name, "-" if val is None else val) for name, val in (
-        ("lambda2", rep.lambda2),
-        ("lower_nonlinear", rep.lower_nonlinear),
-        ("lower_heat", rep.lower_heat),
-        ("lower_heat_traceless", rep.lower_heat_traceless),
-        ("lower_beckner", rep.lower_beckner),
-        ("best_lower", rep.best_lower),
-        ("upper", rep.upper),
-    )]
+        (name, getattr(rep, name)) for name in (
+            "lambda2", "lower_nonlinear", "lower_heat",
+            "lower_heat_traceless", "lower_beckner", "best_lower", "upper"))]
     write_csv(cfg, ("bound", "value"), rows,
               note=f"p={cfg.p!r} d={cfg.d} scale=interpolation-constant")
 
@@ -259,14 +250,10 @@ def cmd_mu1(cfg: RunConfig) -> None:
                          "bifurcation_lambda": trace.bifurcation_lambda,
                          "truncated": trace.truncated,
                          "n_points": len(trace.points),
-                         "solver": {
-                             "factorizations": trace.factorizations,
-                             "refactorizations": trace.refactorizations,
-                             "corrector_iterations":
-                                 trace.corrector_iterations,
-                             "rejected_steps": trace.rejected_steps,
-                             "stop": trace.stop,
-                             "unknowns": trace.unknowns}})
+                         "solver": {k: getattr(trace, k) for k in (
+                             "factorizations", "refactorizations",
+                             "corrector_iterations", "rejected_steps",
+                             "stop", "unknowns")}})
 
 
 def cmd_flow(cfg: RunConfig) -> None:
@@ -362,6 +349,11 @@ _COMMANDS = {
 }
 
 
+# the help texts of the flags built from RunConfig's fields
+_HELP = {"lam": "value or LO:HI:COUNT", "mu": "value or LO:HI:COUNT",
+         "out": "output path (default: stdout)"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="neumann-rigidity",
@@ -371,24 +363,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--config", default="", help="key=value config file")
-        sp.add_argument("--domain", choices=tuple(_DOMAINS))
-        sp.add_argument("--d", type=int, dest="d")
-        sp.add_argument("--aspect", type=float)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--beta", type=float)
-        sp.add_argument("--theta", type=float)
-        sp.add_argument("--lambda", dest="lam", help="value or LO:HI:COUNT")
-        sp.add_argument("--mu", help="value or LO:HI:COUNT")
-        sp.add_argument("--lambda2", type=float)
-        sp.add_argument("--t-end", type=float, dest="t_end")
-        sp.add_argument("--amp", type=float)
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--jobs", type=int)
-        sp.add_argument("--log-sobolev", action="store_true",
-                        default=None, dest="log_sobolev")
-        sp.add_argument("--out", help="output path (default: stdout)")
+        # one flag per RunConfig field; the subcommand sets the other two
+        for f in fields(RunConfig):
+            if f.name in ("command", "kind"):
+                continue
+            flag = ("--lambda" if f.name == "lam"
+                    else "--" + f.name.replace("_", "-"))
+            kw = {"dest": f.name, "help": _HELP.get(f.name)}
+            if isinstance(f.default, bool):
+                kw.update(action="store_true", default=None)
+            elif not isinstance(f.default, str):
+                kw["type"] = type(f.default)
+            if f.name == "domain":
+                kw["choices"] = tuple(_DOMAINS)
+            sp.add_argument(flag, **kw)
 
     for name in _COMMANDS:
         sp = sub.add_parser(name)
@@ -434,9 +422,11 @@ def _validate(cfg: RunConfig) -> None:
         raise RangeError("--lambda2 must be positive (0 computes it)")
     if cfg.p == 1.0 and not cfg.log_sobolev:
         raise RangeError("p = 1 requires --log-sobolev")
-    if cfg.command == "bounds" and cfg.lambda2 == 0.0:
-        # lambda2 will be computed from the domain; sync d with it
-        cfg.d = make_domain(cfg).dimension
+    if cfg.command == "bounds":
+        # a computed lambda2 is the domain's, so d is its dimension; a
+        # given one may belong to a domain of the larger dimension --d
+        dim = make_domain(cfg).dimension
+        cfg.d = dim if cfg.lambda2 == 0.0 else max(cfg.d, dim)
     if not cfg.n >= 8:
         raise RangeError("--n must be at least 8")
 

@@ -41,6 +41,7 @@ from typing import IO, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import splu
 
 from .errors import PositivityError, RangeError
 
@@ -124,9 +125,10 @@ class Grid:
     as the branch trace's subspace grid (``branch._subspace``). Grids are
     immutable to callers; operators return new arrays unless given an
     ``out`` buffer. ``_cache`` holds only memoized results (clearing it
-    loses no grid data): the sparse stiffness ``K``, the axis modes and
-    their eigenvalues, the spectral gap, the branch Jacobian's ordering,
-    the subspace grids and the per-axis face tables (``_flat_faces``).
+    loses no grid data), keyed by their maker: ``"K"``, ``"ordering"``
+    (``shifted_stiffness``), ``"heat_modes"``, ``"mode_eigenvalues"``,
+    ``"gap"`` (``spectral_gap``), ``("subspace", ext)``
+    (``branch._subspace``) and ``"flat_faces"`` (``_flat_faces``).
     """
 
     def __init__(self, domain: Domain, axes: List[np.ndarray],
@@ -337,9 +339,47 @@ class Grid:
     # ------------------------------------------------------------------
     # sparse operators for eigen/Newton solves
     def sparse_stiffness(self) -> sparse.csr_matrix:
+        """K, the Kronecker sum of the axis stiffnesses: axis a's tridiagonal
+        matrix, Kronecker-multiplied by the weight diagonals of the others."""
         if "K" not in self._cache:
-            self._cache["K"] = self._assemble_stiffness()
+            terms = [functools.reduce(sparse.kron, [
+                self._axis_tridiag(f, w.size) if b == a else sparse.diags(w)
+                for b, (f, w) in enumerate(self.pencils)])
+                for a in range(len(self.pencils))]
+            self._cache["K"] = functools.reduce(operator.add, terms).tocsr()
         return self._cache["K"]
+
+    def shifted_stiffness(self, sign: float, c: np.ndarray
+                          ) -> Tuple[sparse.csc_matrix, np.ndarray]:
+        """(A, perm): A = sign K + diag(w c) for a flat c, its rows and
+        columns in the order perm, so x[perm] = lu.solve(b[perm]) solves
+        A x = b with lu = splu(A, permc_spec="NATURAL").
+
+        Every such matrix of a grid, the branch Jacobian and the shifted
+        Schrodinger operator alike, has the pattern of K + M, so one
+        symmetric fill-reducing ordering serves them all: a minimum-degree
+        ordering of K + M, computed once and cached with K in that order
+        and the positions of its diagonal. Each A is assembled directly
+        in permuted order and shares K's index arrays.
+        """
+        if "ordering" not in self._cache:
+            K = self.sparse_stiffness()
+            KM = (K + sparse.diags(self.mass_vector())).tocsc()
+            # the probe factor is a temporary, gone before any A is factored
+            perm = np.argsort(splu(KM, permc_spec="MMD_AT_PLUS_A").perm_c)
+            Kp = K[perm][:, perm].tocsc()
+            # splu sorts the indices of its input in place unless they
+            # are sorted already, and every A shares them
+            Kp.sort_indices()
+            # every node has a face, so K stores its whole diagonal
+            cols = np.repeat(np.arange(self.n_nodes), np.diff(Kp.indptr))
+            self._cache["ordering"] = (
+                perm, Kp, np.flatnonzero(Kp.indices == cols))
+        perm, K, diag_pos = self._cache["ordering"]
+        data = sign * K.data
+        data[diag_pos] += (self.mass_vector() * c)[perm]
+        return sparse.csc_matrix((data, K.indices, K.indptr),
+                                 shape=K.shape), perm
 
     def mass_vector(self) -> np.ndarray:
         return self.weights.ravel()
@@ -383,18 +423,8 @@ class Grid:
         return _axis_products([c for _, c in self.heat_modes()], coeffs)
 
     def _axis_tridiag(self, fc: np.ndarray, n: int) -> sparse.csr_matrix:
-        main = _tridiag_main(fc, n)
-        return sparse.diags([-fc, main, -fc], offsets=(-1, 0, 1),
-                            format="csr")
-
-    def _assemble_stiffness(self) -> sparse.csr_matrix:
-        """The Kronecker sum of the axis stiffnesses: axis a's tridiagonal
-        matrix, Kronecker-multiplied by the weight diagonals of the others."""
-        terms = [functools.reduce(sparse.kron, [
-            self._axis_tridiag(f, w.size) if b == a else sparse.diags(w)
-            for b, (f, w) in enumerate(self.pencils)])
-            for a in range(len(self.pencils))]
-        return functools.reduce(operator.add, terms).tocsr()
+        return sparse.diags([-fc, _tridiag_main(fc, n), -fc],
+                            offsets=(-1, 0, 1), format="csr")
 
 
 _PICKS = {

@@ -6,7 +6,9 @@ mass) and (K + s*M_phi) u = lambda M u. The first is a Kronecker sum of
 second mode of one axis times constants on the others; no sparse solve
 is needed. The Schrodinger pencil does not separate and is solved by
 shifted inverse iteration on one sparse factorization of the shifted
-matrix.
+matrix, assembled by ``Grid.shifted_stiffness`` in the order the branch
+Jacobian is factored in; its Rayleigh quotient and residual take K u
+from the face kernels (``Grid.stiffness_apply``).
 
 The rules built on the gap live here too: the threshold scale
 lambda2/|p-1| (``_threshold_scale``) and the positive gap-mode datum
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, RangeError
@@ -109,21 +110,22 @@ def schrodinger_ground_state(grid: Grid, potential, sign: int) -> EigenPair:
 
     w = grid.mass_vector()
     v = sign * phi.ravel()
-    A = grid.sparse_stiffness() + sparse.diags(w * v)
     # -lap >= 0, so the spectrum is bounded below by min(sign*phi)
     sigma = float(v.min()) - 1.0
-    lu = splu((A - sigma * sparse.diags(w)).tocsc())
+    A, perm = grid.shifted_stiffness(1.0, v - sigma)
+    lu = splu(A, permc_spec="NATURAL", panel_size=1)
+    inv = np.argsort(perm)
     # shifted inverse iteration, started from the constant
     u = np.full(w.size, 1.0)
     u /= _m_norm(w, u)
     res, iters = math.inf, 0
     for iters in range(1, 501):
-        u = lu.solve(w * u)
+        u = lu.solve((w * u)[perm])[inv]
         nrm = _m_norm(w, u)
         if nrm == 0.0:
             raise ConvergenceError("inverse iteration collapsed", res, iters)
         u /= nrm
-        Au = A @ u
+        Au = grid.stiffness_apply(u) + w * v * u
         lam = float(np.dot(u, Au))
         res = _m_norm(w, Au / w - lam * u)
         if res <= 1e-10 * max(abs(lam), 1.0):

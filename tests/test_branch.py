@@ -7,11 +7,14 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from neumann_rigidity import branch as bmod
+from neumann_rigidity import grid as gmod
+from neumann_rigidity import spectral as smod
 from neumann_rigidity import (Domain, Field, PositivityError, build_grid,
                               constant_field,
                               constant_solution, el_normalization,
                               estimate_mu1, lambda_of_mu, newton_solve,
-                              smooth_random_field, spectral_gap, trace_branch)
+                              schrodinger_ground_state, smooth_random_field,
+                              spectral_gap, trace_branch)
 from neumann_rigidity.errors import DampingError
 from neumann_rigidity.rng import SplitMix64
 
@@ -169,6 +172,45 @@ def test_jacobian_factor_backward_error(grid_name, p, request):
     assert res <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("domain, n", [(Domain.box(1.0, 1.0), 32),
+                                       (Domain.ball(2, 1.0), 256)],
+                         ids=["square32", "ball256"])
+def test_ground_state_factors_in_the_jacobian_layout(domain, n, monkeypatch):
+    # the Schrodinger ground state factors K + diag(w (v - sigma)) in the
+    # order of the branch Jacobian, and the grid probes that order once;
+    # the grid is fresh, so no order is cached yet
+    g = build_grid(domain, n)
+    specs, factors = [], []
+
+    def counting_splu(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    def keeping_splu(A, **kwargs):
+        factors.append(counting_splu(A, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(gmod, "splu", counting_splu)
+    monkeypatch.setattr(bmod, "splu", counting_splu)
+    monkeypatch.setattr(smod, "splu", keeping_splu)
+    lam, u = _nonconstant_state(g, 2.0)
+    jac = bmod._Jacobian(g, 2.0)
+    jac.refresh(lam, u)
+    phi = 20.0 * smooth_random_field(g, SplitMix64(5))
+    pair = schrodinger_ground_state(g, phi, sign=-1)
+    assert pair.eigenfunction.min() > 0.0
+    assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+    w = g.mass_vector()
+    v = -phi.ravel()
+    A = g.sparse_stiffness() + sparse.diags(w * (v - (v.min() - 1.0)))
+    rhs = np.random.default_rng(7).standard_normal(g.n_nodes)
+    x = np.empty_like(rhs)
+    x[jac.perm] = factors[0].solve(rhs[jac.perm])
+    res = np.abs(A @ x - rhs).max()
+    scale = abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
+    assert res <= 1e-12 * scale
+
+
 def _restrict(u, ext):
     # the subspace grid's values of a field constant along collapsed axes
     return u[tuple(slice(None) if n > 1 else 0 for n in ext)]
@@ -182,6 +224,8 @@ def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
         specs.append(permc_spec)
         return splu(A, permc_spec=permc_spec, **kwargs)
 
+    # the grid probes its ordering, the Jacobian factors
+    monkeypatch.setattr(gmod, "splu", counting_splu)
     monkeypatch.setattr(bmod, "splu", counting_splu)
     perms = []
     for p, lam_scale in ((2.0, 1.0), (0.5, 1.0), (2.0, 3.0)):
@@ -207,8 +251,12 @@ def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
         "MMD_AT_PLUS_A"] + ["NATURAL"] * 3
     assert all(perm is reduced[0] for perm in reduced)
     assert np.array_equal(np.sort(reduced[0]), np.arange(16))
-    assert bmod._Jacobian(g, 2.0).perm is perms[0]
     assert len(specs) == 8
+    # a Jacobian reads its order when it is refreshed
+    jac = bmod._Jacobian(g, 2.0)
+    jac.refresh(lam, u)
+    assert jac.perm is perms[0]
+    assert specs[8:] == ["NATURAL"]
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0])

@@ -47,6 +47,22 @@ def test_bounds_formula_value(capsys):
     assert float(table["lower_nonlinear"]) == pytest.approx(9.0 / 17.0)
 
 
+def test_bounds_dimension_is_the_domains(capsys):
+    # an explicit --lambda2 keeps the rectangle's d = 2, so every bound
+    # is the one of the computed lambda2, rescaled
+    tables = []
+    for extra in ((), ("--lambda2", "19.7")):
+        code, out, _ = run(capsys, "bounds", "--domain", "rectangle",
+                           "--n", "16", "--p", "2", *extra)
+        assert code == 0
+        assert "# p=2.0 d=2 " in out
+        tables.append(dict(line.split(",") for line in out.splitlines()
+                           if line and not line.startswith("#")))
+    for name in ("lower_nonlinear", "lower_heat_traceless"):
+        ratios = [float(t[name]) / float(t["lambda2"]) for t in tables]
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
+
+
 def test_bounds_p1_without_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "bounds", "--p", "1", "--d", "2",
                        "--lambda2", "1")
