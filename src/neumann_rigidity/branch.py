@@ -42,7 +42,7 @@ leaves the constant along the gap eigenfunction stays in the fixed-point
 subspace of that mode (Golubitsky, Stewart & Schaeffer, *Singularities
 and Groups in Bifurcation Theory II*, 1988): the fields that are constant
 along every axis on which the eigenfunction is exactly constant. They
-are the fields of a grid of the other axes (``_subspace``), and the
+are the fields of a grid of the other axes (``Grid.subspace``), and the
 whole trace runs on it: on the square the axis branch cos(pi x) has one
 unknown per x node, 64 and not 4,096 on square64. Only emitted points
 are extended to the caller's grid; where no axis collapses (intervals,
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -122,33 +122,6 @@ def _scaled_norm(grid: Grid, lam: float, u: np.ndarray,
                  F: np.ndarray) -> float:
     scale = max(1.0, abs(lam) * math.sqrt(grid.integrate(u * u)))
     return math.sqrt(grid.integrate(F * F)) / scale
-
-
-def _subspace(grid: Grid, mode: np.ndarray) -> Tuple[Grid, Tuple[int, ...]]:
-    """(sub, ext) of the fixed-point subspace of ``mode``.
-
-    The axes along which ``mode`` is exactly constant collapse: ``ext`` is
-    grid.shape with 1 on them, and the cached ``sub`` is the grid of the
-    other axes' pencils, the first scaled by the collapsed axes' weight.
-    A field u of ``sub`` then has the integral, energy, Laplacian and
-    deviation of u.reshape(ext) on ``grid``, to round-off. With no axis
-    collapsed ``sub`` is ``grid``.
-    """
-    mode = mode.reshape(grid.shape)
-    ext = tuple(1 if np.all(np.ptp(mode, axis=a) == 0.0) else n
-                for a, n in enumerate(grid.shape))
-    if ext == grid.shape:
-        return grid, ext
-    key = ("subspace", ext)
-    if key not in grid._cache:
-        keep = [a for a, n in enumerate(ext) if n > 1]
-        total = math.prod(float(np.sum(w)) for (_, w), n
-                          in zip(grid.pencils, ext) if n == 1)
-        pencils = [grid.pencils[a] for a in keep]
-        pencils[0] = tuple(total * t for t in pencils[0])
-        grid._cache[key] = Grid(grid.domain, [grid.axes[a] for a in keep],
-                                pencils, tuple(grid.spacing[a] for a in keep))
-    return grid._cache[key], ext
 
 
 class _Jacobian:
@@ -363,10 +336,9 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
 
     c_star = bif ** (1.0 / (p - 1.0))
     scale = max(c_star, 1e-6)
-    sub, ext = _subspace(grid, u2)
+    sub, ext, u2 = grid.subspace(u2)
     jac = _Jacobian(sub, p)
     trace.unknowns = sub.n_nodes
-    u2 = u2[tuple(slice(None) if n > 1 else 0 for n in ext)]
 
     def point(ell, u, res, arclen):
         full = np.broadcast_to(u.reshape(ext), grid.shape).copy()

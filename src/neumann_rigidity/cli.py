@@ -270,7 +270,8 @@ def cmd_flow(cfg: RunConfig) -> None:
     rows = list(zip(trace.times, trace.entropy_e, trace.production_i,
                     trace.j_lambda, trace.mass, trace.min_v, trace.dt_used))
     write_csv(cfg, ("t", "e", "i", "j_lambda", "mass", "min_v", "dt"), rows,
-              note=f"lambda2={trace.lambda2!r} Lambda={trace.Lambda!r}")
+              note=f"lambda2={trace.lambda2!r} Lambda={trace.Lambda!r} "
+                   f"unknowns={trace.unknowns}")
 
 
 def _klt_task(args):

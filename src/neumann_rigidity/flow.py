@@ -42,6 +42,21 @@ combination of earlier stages, so mass stays exact to round-off. There is
 no generic integrator: ``nonlinear_flow_run`` owns its step loop, and the
 v = m^(1/(beta(p+1))) it computes for each trial state, when it checks
 the trial, serves that state's record, stage bound and first stage.
+
+Both semi-discrete flows keep a field that is exactly constant along a
+grid axis constant along that axis: no flux crosses that axis's faces,
+and every face weight is a product of per-axis factors, so each slice
+along the axis moves alike. Each flow therefore runs
+wholly on the subspace grid of its initial datum (``Grid.subspace``), the
+grid of the axes along which the datum varies: the modal propagator, the
+RKL2 stages, the positivity checks and the samples. On the square the
+gap-mode datum max(1 + a cos(pi x), 1e-3) has 64 unknowns on square64,
+not 4,096. Every parameter still comes from the caller's grid: lambda2,
+the stage bound, d, theta_star and the positivity floor, so stage counts
+and sample times are those of the full grid and the series agree with
+it to round-off. ``FlowTrace.unknowns`` records the subspace grid's node
+count; a datum that varies along every axis (intervals, balls) runs on
+the grid itself.
 """
 
 from __future__ import annotations
@@ -90,6 +105,8 @@ class FlowTrace:
     steps: int = 0
     rhs_evals: int = 0
     halvings: int = 0
+    # nodes of the grid the flow ran on: the initial datum's subspace grid
+    unknowns: int = 0
 
 
 def _entropy_pair(grid: Grid, u: np.ndarray, p: float, mass: float):
@@ -160,8 +177,9 @@ def _rkl2_step(rhs, y0: np.ndarray, dt: float, s: int) -> np.ndarray:
     return np.add(y0, d_prev, out=d_prev)
 
 
-def _flow_data(v0: Field, t_end: float, n_store: int) -> np.ndarray:
-    """v0's values as floats, after the checks that both flows make."""
+def _flow_data(grid: Grid, v0: Field, t_end: float, n_store: int):
+    """(sub, v): the subspace grid of v0 on ``grid`` and v0's values on it
+    as floats, after the checks that both flows make."""
     if not t_end > 0.0:
         raise RangeError("t_end must be positive")
     if n_store < 1:
@@ -169,7 +187,8 @@ def _flow_data(v0: Field, t_end: float, n_store: int) -> np.ndarray:
     v = np.asarray(v0.values, dtype=float)
     if v.min() <= 0.0:
         raise PositivityError("initial data must be strictly positive")
-    return v
+    sub, _, v = grid.subspace(v)
+    return sub, v
 
 
 def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
@@ -177,17 +196,18 @@ def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
     """Solve the semi-discrete Neumann heat equation; record the u-quantities.
 
     Requires p in (0, 1) and strictly positive data. The solution is exact
-    in time: the modal coefficients of v0 (``grid.to_modes``) are
-    multiplied by exp(-dt Lambda), dt = t_end / n_store, once per stored
-    sample and mapped back to node values. The heat flow preserves
-    positivity, so a sample that loses it means the modal transform
-    C = W^-1/2 Q lost precision, as it does where a weight is tiny (9.4e-148
-    next to the 70-ball's origin at n = 64). The error names the smallest
-    weight and carries the start and length of that sample interval.
+    in time: the modal coefficients of v0 on its subspace grid sub
+    (``sub.to_modes``, module docstring) are multiplied by
+    exp(-dt Lambda), dt = t_end / n_store, once per stored sample and
+    mapped back to node values. The heat flow preserves positivity, so a
+    sample that loses it means the modal transform C = W^-1/2 Q lost
+    precision, as it does where a weight is tiny (9.4e-148 next to the
+    70-ball's origin at n = 64). The error names the smallest weight of
+    sub and carries the start and length of that sample interval.
     """
     if not 0.0 < p < 1.0:
         raise RangeError("the heat-flow estimate needs p in (0, 1)")
-    v = _flow_data(v0, t_end, n_store)
+    sub, v = _flow_data(grid, v0, t_end, n_store)
 
     lam2 = spectral_gap(grid).eigenvalue
     Lam = (1.0 - p) * lam2
@@ -195,28 +215,29 @@ def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
     rows = []
 
     def record(t, dt, v):
-        mass = grid.integrate(v)
-        e, i = _entropy_pair(grid, v ** (1.0 / (p + 1.0)), p, mass)
+        mass = sub.integrate(v)
+        e, i = _entropy_pair(sub, v ** (1.0 / (p + 1.0)), p, mass)
         rows.append((t, e, i, i - Lam * e, mass, float(v.min()), dt))
 
     dt = t_end / n_store
-    decay = np.exp(-dt * grid.mode_eigenvalues())
-    coeffs = grid.to_modes(v)
+    decay = np.exp(-dt * sub.mode_eigenvalues())
+    coeffs = sub.to_modes(v)
     record(0.0, 0.0, v)
     for k in range(1, n_store + 1):
         coeffs *= decay
-        v = grid.from_modes(coeffs)
+        v = sub.from_modes(coeffs)
         if not v.min() > 0.0:
             t = (k - 1) * t_end / n_store
             raise PositivityError(
                 f"heat flow lost positivity at t={t:.6e} with dt={dt:.3e}: "
                 "the modal transform lost precision (smallest grid weight "
-                f"{grid.weights.min():.1e})", t=t, dt=dt)
+                f"{sub.weights.min():.1e})", t=t, dt=dt)
         record(k * t_end / n_store, dt, v)
     series = (np.asarray(c, dtype=float) for c in zip(*rows))
     return FlowTrace(*series, p=p, beta=None, theta=None,
                      lambda2=lam2, Lambda=Lam, dim=grid.dim,
-                     steps=n_store, rhs_evals=0, halvings=0)
+                     steps=n_store, rhs_evals=0, halvings=0,
+                     unknowns=sub.n_nodes)
 
 
 def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
@@ -228,9 +249,11 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
     coefficients v^kappa, conserving the quadrature mass of m to round-off.
     Each sample interval t_end / n_store is one RKL2 step, each of its
     stages bounded by 0.5 * h^2 * min(v^(2 beta - 2)) / (2 d), taken at
-    the start of the step. A trial that leaves m non-positive or v below
-    1e-10 of the initial maximum is halved and sub-stepped to the same
-    sample time; forty halvings in a row abort with the time and step.
+    the start of the step, with h the least spacing of ``grid``, not of
+    the subspace grid the step runs on (module docstring). A trial that
+    leaves m non-positive or v below 1e-10 of the initial maximum is
+    halved and sub-stepped to the same sample time; forty halvings in a
+    row abort with the time and step.
     The step loop is written out here and keeps the accepted m and its
     v = m^(1/beta(p+1)) as locals. v is computed once per state, when its
     trial is checked, and an accepted v serves its record, the stage bound
@@ -241,7 +264,7 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
         raise RangeError("theta must lie in (theta_star, 1)")
     if abs(beta) < 1e-12:
         raise RangeError("beta must be nonzero")
-    v0 = _flow_data(v0, t_end, n_store)
+    sub, v0 = _flow_data(grid, v0, t_end, n_store)
 
     kappa = _kappa(p, beta)
     m_exp = beta * (p + 1.0)
@@ -255,14 +278,14 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
     # log_m), so a v that rhs computes afresh equals the accepted state's
     # v to the bit
     log_m, c_buf, v_buf, rhs_buf = (np.empty_like(v0) for _ in range(4))
-    rhs_scale = -m_exp / grid.weights
+    rhs_scale = -m_exp / sub.weights
 
     def rhs(y):
         np.log(y, out=log_m)
         c = _exp_power(log_m, kappa / m_exp, c_buf)
         # the first stage of a step starts from the accepted state m
         w = v if y is m else _exp_power(log_m, 1.0 / m_exp, v_buf)
-        out = grid.weighted_stiffness_apply(c, w, out=rhs_buf)
+        out = sub.weighted_stiffness_apply(c, w, out=rhs_buf)
         out *= rhs_scale
         return out
 
@@ -310,16 +333,17 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
             t = t_k if dt == left else t + dt
             steps += 1
         # int u^(p+1) = int m, the conserved mass
-        mass = grid.integrate(m)
-        e, i = _entropy_pair(grid, v**beta, p, mass)
+        mass = sub.integrate(m)
+        e, i = _entropy_pair(sub, v**beta, p, mass)
         rows.append((t_k, e, i, i - Lam * e, mass, float(v.min()), dt))
-        g = grid.nodal_grad_sq(v)
-        quartic.append(grid.integrate(g * g / (v * v)))
+        g = sub.nodal_grad_sq(v)
+        quartic.append(sub.integrate(g * g / (v * v)))
     series = (np.asarray(c, dtype=float) for c in zip(*rows))
     return FlowTrace(*series, p=p, beta=beta, theta=theta,
                      lambda2=lam2, Lambda=Lam, dim=grid.dim,
                      quartic=np.asarray(quartic), steps=steps,
-                     rhs_evals=rhs_evals, halvings=halvings)
+                     rhs_evals=rhs_evals, halvings=halvings,
+                     unknowns=sub.n_nodes)
 
 
 def accumulated_dissipation_bound(trace: FlowTrace):

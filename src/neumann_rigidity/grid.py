@@ -122,13 +122,15 @@ class Grid:
     """Nodes, quadrature weights and difference operators on a Domain.
 
     Construct through :func:`build_grid`, or from some of a grid's pencils
-    as the branch trace's subspace grid (``branch._subspace``). Grids are
-    immutable to callers; operators return new arrays unless given an
-    ``out`` buffer. ``_cache`` holds only memoized results (clearing it
-    loses no grid data), keyed by their maker: ``"K"``, ``"ordering"``
-    (``shifted_stiffness``), ``"heat_modes"``, ``"mode_eigenvalues"``,
-    ``"gap"`` (``spectral_gap``), ``("subspace", ext)``
-    (``branch._subspace``) and ``"flat_faces"`` (``_flat_faces``).
+    as the subspace grid of a field (``subspace``), on which the branch
+    trace and both flows run. Grids are immutable to callers; operators
+    return new arrays unless given an ``out`` buffer. ``_cache`` holds
+    only memoized results (clearing it loses no grid data), keyed by
+    their maker: ``"K"``, ``"ordering"`` (``shifted_stiffness``),
+    ``"heat_modes"``, ``"mode_eigenvalues"``, ``"gap"``
+    (``spectral_gap``), ``("subspace", ext)`` (``subspace``, ext the
+    shape with 1 on each collapsed axis) and ``"flat_faces"``
+    (``_flat_faces``).
     """
 
     def __init__(self, domain: Domain, axes: List[np.ndarray],
@@ -380,6 +382,40 @@ class Grid:
         data[diag_pos] += (self.mass_vector() * c)[perm]
         return sparse.csc_matrix((data, K.indices, K.indptr),
                                  shape=K.shape), perm
+
+    def subspace(self, u: np.ndarray
+                 ) -> Tuple["Grid", Tuple[int, ...], np.ndarray]:
+        """(sub, ext, u on sub) for the fixed-point subspace of a field u.
+
+        The axes along which u is exactly constant collapse: ``ext`` is
+        the grid's shape with 1 on them, and the cached ``sub`` is the
+        grid of the other axes' pencils, the first scaled by the collapsed
+        axes' weight; ``u on sub`` is u at the first node of each
+        collapsed axis. A field f of ``sub`` then has the integral,
+        energy, Laplacian and deviation of f.reshape(ext) on this grid,
+        to round-off, and its Neumann modes are the grid's modes
+        that are constant along the collapsed axes, with their eigenvalues.
+        Where no axis or every axis collapses (a field that varies along
+        every axis, or a constant) ``sub`` is the grid itself and ``ext``
+        its shape.
+        """
+        u = u.reshape(self.shape)
+        ext = tuple(1 if np.all(np.ptp(u, axis=a) == 0.0) else n
+                    for a, n in enumerate(self.shape))
+        keep = [a for a, n in enumerate(ext) if n > 1]
+        if len(keep) in (0, len(ext)):
+            return self, self.shape, u
+        key = ("subspace", ext)
+        if key not in self._cache:
+            total = math.prod(float(np.sum(w)) for (_, w), n
+                              in zip(self.pencils, ext) if n == 1)
+            pencils = [self.pencils[a] for a in keep]
+            pencils[0] = tuple(total * t for t in pencils[0])
+            self._cache[key] = Grid(
+                self.domain, [self.axes[a] for a in keep], pencils,
+                tuple(self.spacing[a] for a in keep))
+        return self._cache[key], ext, np.ascontiguousarray(
+            u[tuple(slice(None) if n > 1 else 0 for n in ext)])
 
     def mass_vector(self) -> np.ndarray:
         return self.weights.ravel()

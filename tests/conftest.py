@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from neumann_rigidity import Domain, build_grid
+from neumann_rigidity.grid import Grid
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +52,12 @@ def _weighted_stiffness_reference(grid, coeff, u, out=None):
 @pytest.fixture(scope="session")
 def weighted_stiffness_reference():
     return _weighted_stiffness_reference
+
+
+@pytest.fixture
+def full_grid_subspace(monkeypatch):
+    # calling it patches Grid.subspace to collapse no axis for the rest of
+    # the test, so the branch trace and both flows run on every node
+    return lambda: monkeypatch.setattr(
+        Grid, "subspace", lambda grid, u: (grid, grid.shape,
+                                           u.reshape(grid.shape)))

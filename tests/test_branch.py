@@ -239,8 +239,8 @@ def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
     # the gap mode's subspace grid has an ordering of its own, probed once
     # and reused across p and lam; the full grid's stays cached beside it
     mode = spectral_gap(g).eigenfunction.values
-    sub, ext = bmod._subspace(g, mode)
-    assert bmod._subspace(g, mode)[0] is sub
+    sub, ext, _ = g.subspace(mode)
+    assert g.subspace(mode)[0] is sub
     reduced = []
     for p, lam_scale in ((2.0, 1.0), (0.5, 1.0), (2.0, 3.0)):
         lam, u = _nonconstant_state(g, p)
@@ -265,7 +265,7 @@ def test_reduced_jacobian_solve_is_the_full_solve(square32, p):
     # full solution whenever u and rhs lie in the subspace
     g = square32
     lam, u = _nonconstant_state(g, p)
-    sub, ext = bmod._subspace(g, spectral_gap(g).eigenfunction.values)
+    sub, ext, _ = g.subspace(spectral_gap(g).eigenfunction.values)
     assert (ext, sub.shape) == ((32, 1), (32,))
     rhs = np.broadcast_to(
         np.random.default_rng(3).standard_normal(32).reshape(ext), g.shape)
@@ -297,7 +297,7 @@ def test_subspace_grid_is_its_extension(grid_name, unknowns, request):
     # a field constant along the collapsed axes has the same integral,
     # energy, deviation and Laplacian on the subspace grid as extended
     g = _grid(grid_name, request)
-    sub, ext = bmod._subspace(g, spectral_gap(g).eigenfunction.values)
+    sub, ext, _ = g.subspace(spectral_gap(g).eigenfunction.values)
     assert sub.n_nodes == unknowns
     assert math.fsum(sub.weights.ravel()) == pytest.approx(1.0, rel=1e-13)
     u = 2.0 + np.random.default_rng(5).standard_normal(sub.shape)
@@ -313,7 +313,7 @@ def test_subspace_grid_is_its_extension(grid_name, unknowns, request):
 @pytest.mark.parametrize("grid_name", ["interval128", "ball256"])
 def test_subspace_of_a_one_axis_grid_is_the_grid(grid_name, request):
     g = request.getfixturevalue(grid_name)
-    sub, ext = bmod._subspace(g, spectral_gap(g).eigenfunction.values)
+    sub, ext, _ = g.subspace(spectral_gap(g).eigenfunction.values)
     assert sub is g and ext == g.shape
 
 
@@ -331,12 +331,6 @@ _SQUARE32_REDUCED_TRACE = {0.5: (84, 19.72232663250131, 43.89143330327887),
                            2.0: (49, 9.861176864763076, 102.42052485719286)}
 
 
-def _full_grid(monkeypatch):
-    # trace_branch's corrector on every node: the identity subspace
-    monkeypatch.setattr(bmod, "_subspace",
-                        lambda grid, mode: (grid, grid.shape))
-
-
 def _check_square32_pins(g, p, pins):
     lam2 = spectral_gap(g).eigenvalue
     tr = trace_branch(g, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
@@ -348,8 +342,8 @@ def _check_square32_pins(g, p, pins):
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0])
-def test_trace_branch_square32_pins(square32, monkeypatch, p):
-    _full_grid(monkeypatch)
+def test_trace_branch_square32_pins(square32, p, full_grid_subspace):
+    full_grid_subspace()
     _check_square32_pins(square32, p, _SQUARE32_TRACE)
 
 
@@ -364,14 +358,14 @@ def test_trace_branch_square32_reduced_pins(square32, p):
     ("box10x9x8", (1, 2), 10)],
     ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else None)
 def test_reduced_trace_matches_full_trace(grid_name, collapsed, unknowns, p,
-                                          request, monkeypatch):
+                                          request, full_grid_subspace):
     # the rectangle's gap mode varies along its long axis 1, so axis 0
     # collapses, on a non-square index layout; the box's varies along its
     # long axis 0, so two axes collapse
     g = _grid(grid_name, request)
     lam0 = 0.8 * spectral_gap(g).eigenvalue / abs(p - 1.0)
     red = trace_branch(g, p, lam0, direction=1)
-    _full_grid(monkeypatch)
+    full_grid_subspace()
     full = trace_branch(g, p, lam0, direction=1)
     assert (red.unknowns, full.unknowns) == (unknowns, g.n_nodes)
     assert estimate_mu1(red) == pytest.approx(estimate_mu1(full), rel=1e-12)

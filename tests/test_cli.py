@@ -147,6 +147,24 @@ def test_flow_csv(tmp_path, capsys):
     assert all(b <= a + 1e-10 * abs(a) + 1e-12 for a, b in zip(j, j[1:]))
 
 
+@pytest.mark.parametrize("domain, unknowns", [
+    (("rectangle", "--aspect", "0.5"), 16), (("interval",), 16),
+    (("radial_ball", "--d", "3"), 16)], ids=["rect0.5x1", "interval", "ball3"])
+def test_flow_note_records_unknowns(tmp_path, capsys, domain, unknowns):
+    # the note line names the node count of the grid the flow ran on: the
+    # gap datum's subspace grid, one axis of the rectangle's 16 x 16 nodes
+    for kind, extra in (("heat", ("--p", "0.5")),
+                        ("nonlinear", ("--p", "2", "--theta", "0.9",
+                                       "--beta", "-0.6923"))):
+        out = tmp_path / f"{kind}.csv"
+        code, _, _ = run(capsys, "flow", kind, "--domain", *domain,
+                         "--n", "16", *extra, "--t-end", "0.01",
+                         "--out", str(out))
+        assert code == 0
+        note = out.read_text().splitlines()[1].split()
+        assert note[-1] == f"unknowns={unknowns}", kind
+
+
 def test_klt_csv(tmp_path, capsys):
     out = tmp_path / "k.csv"
     code, _, _ = run(capsys, "klt", "--domain", "interval", "--n", "64",

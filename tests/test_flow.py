@@ -502,15 +502,17 @@ def test_nonlinear_flow_same_with_per_axis_stiffness_loop(
 
 @pytest.mark.parametrize("kind", ["nonlinear_square32", "heat_ball3"])
 def test_samples_take_the_conserved_mass(kind, square32, monkeypatch):
-    # each stored mass is the quadrature mass of the advanced density, and
-    # each e, taken from it, matches e with ||u||_{p+1} from lp_norm
+    # each stored mass is the quadrature mass of the advanced density on
+    # the grid the flow ran on (the datum's subspace grid), and each e,
+    # taken from it, matches e with ||u||_{p+1} from lp_norm
     states = []
     if kind == "nonlinear_square32":
         g, p, beta = square32, 2.0, -0.6923
         v0 = _perturbed(g)
+        run, _, v_run = g.subspace(v0.values)
         # the initial density, then each accepted RKL2 step's state: with
         # no rejected trial and one step per sample, these are the samples
-        states.append(v0.values ** (beta * (p + 1.0)))
+        states.append(v_run ** (beta * (p + 1.0)))
         step = flow._rkl2_step
 
         def logged_step(rhs, y, dt, s):
@@ -526,7 +528,8 @@ def test_samples_take_the_conserved_mass(kind, square32, monkeypatch):
     else:
         g, p = build_grid(Domain.ball(3, 1.0), 64), 0.5
         v0 = _perturbed(g, squared=True)
-        states.append(v0.values)
+        run, _, v_run = g.subspace(v0.values)
+        states.append(v_run)
         from_modes = g.from_modes
 
         def logged_from_modes(coeffs):
@@ -539,10 +542,11 @@ def test_samples_take_the_conserved_mass(kind, square32, monkeypatch):
         def u_of(v):
             return v ** (1.0 / (p + 1.0))
     assert len(states) == tr.times.size
+    assert run.n_nodes == tr.unknowns == (32 if g is square32 else 64)
     for k, y in enumerate(states):
-        assert tr.mass[k] == g.integrate(y)
+        assert tr.mass[k] == run.integrate(y)
         u = u_of(y)
-        e = (g.lp_norm(u, p + 1.0) ** 2 - g.integrate(u * u)) / (p - 1.0)
+        e = (run.lp_norm(u, p + 1.0) ** 2 - run.integrate(u * u)) / (p - 1.0)
         assert tr.entropy_e[k] == pytest.approx(e, rel=1e-10, abs=0.0)
 
 
@@ -617,3 +621,53 @@ def test_flow_recovers_after_a_rejected_trial(square32, monkeypatch):
         assert a[:4].tobytes() == b[:4].tobytes(), f
     assert tr.dt_used[4] == pytest.approx(0.5 * t_end / n, rel=1e-12)
     assert np.abs(tr.mass - tr.mass[0]).max() / tr.mass[0] <= 1e-14
+
+
+# (domain, nodes per axis, nodes of the gap-mode datum's subspace grid): the
+# square's datum is constant along axis 1, the 0.5 x 1 rectangle's along
+# its short axis 0; the interval's and the ball's vary along their one axis
+_FLOW_GRIDS = {"square32": (Domain.box(1.0, 1.0), 32, 32),
+               "rect0.5x1": (Domain.box(0.5, 1.0), 40, 40),
+               "interval128": (Domain.box(1.0), 128, 128),
+               "ball3": (Domain.ball(3), 64, 64)}
+
+
+def _benchmark_flow(kind, g):
+    # the flow-square64 benchmark ops
+    if kind == "heat":
+        return heat_flow_run(g, 0.5, _perturbed(g, 0.1, squared=True), 0.35)
+    return nonlinear_flow_run(g, 2.0, -0.6923, 0.9, _perturbed(g, 0.1), 0.25)
+
+
+@pytest.mark.parametrize("kind", ["heat", "nonlinear"])
+@pytest.mark.parametrize("grid_name", list(_FLOW_GRIDS))
+def test_reduced_flow_matches_full_grid_flow(grid_name, kind,
+                                             full_grid_subspace):
+    # the flow on the datum's subspace grid takes the steps of the flow on
+    # every node and records its series to round-off
+    dom, n, unknowns = _FLOW_GRIDS[grid_name]
+    g = build_grid(dom, n)
+    red = _benchmark_flow(kind, g)
+    full_grid_subspace()
+    full = _benchmark_flow(kind, g)
+    assert (red.unknowns, full.unknowns) == (unknowns, g.n_nodes)
+    assert ((red.steps, red.rhs_evals, red.halvings)
+            == (full.steps, full.rhs_evals, full.halvings))
+    assert red.steps == 400 and red.halvings == 0
+    assert (red.lambda2, red.Lambda, red.dim) == (full.lambda2, full.Lambda,
+                                                  full.dim)
+    if unknowns == g.n_nodes:
+        for f in dataclasses.fields(flow.FlowTrace):
+            a, b = getattr(red, f.name), getattr(full, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes(), f.name
+        return
+    for name in ("times", "dt_used"):
+        assert np.array_equal(getattr(red, name), getattr(full, name)), name
+    for name in ("entropy_e", "production_i", "j_lambda", "mass", "min_v",
+                 "quartic"):
+        a, b = getattr(red, name), getattr(full, name)
+        if b is None:
+            assert a is None
+            continue
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name

@@ -410,3 +410,19 @@ def test_ball_pencil_equals_the_explicit_formulas_bit_for_bit():
     assert np.array_equal(g.pencils[0][1], weights)
     K = _tridiag(fc, r.size)
     assert np.array_equal(g.sparse_stiffness().toarray(), K.toarray())
+
+
+@pytest.mark.parametrize("dom,n", [
+    (Domain.box(1.0), 32),
+    (Domain.box(1.0, 1.0), 16),
+    (Domain.box(1.5, 1.0, 0.75), (10, 9, 8)),
+    (Domain.ball(3), 32),
+], ids=["interval32", "square16", "box10x9x8", "ball3_32"])
+def test_subspace_of_a_constant_is_the_grid(dom, n):
+    # every axis collapses, and a grid of no axes has no pencil to scale:
+    # the subspace of a constant is the grid itself
+    g = build_grid(dom, n)
+    u = np.full(g.shape, 2.0)
+    sub, ext, u_sub = g.subspace(u.ravel())
+    assert sub is g and ext == g.shape
+    assert np.array_equal(u_sub, u)
