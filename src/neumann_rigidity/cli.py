@@ -362,28 +362,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "flows and Schrodinger duality on convex Neumann domains.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--config", default="", help="key=value config file")
-        # one flag per RunConfig field; the subcommand sets the other two
-        for f in fields(RunConfig):
-            if f.name in ("command", "kind"):
-                continue
-            flag = ("--lambda" if f.name == "lam"
-                    else "--" + f.name.replace("_", "-"))
-            kw = {"dest": f.name, "help": _HELP.get(f.name)}
-            if isinstance(f.default, bool):
-                kw.update(action="store_true", default=None)
-            elif not isinstance(f.default, str):
-                kw["type"] = type(f.default)
-            if f.name == "domain":
-                kw["choices"] = tuple(_DOMAINS)
-            sp.add_argument(flag, **kw)
+    # the flags of every subcommand, built once and shared as a parent:
+    # one per RunConfig field; the subcommand sets the other two
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default="", help="key=value config file")
+    for f in fields(RunConfig):
+        if f.name in ("command", "kind"):
+            continue
+        flag = ("--lambda" if f.name == "lam"
+                else "--" + f.name.replace("_", "-"))
+        kw = {"dest": f.name, "help": _HELP.get(f.name)}
+        if isinstance(f.default, bool):
+            kw.update(action="store_true", default=None)
+        elif not isinstance(f.default, str):
+            kw["type"] = type(f.default)
+        if f.name == "domain":
+            kw["choices"] = tuple(_DOMAINS)
+        common.add_argument(flag, **kw)
 
     for name in _COMMANDS:
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, parents=[common])
         if name == "flow":
             sp.add_argument("kind", choices=("heat", "nonlinear"))
-        add_common(sp)
     return top
 
 

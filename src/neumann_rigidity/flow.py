@@ -22,7 +22,18 @@ the discrete spectral gap is nonincreasing along the flow.
 Along both flows ||u||_{p+1}^{p+1} is the conserved mass, int v for the
 heat flow and int m for the nonlinear flow, so each sample takes it from
 that mass and computes no power of u for it. The nonlinear flow takes one
-log m per state and forms each power of m as the exp of a multiple of it.
+log m per state and forms both powers of m it needs, the face coefficient
+c = v^kappa and v itself, from one multiply of log m by the two exponents
+and one exp.
+
+Both flows record their samples a block at a time: the stored states of
+up to 64 samples (fewer where 64 states would exceed 2^18 node values)
+are stacked, and mass, e, i, J, min v and the quartic are computed once
+per block by the grid kernels, which take a leading sample axis and give
+each field the bits of its own call. Scalar powers of a sample, such as
+mass^(2/(p+1)), stay Python-float powers: numpy's array power differs
+from libm's pow in the last bit for some inputs, so an array power would
+move the series.
 
 The heat flow is exact in time. Its semi-discrete system v' = -M^-1 K v
 is linear with constant coefficients, and the (K, M) pencil of every grid
@@ -38,7 +49,11 @@ super-time-step (RKL2; Meyer, Balsara & Aslam, J. Comput. Phys. 257
 stable up to (s^2+s-2)/4 forward-Euler steps; s is the least stage count
 that keeps every stage within cfl times the forward-Euler bound. Every
 stage adds multiples of the divergence-form right-hand side to an affine
-combination of earlier stages, so mass stays exact to round-off. There is
+combination of earlier stages, so mass stays exact to round-off. The
+step carries its two latest increments, the stage right-hand side and
+the first stage's as the rows of one stack, so a stage is one broadcast
+multiply by a row of coefficients cached per stage count and one sum
+over the rows, in the order of the plain recursion. There is
 no generic integrator: ``nonlinear_flow_run`` owns its step loop, and the
 v = m^(1/(beta(p+1))) it computes for each trial state, when it checks
 the trial, serves that state's record, stage bound and first stage.
@@ -61,6 +76,7 @@ the grid itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -76,6 +92,8 @@ from .spectral import spectral_gap
 _STORE_TARGET = 400
 _CFL = 0.5           # each stage's share of the forward-Euler step bound
 _MAX_HALVINGS = 40   # consecutive rejected trials before a step gives up
+_BLOCK = 64          # samples recorded together, at most
+_BLOCK_VALUES = 1 << 18  # node values in a block of states, at most
 
 
 @dataclass
@@ -109,24 +127,35 @@ class FlowTrace:
     unknowns: int = 0
 
 
-def _entropy_pair(grid: Grid, u: np.ndarray, p: float, mass: float):
-    """(e, i) of u, where ``mass`` is int u^(p+1).
+def _entropy_pair(grid: Grid, u: np.ndarray, p: float, mass):
+    """(e, i) of u, where ``mass`` is int u^(p+1); for a stack u of fields
+    (leading sample axis) and the array of their masses, arrays (e, i).
 
     Along both flows int u^(p+1) is the conserved mass of the advanced
     density (v in the heat flow, m in the nonlinear flow), so the caller
     already holds it and ||u||_{p+1}^2 = mass^(2/(p+1)) costs no power of
-    u.
+    u. That power is a Python-float power for each mass: numpy's array
+    power rounds differently from libm's ``pow`` in the last bit for some
+    inputs.
     """
-    np1 = mass ** (2.0 / (p + 1.0))
+    ex = 2.0 / (p + 1.0)
+    if np.ndim(mass):
+        np1 = np.array([x ** ex for x in mass.tolist()])
+    else:
+        np1 = mass ** ex
     n2 = grid.integrate(u * u)
     e = (np1 - n2) / (p - 1.0)
     i = grid.energy(u)
     return e, i
 
 
-def _exp_power(log_m: np.ndarray, a: float,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
+def _exp_power(log_m: np.ndarray, a, out: Optional[np.ndarray] = None
+               ) -> np.ndarray:
     """m^a as exp(a log m) from log m, into ``out`` when given.
+
+    An array ``a`` of exponents, shaped to broadcast against log m, gives
+    the power for each exponent in one multiply and one exp; each is the
+    same to the bit as its own call.
 
     Rounding log m and the product a log m moves the result by about
     |a log m| ulp, so it lies within (|a log m| + 2) 2^-52 relative of
@@ -134,7 +163,8 @@ def _exp_power(log_m: np.ndarray, a: float,
     a log m is log v or kappa log v; above its positivity floor
     v >= 1e-10 max v, with max v near 1, |log v| is at most about 23.
     """
-    return np.exp(np.multiply(log_m, a, out=out), out=out)
+    prod = np.multiply(log_m, a, out=out)
+    return np.exp(prod, out=prod)
 
 
 def _rkl2_stages(dt: float, dt_stage: float) -> int:
@@ -145,36 +175,62 @@ def _rkl2_stages(dt: float, dt_stage: float) -> int:
     return s
 
 
+@functools.lru_cache(maxsize=None)
+def _rkl2_table(s: int):
+    """(b_1 w_1, table) of the s-stage RKL2 step, cached per s.
+
+    Row j - 2 of the read-only (s - 1, 4) table holds the weights of the
+    stack rows (two increments, stage rhs, f0) in stage j: mu~_j and
+    gamma~_j in columns 2 and 3, and mu_j and nu_j in columns 0 and 1 on
+    even j, 1 and 0 on odd j, where the increments have swapped rows.
+    """
+    w1 = 4.0 / (s * s + s - 2.0)
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2.0) / (2.0 * j * (j + 1.0))
+                           for j in range(3, s + 1)]
+    rows = []
+    for j in range(2, s + 1):
+        mu = (2.0 * j - 1.0) / j * b[j] / b[j - 1]
+        nu = -(j - 1.0) / j * b[j] / b[j - 2]
+        mu_t = mu * w1
+        gamma_t = -(1.0 - b[j - 1]) * mu_t
+        rows.append((mu, nu, mu_t, gamma_t) if j % 2 == 0
+                    else (nu, mu, mu_t, gamma_t))
+    table = np.array(rows)
+    table.flags.writeable = False
+    return b[1] * w1, table
+
+
 def _rkl2_step(rhs, y0: np.ndarray, dt: float, s: int) -> np.ndarray:
     """One s-stage RKL2 step of y' = rhs(y); s evaluations of rhs.
 
     Stage j is Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + (1-mu_j-nu_j) Y_0
     + mu~_j dt rhs(Y_{j-1}) + gamma~_j dt rhs(Y_0). It is carried as the
     increment D_j = Y_j - Y_0, which keeps a constant state exactly fixed.
-    The stages are combined in buffers allocated once per step, so ``rhs``
-    may return the same buffer at every call.
+    D_{j-1}, D_{j-2}, the stage rhs and f0 = dt rhs(Y_0) are the rows of
+    one stack, so a stage is one broadcast multiply by its row of
+    ``_rkl2_table`` (times dt in the rhs column) and one sum over the
+    rows, taken in order: D_j = mu D_{j-1} + nu D_{j-2} + mu~ dt rhs
+    + gamma~ f0 left to right, the first two terms swapped on odd j
+    (exact, as a + b == b + a). D_j overwrites D_{j-2}, so the two
+    increment rows take turns. ``rhs`` may return the same buffer at
+    every call; its result is copied into the stack.
     """
-    w1 = 4.0 / (s * s + s - 2.0)
-    b = [1.0 / 3.0] * 3 + [(j * j + j - 2.0) / (2.0 * j * (j + 1.0))
-                           for j in range(3, s + 1)]
-    f0 = dt * rhs(y0)
-    d_prev2 = np.zeros_like(y0)
-    d_prev = (b[1] * w1) * f0
-    d, stage, term = (np.empty_like(y0) for _ in range(3))
-    for j in range(2, s + 1):
-        mu = (2.0 * j - 1.0) / j * b[j] / b[j - 1]
-        nu = -(j - 1.0) / j * b[j] / b[j - 2]
-        mu_t = mu * w1
-        gamma_t = -(1.0 - b[j - 1]) * mu_t
-        # d = mu d_prev + nu d_prev2 + mu_t dt rhs(y0 + d_prev) + gamma_t f0,
-        # summed left to right
-        np.multiply(rhs(np.add(y0, d_prev, out=stage)), mu_t * dt, out=term)
-        np.multiply(mu, d_prev, out=d)
-        d += np.multiply(nu, d_prev2, out=stage)
-        d += term
-        d += np.multiply(gamma_t, f0, out=term)
-        d_prev2, d_prev, d = d_prev, d, d_prev2
-    return np.add(y0, d_prev, out=d_prev)
+    d1, table = _rkl2_table(s)
+    coefs = table * np.array([1.0, 1.0, dt, 1.0])
+    coefs.shape += (1,) * y0.ndim
+    stack = np.zeros((4,) + y0.shape)
+    prod = np.empty_like(stack)
+    stage = np.empty_like(y0)
+    inc = (stack[0], stack[1])
+    np.multiply(rhs(y0), dt, out=stack[3])
+    np.multiply(stack[3], d1, out=inc[0])
+    for j, c in enumerate(coefs):
+        # stage j + 2 reads D_{j+1} from row j % 2
+        np.add(y0, inc[j % 2], out=stage)
+        stack[2] = rhs(stage)
+        np.multiply(stack, c, out=prod)
+        np.add.reduce(prod, axis=0, out=inc[1 - j % 2])
+    return np.add(y0, inc[(s - 1) % 2])
 
 
 def _flow_data(grid: Grid, v0: Field, t_end: float, n_store: int):
@@ -191,6 +247,17 @@ def _flow_data(grid: Grid, v0: Field, t_end: float, n_store: int):
     return sub, v
 
 
+def _block_size(n_nodes: int) -> int:
+    """Samples recorded together: at most 64, and at most 2^18 node
+    values in a block of states."""
+    return max(1, min(_BLOCK, _BLOCK_VALUES // n_nodes))
+
+
+def _columns(blocks) -> List[np.ndarray]:
+    """Each column of the per-block record tuples, joined over the blocks."""
+    return [np.concatenate(c) for c in zip(*blocks)]
+
+
 def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
                   n_store: int = _STORE_TARGET) -> FlowTrace:
     """Solve the semi-discrete Neumann heat equation; record the u-quantities.
@@ -203,7 +270,8 @@ def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
     sample that loses it means the modal transform C = W^-1/2 Q lost
     precision, as it does where a weight is tiny (9.4e-148 next to the
     70-ball's origin at n = 64). The error names the smallest weight of
-    sub and carries the start and length of that sample interval.
+    sub and carries the start and length of that sample interval. The
+    samples are recorded, and checked, a block at a time.
     """
     if not 0.0 < p < 1.0:
         raise RangeError("the heat-flow estimate needs p in (0, 1)")
@@ -212,29 +280,37 @@ def heat_flow_run(grid: Grid, p: float, v0: Field, t_end: float,
     lam2 = spectral_gap(grid).eigenvalue
     Lam = (1.0 - p) * lam2
 
-    rows = []
-
-    def record(t, dt, v):
-        mass = sub.integrate(v)
-        e, i = _entropy_pair(sub, v ** (1.0 / (p + 1.0)), p, mass)
-        rows.append((t, e, i, i - Lam * e, mass, float(v.min()), dt))
-
     dt = t_end / n_store
     decay = np.exp(-dt * sub.mode_eigenvalues())
     coeffs = sub.to_modes(v)
-    record(0.0, 0.0, v)
-    for k in range(1, n_store + 1):
-        coeffs *= decay
-        v = sub.from_modes(coeffs)
-        if not v.min() > 0.0:
-            t = (k - 1) * t_end / n_store
-            raise PositivityError(
-                f"heat flow lost positivity at t={t:.6e} with dt={dt:.3e}: "
-                "the modal transform lost precision (smallest grid weight "
-                f"{sub.weights.min():.1e})", t=t, dt=dt)
-        record(k * t_end / n_store, dt, v)
-    series = (np.asarray(c, dtype=float) for c in zip(*rows))
-    return FlowTrace(*series, p=p, beta=None, theta=None,
+    block, nodes = _block_size(sub.n_nodes), tuple(range(1, v.ndim + 1))
+    states, blocks = [], []
+    for k in range(n_store + 1):
+        if k:
+            coeffs *= decay
+            v = sub.from_modes(coeffs)
+        states.append(v)
+        if len(states) < block and k < n_store:
+            continue
+        first = k + 1 - len(states)
+        vs, states = np.stack(states), []
+        min_v = vs.min(axis=nodes)
+        # sample 0 is v0, which _flow_data has checked
+        for j, low in enumerate(min_v.tolist(), first):
+            if j and not low > 0.0:
+                t = (j - 1) * t_end / n_store
+                raise PositivityError(
+                    f"heat flow lost positivity at t={t:.6e} with "
+                    f"dt={dt:.3e}: the modal transform lost precision "
+                    f"(smallest grid weight {sub.weights.min():.1e})",
+                    t=t, dt=dt)
+        mass = sub.integrate(vs)
+        e, i = _entropy_pair(sub, vs ** (1.0 / (p + 1.0)), p, mass)
+        blocks.append((e, i, i - Lam * e, mass, min_v))
+    dts = np.full(n_store + 1, dt)
+    dts[0] = 0.0
+    return FlowTrace(np.arange(n_store + 1) * t_end / n_store,
+                     *_columns(blocks), dts, p=p, beta=None, theta=None,
                      lambda2=lam2, Lambda=Lam, dim=grid.dim,
                      steps=n_store, rhs_evals=0, halvings=0,
                      unknowns=sub.n_nodes)
@@ -254,10 +330,11 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
     leaves m non-positive or v below 1e-10 of the initial maximum is
     halved and sub-stepped to the same sample time; forty halvings in a
     row abort with the time and step.
-    The step loop is written out here and keeps the accepted m and its
-    v = m^(1/beta(p+1)) as locals. v is computed once per state, when its
-    trial is checked, and an accepted v serves its record, the stage bound
-    of the next step and that step's first stage.
+    The step loop is written out here and keeps the accepted m, its
+    powers (c, v) = (m^(kappa/beta(p+1)), m^(1/beta(p+1))) and the least
+    and largest v as locals. They are computed once per state, when its
+    trial is checked, and serve its record, the stage bound of the next
+    step and that step's first stage.
     """
     _check_exponents(p, grid.dim, False)
     if not theta_star(p, grid.dim) < theta < 1.0:
@@ -273,24 +350,28 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
     bound = _CFL * grid.h_min**2 / (2.0 * grid.dim)
     floor = 1e-10 * float(v0.max())
 
-    rows, quartic = [], []
-    # every power of a state is _exp_power of its log m (taken into
-    # log_m), so a v that rhs computes afresh equals the accepted state's
-    # v to the bit
-    log_m, c_buf, v_buf, rhs_buf = (np.empty_like(v0) for _ in range(4))
+    # the exponents of c = m^(kappa/m_exp) and v = m^(1/m_exp), one row
+    # each: every power of a state is _exp_power of its log m, so a v that
+    # rhs computes afresh equals the accepted state's v to the bit
+    exps = np.array([kappa / m_exp, 1.0 / m_exp]).reshape(
+        (2,) + (1,) * v0.ndim)
+    log_m, rhs_buf = np.empty_like(v0), np.empty_like(v0)
+    stage_cv = np.empty((2,) + v0.shape)
     rhs_scale = -m_exp / sub.weights
 
     def rhs(y):
-        np.log(y, out=log_m)
-        c = _exp_power(log_m, kappa / m_exp, c_buf)
         # the first stage of a step starts from the accepted state m
-        w = v if y is m else _exp_power(log_m, 1.0 / m_exp, v_buf)
+        c, w = cv if y is m else _exp_power(np.log(y, out=log_m), exps,
+                                            stage_cv)
         out = sub.weighted_stiffness_apply(c, w, out=rhs_buf)
         out *= rhs_scale
         return out
 
     m = v0**m_exp
-    v = _exp_power(np.log(m, out=log_m), 1.0 / m_exp)
+    cv = _exp_power(np.log(m, out=log_m), exps)
+    v_lo, v_hi = float(cv[1].min()), float(cv[1].max())
+    block, nodes = _block_size(sub.n_nodes), tuple(range(1, v0.ndim + 1))
+    ms, vs, dts, blocks = [], [], [], []
     steps = rhs_evals = halvings = failed = 0
     t = dt = 0.0
     # k = 0 takes no step: it records the initial state with dt = 0
@@ -302,22 +383,26 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
             dt = left if left <= dt_try * (1.0 + 1e-9) else dt_try
             # v^(2 beta - 2) is monotone in v, so its least value is that
             # power of max v (beta < 1) or of min v
-            end = v.max() if beta < 1.0 else v.min()
-            s = _rkl2_stages(dt, bound * float(end) ** (2.0 * beta - 2.0))
+            end = v_hi if beta < 1.0 else v_lo
+            s = _rkl2_stages(dt, bound * end ** (2.0 * beta - 2.0))
             with np.errstate(invalid="ignore", divide="ignore",
                              over="ignore"):
                 m_new = _rkl2_step(rhs, m, dt, s)
-                v_new = _exp_power(np.log(m_new, out=log_m), 1.0 / m_exp)
-                if not np.all(np.isfinite(m_new)):
-                    fault = ConvergenceError, "step produced non-finite values"
-                elif not m_new.min() > 0.0:
-                    fault = PositivityError, "flow lost positivity"
-                elif not np.all(np.isfinite(v_new)):
-                    fault = ConvergenceError, "step produced non-finite values"
-                elif not v_new.min() > floor:
-                    fault = PositivityError, "flow hit the positivity floor"
-                else:
-                    fault = None
+                cv_new = _exp_power(np.log(m_new, out=log_m), exps)
+                # min and max are NaN where any value is
+                m_lo, m_hi = float(m_new.min()), float(m_new.max())
+                nv_lo = float(cv_new[1].min())
+                nv_hi = float(cv_new[1].max())
+            if not (math.isfinite(m_lo) and math.isfinite(m_hi)):
+                fault = ConvergenceError, "step produced non-finite values"
+            elif not m_lo > 0.0:
+                fault = PositivityError, "flow lost positivity"
+            elif not (math.isfinite(nv_lo) and math.isfinite(nv_hi)):
+                fault = ConvergenceError, "step produced non-finite values"
+            elif not nv_lo > floor:
+                fault = PositivityError, "flow hit the positivity floor"
+            else:
+                fault = None
             rhs_evals += s
             if fault is not None:
                 halvings += 1
@@ -329,21 +414,27 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
                 dt_try = 0.5 * dt
                 continue
             failed = 0
-            m, v = m_new, v_new
+            m, cv, v_lo, v_hi = m_new, cv_new, nv_lo, nv_hi
             t = t_k if dt == left else t + dt
             steps += 1
+        ms.append(m)
+        vs.append(cv[1])
+        dts.append(dt)
+        if len(ms) < block and k < n_store:
+            continue
+        mb, vb, ms, vs = np.stack(ms), np.stack(vs), [], []
         # int u^(p+1) = int m, the conserved mass
-        mass = sub.integrate(m)
-        e, i = _entropy_pair(sub, v**beta, p, mass)
-        rows.append((t_k, e, i, i - Lam * e, mass, float(v.min()), dt))
-        g = sub.nodal_grad_sq(v)
-        quartic.append(sub.integrate(g * g / (v * v)))
-    series = (np.asarray(c, dtype=float) for c in zip(*rows))
-    return FlowTrace(*series, p=p, beta=beta, theta=theta,
-                     lambda2=lam2, Lambda=Lam, dim=grid.dim,
-                     quartic=np.asarray(quartic), steps=steps,
-                     rhs_evals=rhs_evals, halvings=halvings,
-                     unknowns=sub.n_nodes)
+        mass = sub.integrate(mb)
+        e, i = _entropy_pair(sub, vb**beta, p, mass)
+        g = sub.nodal_grad_sq(vb)
+        blocks.append((e, i, i - Lam * e, mass, vb.min(axis=nodes),
+                       sub.integrate(g * g / (vb * vb))))
+    e, i, j, mass, min_v, quartic = _columns(blocks)
+    return FlowTrace(np.arange(n_store + 1) * t_end / n_store, e, i, j,
+                     mass, min_v, np.array(dts), p=p, beta=beta,
+                     theta=theta, lambda2=lam2, Lambda=Lam, dim=grid.dim,
+                     quartic=quartic, steps=steps, rhs_evals=rhs_evals,
+                     halvings=halvings, unknowns=sub.n_nodes)
 
 
 def accumulated_dissipation_bound(trace: FlowTrace):

@@ -173,8 +173,13 @@ class Grid:
 
     # ------------------------------------------------------------------
     # quadrature
-    def integrate(self, u: np.ndarray) -> float:
-        return float(np.add.reduce(self.weights * u, axis=None))
+    def integrate(self, u: np.ndarray):
+        """int u; for a stack of fields (leading sample axes), the array of
+        their integrals, each the same to the bit as its own call."""
+        prod = self.weights * u
+        if prod.ndim == len(self.shape):
+            return float(np.add.reduce(prod, axis=None))
+        return np.add.reduce(prod, axis=tuple(range(-len(self.shape), 0)))
 
     def lp_norm(self, u: np.ndarray, exp: float) -> float:
         if not exp > 0.0:
@@ -194,14 +199,17 @@ class Grid:
 
     # ------------------------------------------------------------------
     # first-order calculus
-    def energy(self, u: np.ndarray) -> float:
-        """Dirichlet energy int |grad u|^2 (face-based stiffness form)."""
+    def energy(self, u: np.ndarray):
+        """Dirichlet energy int |grad u|^2 (face-based stiffness form); for
+        a stack of fields, the array of their energies, as ``integrate``."""
+        lead = u.ndim - len(self.shape)
+        nodes = tuple(range(lead, u.ndim)) if lead else None
         total = 0.0
         for a, fw in enumerate(self.face_weights):
-            lo, hi = _along(u.ndim, a, "faces")
+            lo, hi = _along(u.ndim, lead + a, "faces")
             d = u[hi] - u[lo]
-            total += float(np.add.reduce(fw * d * d, axis=None))
-        return total
+            total = total + np.add.reduce(fw * d * d, axis=nodes)
+        return total if lead else float(total)
 
     def stiffness_apply(self, u: np.ndarray) -> np.ndarray:
         """K u with E(u, v) = sum(v * K u); K is symmetric PSD, K 1 = 0.
@@ -233,14 +241,25 @@ class Grid:
         ``stiffness_apply``, with 0.5 * face_weight from ``_flat_faces``
         (halving is exact) and the row-end slots set to +0.0, so the
         result is the same to the bit as on the n-d array, and a
-        non-finite value never crosses a row end.
+        non-finite value never crosses a row end. On a single-axis grid
+        the fluxes g go into a buffer with a zero at each end, and
+        out[k] = g[k-1] - g[k] in one subtraction: the same to the bit as
+        the two scattered updates, but for the sign of a zero result.
         """
+        if out is not None and not out.flags.c_contiguous:
+            raise RangeError("out must be C-contiguous")
+        if self.ndim_data == 1:
+            ((_, _, half_fw, _),) = self._flat_faces()
+            padded = np.zeros(u.size + 1)
+            g = padded[1:-1]
+            np.add(coeff[:-1], coeff[1:], out=g)
+            g *= half_fw
+            g *= np.subtract(u[1:], u[:-1])
+            return np.subtract(padded[:-1], padded[1:], out=out)
         if out is None:
             out = np.zeros(u.shape)
-        elif out.flags.c_contiguous:
-            out.fill(0.0)
         else:
-            raise RangeError("out must be C-contiguous")
+            out.fill(0.0)
         x, c, flat = u.reshape(-1), coeff.reshape(-1), out.reshape(-1)
         for off, _, half_fw, pads in self._flat_faces():
             # g = (c_lo + c_hi) * (0.5 fw) * (u_hi - u_lo), in place
@@ -282,16 +301,22 @@ class Grid:
             self._cache["flat_faces"] = tuple(tables)
         return self._cache["flat_faces"]
 
+    def _picks(self, u: np.ndarray, a: int, which: str) -> Tuple[tuple, ...]:
+        """``_along`` for data axis a of u, after any leading sample axes."""
+        return _along(u.ndim, u.ndim - self.ndim_data + a, which)
+
     def laplacian(self, u: np.ndarray) -> np.ndarray:
         """Neumann Laplacian, the negative of stiffness over quadrature weights."""
         return -self.stiffness_apply(u) / self.weights
 
     def nodal_grad_sq(self, u: np.ndarray) -> np.ndarray:
-        """Nodal |grad u|^2: centered differences inside, one-sided at faces."""
+        """Nodal |grad u|^2: centered differences inside, one-sided at faces.
+
+        Of each field of a stack u (leading sample axes) alike."""
         out = np.zeros_like(u, dtype=float)
         for a, h in enumerate(self.spacing):
             g = self._first_diff_odd(u, a)
-            first, second, last, prev = _along(u.ndim, a, "stencil")[3:]
+            first, second, last, prev = self._picks(u, a, "stencil")[3:]
             g[first] = (u[second] - u[first]) / h
             g[last] = (u[last] - u[prev]) / h
             out += g * g
@@ -313,7 +338,7 @@ class Grid:
         """Centered first difference, zero at faces (odd mirror reflection)."""
         h = self.spacing[a]
         out = np.zeros_like(u, dtype=float)
-        mid, up, dn = _along(u.ndim, a, "stencil")[:3]
+        mid, up, dn = self._picks(u, a, "stencil")[:3]
         out[mid] = (u[up] - u[dn]) / (2.0 * h)
         return out
 

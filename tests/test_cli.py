@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -457,3 +459,66 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert got["integrate_after"] is True
     ref = improvement_phi(0.2, make_exponents(2.0, 3, beta=5.0 / 3.0), 0.9)
     assert got["phi"] == list(ref)
+
+
+def _reference_subcommand_flags(sp):
+    # every subcommand's flags as each subparser added them one by one
+    sp.add_argument("--config", default="", help="key=value config file")
+    for f in dataclasses.fields(cli.RunConfig):
+        if f.name in ("command", "kind"):
+            continue
+        flag = ("--lambda" if f.name == "lam"
+                else "--" + f.name.replace("_", "-"))
+        kw = {"dest": f.name, "help": cli._HELP.get(f.name)}
+        if isinstance(f.default, bool):
+            kw.update(action="store_true", default=None)
+        elif not isinstance(f.default, str):
+            kw["type"] = type(f.default)
+        if f.name == "domain":
+            kw["choices"] = tuple(cli._DOMAINS)
+        sp.add_argument(flag, **kw)
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _action_spec(a):
+    return (tuple(a.option_strings), a.dest, a.type, a.default, a.choices,
+            a.help, a.nargs, a.const, a.required, type(a))
+
+
+def test_shared_flags_keep_every_subcommand_interface(monkeypatch):
+    # the common flags are built once and shared; each subcommand keeps
+    # the flags, dests, types, defaults, choices and help texts of a
+    # parser that adds them itself, and flow's kind stays its positional
+    monkeypatch.setenv("COLUMNS", "100")
+    ref_top = argparse.ArgumentParser(
+        prog="neumann-rigidity",
+        description="Rigidity thresholds, interpolation constants, entropy "
+                    "flows and Schrodinger duality on convex Neumann domains.")
+    ref_sub = ref_top.add_subparsers(dest="command", required=True)
+    for name in cli._COMMANDS:
+        sp = ref_sub.add_parser(name)
+        if name == "flow":
+            sp.add_argument("kind", choices=("heat", "nonlinear"))
+        _reference_subcommand_flags(sp)
+    top = cli.build_parser()
+    assert top.format_help() == ref_top.format_help()
+    got, ref = _subparsers(top), _subparsers(ref_top)
+    assert list(got) == list(ref) == list(cli._COMMANDS)
+    for name in ref:
+        g, r = got[name], ref[name]
+        assert g.format_help() == r.format_help(), name
+        assert g.format_usage() == r.format_usage(), name
+        assert (sorted(map(_action_spec, g._actions), key=repr)
+                == sorted(map(_action_spec, r._actions), key=repr)), name
+        positionals = [a.dest for a in g._actions if not a.option_strings]
+        assert positionals == (["kind"] if name == "flow" else []), name
+    argv = ["flow", "nonlinear", "--domain", "rectangle", "--n", "64",
+            "--p", "2", "--theta", "0.9", "--beta", "-0.6923",
+            "--t-end", "0.25", "--seed", "3", "--jobs", "1",
+            "--log-sobolev"]
+    assert vars(top.parse_args(argv)) == vars(ref_top.parse_args(argv))

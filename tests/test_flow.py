@@ -671,3 +671,121 @@ def test_reduced_flow_matches_full_grid_flow(grid_name, kind,
             assert a is None
             continue
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_grid(Domain.box(1.0), 128),
+    lambda: build_grid(Domain.box(1.5, 1.0, 0.75), (10, 9, 8)),
+], ids=["interval128", "box10x9x8"])
+def test_rkl2_stage_stack_keeps_the_arithmetic(make):
+    # the stage stack's broadcast multiply and in-order row sum round as
+    # the plain recursion on 1-D and 3-D states, at every stage count the
+    # flows take
+    g = make()
+    y0 = _perturbed(g, 0.2).values
+    shared = np.empty_like(y0)
+
+    def rhs_shared(y):
+        out = g.weighted_stiffness_apply(y**0.3, y, out=shared)
+        out /= g.weights
+        return out
+
+    def rhs_fresh(y):
+        return g.weighted_stiffness_apply(y**0.3, y) / g.weights
+
+    for s in range(2, 17):
+        dt = 0.1 * s * s * g.h_min**2
+        ref = _rkl2_step_reference(rhs_fresh, y0, dt, s)
+        got = flow._rkl2_step(rhs_shared, y0, dt, s)
+        assert got.tobytes() == ref.tobytes(), s
+        assert flow._rkl2_step(rhs_fresh, y0, dt, s).tobytes() == \
+            ref.tobytes(), s
+
+
+def _per_sample_records(run, p, lam, densities, v_of, u_of, quartic):
+    # each sample recorded on its own, as the flows did before they
+    # recorded blocks: one integrate, energy and min per sample, and
+    # ||u||_{p+1}^2 as a Python-float power of the mass
+    rows = []
+    for y in densities:
+        v = v_of(y)
+        u = u_of(v)
+        mass = run.integrate(y)
+        e = (mass ** (2.0 / (p + 1.0)) - run.integrate(u * u)) / (p - 1.0)
+        i = run.energy(u)
+        row = [e, i, i - lam * e, mass, float(v.min())]
+        if quartic:
+            g = run.nodal_grad_sq(v)
+            row.append(run.integrate(g * g / (v * v)))
+        rows.append(row)
+    return [np.asarray(c, dtype=float) for c in zip(*rows)]
+
+
+_RECORD_GRIDS = {
+    "interval128": (lambda: build_grid(Domain.box(1.0), 128), None),
+    "ball3": (lambda: build_grid(Domain.ball(3, 1.0), 64), None),
+    # a random datum varies along both axes: a 2-D subspace grid
+    "square32_random": (lambda: build_grid(Domain.box(1.0, 1.0), 32), 9),
+}
+
+
+@pytest.mark.parametrize("kind", ["heat", "nonlinear"])
+@pytest.mark.parametrize("grid_name", list(_RECORD_GRIDS))
+def test_block_records_match_per_sample_records(grid_name, kind,
+                                                monkeypatch):
+    # the samples recorded a block at a time give every stored series to
+    # the bit, over several full blocks and a partial one
+    make, seed = _RECORD_GRIDS[grid_name]
+    g = make()
+    if seed is None:
+        datum = _perturbed(g, 0.2).values
+    else:
+        datum = smooth_random_field(g, SplitMix64(seed), amp=0.4, modes=3)
+    run, _, _ = g.subspace(datum)
+    assert run.ndim_data == g.ndim_data
+    states, dts = [], [0.0]
+    n, t_end = 150, 0.01
+    if kind == "heat":
+        p = 0.5
+        from_modes = run.from_modes
+
+        def logged_from_modes(coeffs):
+            states.append(from_modes(coeffs))
+            return states[-1]
+
+        monkeypatch.setattr(run, "from_modes", logged_from_modes)
+        tr = heat_flow_run(g, p, Field(g, datum**2), t_end, n_store=n)
+        states.insert(0, run.subspace(datum**2)[2])
+        dts += [t_end / n] * n
+        lam = (1.0 - p) * tr.lambda2
+        ref = _per_sample_records(run, p, lam, states, lambda y: y,
+                                  lambda v: v ** (1.0 / (p + 1.0)), False)
+        names = ("entropy_e", "production_i", "j_lambda", "mass", "min_v")
+    else:
+        p, beta, theta = 2.0, -0.6923, 0.9
+        m_exp = beta * (p + 1.0)
+        states.append(run.subspace(datum)[2] ** m_exp)
+        step = flow._rkl2_step
+
+        def logged_step(rhs, y, dt, s):
+            states.append(step(rhs, y, dt, s))
+            dts.append(dt)
+            return states[-1]
+
+        monkeypatch.setattr(flow, "_rkl2_step", logged_step)
+        tr = nonlinear_flow_run(g, p, beta, theta, Field(g, datum), t_end,
+                                n_store=n)
+        assert tr.halvings == 0 and tr.steps == n
+        lam = (1.0 - theta) * tr.lambda2
+        ref = _per_sample_records(
+            run, p, lam, states,
+            lambda m: flow._exp_power(np.log(m), 1.0 / m_exp),
+            lambda v: v**beta, True)
+        names = ("entropy_e", "production_i", "j_lambda", "mass", "min_v",
+                 "quartic")
+    assert len(states) == n + 1 == tr.times.size
+    times = np.asarray([k * t_end / n for k in range(n + 1)])
+    assert tr.times.tobytes() == times.tobytes()
+    assert tr.dt_used.tobytes() == np.asarray(dts).tobytes()
+    for name, col in zip(names, ref):
+        assert getattr(tr, name).tobytes() == col.tobytes(), name

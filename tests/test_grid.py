@@ -426,3 +426,36 @@ def test_subspace_of_a_constant_is_the_grid(dom, n):
     sub, ext, u_sub = g.subspace(u.ravel())
     assert sub is g and ext == g.shape
     assert np.array_equal(u_sub, u)
+
+
+@pytest.mark.parametrize("dom,n", [
+    (Domain.box(1.0), 128),
+    (Domain.box(1.0, 1.0), 32),
+    (Domain.box(1.5, 1.0, 0.75), (10, 9, 8)),
+    (Domain.ball(3), 64),
+], ids=["interval128", "square32", "box10x9x8", "ball3"])
+def test_stack_kernels_match_per_field_calls(dom, n):
+    # on a stack of fields (leading sample axis) each kernel gives, field
+    # by field, the bits of its own call; the flows record their samples
+    # a block at a time through these kernels and a min over the nodes
+    g = build_grid(dom, n)
+    rng = SplitMix64(5)
+    pos = np.stack([smooth_random_field(g, rng.spawn(k), amp=0.8, modes=4)
+                    for k in range(6)])
+    signed = pos - np.stack([g.mean(f) for f in pos]).reshape(
+        (-1,) + (1,) * g.ndim_data)
+    nodes = tuple(range(1, pos.ndim))
+    for stack in (pos, signed, pos[:1]):
+        got = g.integrate(stack)
+        assert got.shape == (len(stack),)
+        assert got.tobytes() == np.array(
+            [g.integrate(f) for f in stack]).tobytes()
+        assert g.energy(stack).tobytes() == np.array(
+            [g.energy(f) for f in stack]).tobytes()
+        assert g.nodal_grad_sq(stack).tobytes() == np.stack(
+            [g.nodal_grad_sq(f) for f in stack]).tobytes()
+        assert stack.min(axis=nodes).tobytes() == np.array(
+            [f.min() for f in stack]).tobytes()
+    # a single field still gives Python floats
+    assert type(g.integrate(pos[0])) is float
+    assert type(g.energy(pos[0])) is float
