@@ -52,8 +52,11 @@ be taken on the full grid, where ``newton_solve`` solves.
 
 One ``_Jacobian`` per trace (or per ``newton_solve``) holds the factor,
 and its ``refresh`` drops the held one before it builds the next, so
-only one is alive at a time. It factors the matrix that
-``Grid.shifted_stiffness`` assembles, in the grid's cached order.
+only one is alive at a time. ``Grid.shifted_factor`` builds it: a LAPACK
+tridiagonal factor on a grid with one data axis, as the gap mode's
+subspace grid of every trace is, and a SuperLU factor in the grid's
+cached order on a grid with more (``newton_solve`` on a rectangle or a
+cuboid).
 """
 
 from __future__ import annotations
@@ -89,8 +92,9 @@ class BranchTrace:
     """Ordered branch points, bookkeeping flags and the work of the trace.
 
     ``factorizations`` counts every Jacobian factor the arclength
-    corrector built, fresh or refreshed (the grid's one ordering probe is
-    not among them), ``refactorizations`` those of them forced by its
+    corrector built, fresh or refreshed, tridiagonal or sparse (a
+    multi-axis grid's one ordering probe is not among them),
+    ``refactorizations`` those of them forced by its
     contraction monitor, ``corrector_iterations`` its iterations over all
     calls, accepted or not, and ``rejected_steps`` the continuation steps
     it rejected.
@@ -125,33 +129,25 @@ def _scaled_norm(grid: Grid, lam: float, u: np.ndarray,
 
 
 class _Jacobian:
-    """A = M dF/du = eps K + diag(w (lam - p u^(p-1))) of ``grid``,
-    symmetric and in the grid's cached order ``perm``, and ``lu``, the
-    factor of the last ``refresh`` or None.
+    """A = M dF/du = eps K + diag(w (lam - p u^(p-1))) of ``grid``, and
+    ``lu``, its factor of the last ``refresh`` or None.
     """
 
     def __init__(self, grid: Grid, p: float):
-        self.grid, self.p, self.lu, self.perm = grid, p, None, None
+        self.grid, self.p, self.lu = grid, p, None
 
     def refresh(self, lam: float, u: np.ndarray) -> None:
-        """Factor A at (lam, u), dropping the held factor first. A failed
-        factorization raises SingularJacobianError."""
+        """Factor A at (lam, u) by ``Grid.shifted_factor``, dropping the
+        held factor first. A failed factorization raises
+        SingularJacobianError."""
         self.lu = None
         p = self.p
-        A, self.perm = self.grid.shifted_stiffness(
-            epsilon(p), lam - p * u.ravel() ** (p - 1.0))
-        try:
-            # one-column panels factor these grid Jacobians about 30%
-            # faster than SuperLU's default panels, with the same fill
-            self.lu = splu(A, permc_spec="NATURAL", panel_size=1)
-        except RuntimeError as exc:
-            raise SingularJacobianError(str(exc)) from exc
+        self.lu = self.grid.shifted_factor(
+            epsilon(p), lam - p * u.ravel() ** (p - 1.0), splu)
 
     def solve(self, rhs_field: np.ndarray) -> np.ndarray:
         """x with A x = M rhs, in the grid's shape."""
-        rhs = self.grid.mass_vector() * rhs_field.ravel()
-        out = np.empty_like(rhs)
-        out[self.perm] = self.lu.solve(rhs[self.perm])
+        out = self.lu.solve(self.grid.mass_vector() * rhs_field.ravel())
         if not np.all(np.isfinite(out)):
             raise SingularJacobianError(
                 "Jacobian solve produced non-finite step")

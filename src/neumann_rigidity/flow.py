@@ -94,6 +94,15 @@ _CFL = 0.5           # each stage's share of the forward-Euler step bound
 _MAX_HALVINGS = 40   # consecutive rejected trials before a step gives up
 _BLOCK = 64          # samples recorded together, at most
 _BLOCK_VALUES = 1 << 18  # node values in a block of states, at most
+# RKL2 stages in one step, at most. A step of s stages evaluates s
+# right-hand sides, and s grows as the square root of the step over the
+# stage bound: 10,000 stages are 4 million evaluations over 400 samples,
+# where the test suite's runs take at most 200 stages a step. A longer
+# sample interval t_end / n_store is refused, not counted out (at
+# t_end = 1e300 the count would run to about 1e150).
+_MAX_STAGES = 10_000
+# the forward-Euler steps that one step of _MAX_STAGES stages spans
+_MAX_STAGE_SPAN = (_MAX_STAGES**2 + _MAX_STAGES - 2) / 4.0
 
 
 @dataclass
@@ -329,7 +338,8 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
     the subspace grid the step runs on (module docstring). A trial that
     leaves m non-positive or v below 1e-10 of the initial maximum is
     halved and sub-stepped to the same sample time; forty halvings in a
-    row abort with the time and step.
+    row abort with the time and step. A step that would need more than
+    10,000 stages raises RangeError naming t_end / n_store.
     The step loop is written out here and keeps the accepted m, its
     powers (c, v) = (m^(kappa/beta(p+1)), m^(1/beta(p+1))) and the least
     and largest v as locals. They are computed once per state, when its
@@ -384,7 +394,14 @@ def nonlinear_flow_run(grid: Grid, p: float, beta: float, theta: float,
             # v^(2 beta - 2) is monotone in v, so its least value is that
             # power of max v (beta < 1) or of min v
             end = v_hi if beta < 1.0 else v_lo
-            s = _rkl2_stages(dt, bound * end ** (2.0 * beta - 2.0))
+            dt_stage = bound * end ** (2.0 * beta - 2.0)
+            if not dt <= _MAX_STAGE_SPAN * dt_stage:
+                raise RangeError(
+                    f"t_end/n_store = {t_end / n_store:.6e} needs more "
+                    f"than {_MAX_STAGES} RKL2 stages a step at t={t:.6e} "
+                    f"(stage bound {dt_stage:.3e}); lower t_end or raise "
+                    f"n_store")
+            s = _rkl2_stages(dt, dt_stage)
             with np.errstate(invalid="ignore", divide="ignore",
                              over="ignore"):
                 m_new = _rkl2_step(rhs, m, dt, s)

@@ -5,10 +5,11 @@ mass) and (K + s*M_phi) u = lambda M u. The first is a Kronecker sum of
 1-D tridiagonal pencils (``Grid.heat_modes``), so its gap mode is the
 second mode of one axis times constants on the others; no sparse solve
 is needed. The Schrodinger pencil does not separate and is solved by
-shifted inverse iteration on one sparse factorization of the shifted
-matrix, assembled by ``Grid.shifted_stiffness`` in the order the branch
-Jacobian is factored in; its Rayleigh quotient and residual take K u
-from the face kernels (``Grid.stiffness_apply``).
+shifted inverse iteration on one factorization of the shifted matrix,
+built by ``Grid.shifted_factor`` as the branch Jacobian's is: a LAPACK
+tridiagonal factor on a grid with one data axis, a SuperLU factor in
+the grid's cached order on one with more. Its Rayleigh quotient and
+residual take K u from the face kernels (``Grid.stiffness_apply``).
 
 The rules built on the gap live here too: the threshold scale
 lambda2/|p-1| (``_threshold_scale``) and the positive gap-mode datum
@@ -99,6 +100,10 @@ def schrodinger_ground_state(grid: Grid, potential, sign: int) -> EigenPair:
     repulsive -lap + phi. The ground state is returned with positive sign
     and unit L2 norm; the relative operator residual is at most 1e-10.
     ConvergenceError is raised if 500 inverse iterations do not reach it.
+    The iteration solves with one factor of K + diag(w (sign phi -
+    sigma)), sigma below the spectrum, from ``Grid.shifted_factor``: a
+    LAPACK tridiagonal factor on a grid with one data axis, SuperLU on
+    one with more.
     """
     if sign not in (-1, 1):
         raise RangeError("sign must be +1 or -1")
@@ -112,15 +117,13 @@ def schrodinger_ground_state(grid: Grid, potential, sign: int) -> EigenPair:
     v = sign * phi.ravel()
     # -lap >= 0, so the spectrum is bounded below by min(sign*phi)
     sigma = float(v.min()) - 1.0
-    A, perm = grid.shifted_stiffness(1.0, v - sigma)
-    lu = splu(A, permc_spec="NATURAL", panel_size=1)
-    inv = np.argsort(perm)
+    lu = grid.shifted_factor(1.0, v - sigma, splu)
     # shifted inverse iteration, started from the constant
     u = np.full(w.size, 1.0)
     u /= _m_norm(w, u)
     res, iters = math.inf, 0
     for iters in range(1, 501):
-        u = lu.solve((w * u)[perm])[inv]
+        u = lu.solve(w * u)
         nrm = _m_norm(w, u)
         if nrm == 0.0:
             raise ConvergenceError("inverse iteration collapsed", res, iters)

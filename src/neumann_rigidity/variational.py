@@ -433,7 +433,9 @@ def _threshold_bracket(grid: Grid, p: float, scale: float, tol: float,
     explicit rigidity bound, 0.5 (1 - theta*) ``scale``, which must not be
     broken, and from 1.05 ``scale``; the upper end grows 1.25x until
     ``broken`` holds, and is flagged open at the cap 3 ``scale``. Halving
-    then narrows the bracket to width ``tol * scale``. A ConvergenceError
+    then narrows the bracket to width ``tol * scale``, or until lo and hi
+    are adjacent floats, whose midpoint rounds onto one of them (a
+    ``tol * scale`` below their spacing). A ConvergenceError
     raised here carries ``stage``, the parameter of the failed solve and
     its step: the number of solves of the search before it (0 is the
     lower end).
@@ -463,6 +465,8 @@ def _threshold_bracket(grid: Grid, p: float, scale: float, tol: float,
             return lo, cap, True
     while hi - lo > tol * scale:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if check(mid):
             hi = mid
         else:

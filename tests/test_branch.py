@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 from neumann_rigidity import branch as bmod
@@ -15,7 +16,7 @@ from neumann_rigidity import (Domain, Field, PositivityError, build_grid,
                               estimate_mu1, lambda_of_mu, newton_solve,
                               schrodinger_ground_state, smooth_random_field,
                               spectral_gap, trace_branch)
-from neumann_rigidity.errors import DampingError
+from neumann_rigidity.errors import DampingError, SingularJacobianError
 from neumann_rigidity.rng import SplitMix64
 
 PI2 = math.pi**2
@@ -176,9 +177,10 @@ def test_jacobian_factor_backward_error(grid_name, p, request):
                                        (Domain.ball(2, 1.0), 256)],
                          ids=["square32", "ball256"])
 def test_ground_state_factors_in_the_jacobian_layout(domain, n, monkeypatch):
-    # the Schrodinger ground state factors K + diag(w (v - sigma)) in the
-    # order of the branch Jacobian, and the grid probes that order once;
-    # the grid is fresh, so no order is cached yet
+    # the Schrodinger ground state factors K + diag(w (v - sigma)) as the
+    # branch Jacobian is factored: as a band on the ball's one axis, and
+    # on the square in the order the grid probes once; the grid is fresh,
+    # so no order is cached yet
     g = build_grid(domain, n)
     specs, factors = [], []
 
@@ -190,22 +192,32 @@ def test_ground_state_factors_in_the_jacobian_layout(domain, n, monkeypatch):
         factors.append(counting_splu(A, **kwargs))
         return factors[-1]
 
+    def keeping_dgttrf(*args, **kwargs):
+        specs.append("band")
+        factors.append(dgttrf(*args, **kwargs))
+        return factors[-1]
+
     monkeypatch.setattr(gmod, "splu", counting_splu)
     monkeypatch.setattr(bmod, "splu", counting_splu)
     monkeypatch.setattr(smod, "splu", keeping_splu)
+    monkeypatch.setattr(gmod, "dgttrf", keeping_dgttrf)
     lam, u = _nonconstant_state(g, 2.0)
     jac = bmod._Jacobian(g, 2.0)
     jac.refresh(lam, u)
     phi = 20.0 * smooth_random_field(g, SplitMix64(5))
     pair = schrodinger_ground_state(g, phi, sign=-1)
     assert pair.eigenfunction.min() > 0.0
-    assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
     w = g.mass_vector()
     v = -phi.ravel()
     A = g.sparse_stiffness() + sparse.diags(w * (v - (v.min() - 1.0)))
     rhs = np.random.default_rng(7).standard_normal(g.n_nodes)
-    x = np.empty_like(rhs)
-    x[jac.perm] = factors[0].solve(rhs[jac.perm])
+    if g.ndim_data == 1:
+        assert specs == ["band", "band"]
+        x = dgttrs(*factors[1][:5], rhs)[0]
+    else:
+        assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+        x = np.empty_like(rhs)
+        x[jac.lu.perm] = factors[0].solve(rhs[jac.lu.perm])
     res = np.abs(A @ x - rhs).max()
     scale = abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
     assert res <= 1e-12 * scale
@@ -224,39 +236,103 @@ def test_jacobian_ordering_computed_once_per_grid(monkeypatch):
         specs.append(permc_spec)
         return splu(A, permc_spec=permc_spec, **kwargs)
 
+    def counting_dgttrf(*args, **kwargs):
+        specs.append("band")
+        return dgttrf(*args, **kwargs)
+
     # the grid probes its ordering, the Jacobian factors
     monkeypatch.setattr(gmod, "splu", counting_splu)
     monkeypatch.setattr(bmod, "splu", counting_splu)
+    monkeypatch.setattr(gmod, "dgttrf", counting_dgttrf)
     perms = []
     for p, lam_scale in ((2.0, 1.0), (0.5, 1.0), (2.0, 3.0)):
         lam, u = _nonconstant_state(g, p)
         jac = bmod._Jacobian(g, p)
         jac.refresh(lam_scale * lam, u)
-        perms.append(jac.perm)
+        perms.append(jac.lu.perm)
     assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL", "NATURAL"]
     assert all(perm is perms[0] for perm in perms)
     assert np.array_equal(np.sort(perms[0]), np.arange(g.n_nodes))
-    # the gap mode's subspace grid has an ordering of its own, probed once
-    # and reused across p and lam; the full grid's stays cached beside it
+    # the gap mode's subspace grid has one data axis: its Jacobians are
+    # factored as bands, with no ordering probed; the full grid's order
+    # stays cached beside it
     mode = spectral_gap(g).eigenfunction.values
     sub, ext, _ = g.subspace(mode)
     assert g.subspace(mode)[0] is sub
-    reduced = []
     for p, lam_scale in ((2.0, 1.0), (0.5, 1.0), (2.0, 3.0)):
         lam, u = _nonconstant_state(g, p)
         jac = bmod._Jacobian(sub, p)
         jac.refresh(lam_scale * lam, _restrict(u, ext))
-        reduced.append(jac.perm)
-    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3 + [
-        "MMD_AT_PLUS_A"] + ["NATURAL"] * 3
-    assert all(perm is reduced[0] for perm in reduced)
-    assert np.array_equal(np.sort(reduced[0]), np.arange(16))
-    assert len(specs) == 8
+    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3 + ["band"] * 3
+    assert "ordering" not in sub._cache
+    assert len(specs) == 7
     # a Jacobian reads its order when it is refreshed
     jac = bmod._Jacobian(g, 2.0)
     jac.refresh(lam, u)
-    assert jac.perm is perms[0]
-    assert specs[8:] == ["NATURAL"]
+    assert jac.lu.perm is perms[0]
+    assert specs[7:] == ["NATURAL"]
+
+
+def _band_cases(g, operator):
+    # (factor, sign, c) of the matrices sign K + diag(w c) that the branch
+    # and the ground state factor on the one-axis subspace grid of g's gap
+    # mode
+    gap = spectral_gap(g)
+    sub, ext, _ = g.subspace(gap.eigenfunction.values)
+    if operator == "schrodinger":
+        phi = 20.0 * smooth_random_field(sub, SplitMix64(5)).ravel()
+        c = -phi - ((-phi).min() - 1.0)
+        return sub, [(sub.shifted_factor(1.0, c, splu), 1.0, c)]
+    cases = []
+    for p in (2.0, 0.5):
+        bif = gap.eigenvalue / abs(p - 1.0)
+        if operator == "branch_point":
+            tr = trace_branch(g, p, 0.8 * bif, direction=1, n_max=40)
+            lam, u = tr.points[-1].lam, tr.points[-1].solution.values
+            assert tr.points[-1].deviation > 0.0
+            u = _restrict(u, ext)
+        else:  # the constant at the bifurcation, where A is singular
+            lam, u = bif, np.full(sub.shape, bif ** (1.0 / (p - 1.0)))
+        jac = bmod._Jacobian(sub, p)
+        jac.refresh(lam, u)
+        cases.append((jac.lu, 1.0 if p > 1.0 else -1.0,
+                      lam - p * u.ravel() ** (p - 1.0)))
+    return sub, cases
+
+
+@pytest.mark.parametrize("operator",
+                         ["branch_point", "bifurcation", "schrodinger"])
+@pytest.mark.parametrize("grid_name", ["interval256", "ball256", "square64"])
+def test_band_factor_backward_error(grid_name, operator, request):
+    # a one-axis grid factors sign K + diag(w c) as a LAPACK band, in
+    # node order; its solve is backward stable against the matrix built
+    # from the assembled sparse stiffness
+    g = request.getfixturevalue(grid_name)
+    sub, cases = _band_cases(g, operator)
+    assert sub.ndim_data == 1
+    rng = np.random.default_rng(11)
+    for factor, sign, c in cases:
+        assert isinstance(factor, gmod._BandFactor)
+        A = sign * sub.sparse_stiffness() + sparse.diags(
+            sub.mass_vector() * c)
+        b = rng.standard_normal(sub.n_nodes)
+        x = factor.solve(b)
+        res = np.abs(A @ x - b).max()
+        scale = abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+        assert res <= 1e-12 * scale
+
+
+def test_band_factor_zero_pivot_raises():
+    # K itself on a uniform interval: elimination leaves the last pivot
+    # exactly 0, as K annihilates constants
+    g = build_grid(Domain.box(1.0), 16)
+    with pytest.raises(SingularJacobianError):
+        g.shifted_factor(1.0, np.zeros(g.n_nodes), splu)
+    # the Jacobian at u = 1, lam = p = 2 is K too
+    jac = bmod._Jacobian(g, 2.0)
+    with pytest.raises(SingularJacobianError):
+        jac.refresh(2.0, np.ones(g.shape))
+    assert jac.lu is None
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0])
@@ -384,27 +460,39 @@ def test_reduced_trace_matches_full_trace(grid_name, collapsed, unknowns, p,
         assert bmod._scaled_norm(g, pt.lam, u, F) <= 1e-9
 
 
-def _counting_splu(monkeypatch):
-    # every splu call made through the name bound in the branch module
+def _counting_factors(monkeypatch):
+    # every band factor (the name bound in the grid module) and every splu
+    # call made through the name bound in the branch module
     specs = []
+
+    def counting_dgttrf(*args, **kwargs):
+        specs.append("band")
+        return dgttrf(*args, **kwargs)
 
     def counting_splu(A, permc_spec=None, **kwargs):
         specs.append(permc_spec)
         return splu(A, permc_spec=permc_spec, **kwargs)
 
+    monkeypatch.setattr(gmod, "dgttrf", counting_dgttrf)
     monkeypatch.setattr(bmod, "splu", counting_splu)
     return specs
 
 
 @pytest.mark.parametrize("p, budget", [(2.0, 50), (0.5, 90)])
 def test_trace_branch_square32_factor_budget(square32, monkeypatch, p,
-                                             budget):
-    specs = _counting_splu(monkeypatch)
+                                             budget, full_grid_subspace):
+    # the default trace factors bands on the gap mode's subspace grid,
+    # the full-grid trace sparse matrices through splu
     lam2 = spectral_gap(square32).eigenvalue
-    tr = trace_branch(square32, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
-    assert len(specs) <= budget
-    assert specs.count("NATURAL") == tr.factorizations
-    assert 0 < tr.refactorizations < tr.factorizations
+    for kind in ("band", "NATURAL"):
+        if kind == "NATURAL":
+            full_grid_subspace()
+        specs = _counting_factors(monkeypatch)
+        tr = trace_branch(square32, p, 0.8 * lam2 / abs(p - 1.0),
+                          direction=1)
+        assert len(specs) <= budget
+        assert specs.count(kind) == len(specs) == tr.factorizations
+        assert 0 < tr.refactorizations < tr.factorizations
 
 
 def test_trace_branch_square64_stays_on_axis_branch(square64):
@@ -459,7 +547,8 @@ def test_arc_correct_refreshes_stale_factor(square32):
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0])
-def test_trace_branch_keeps_one_factor_alive(square32, monkeypatch, p):
+def test_trace_branch_keeps_one_factor_alive(square32, monkeypatch, p,
+                                             full_grid_subspace):
     refs = []
     alive_at_build = []
 
@@ -476,11 +565,27 @@ def test_trace_branch_keeps_one_factor_alive(square32, monkeypatch, p):
         refs.append(weakref.ref(out))
         return out
 
+    def tracked_dgttrf(*args, **kwargs):
+        # a band factor holds the pivot array dgttrf returns
+        alive_at_build.append(sum(r() is not None for r in refs))
+        out = dgttrf(*args, **kwargs)
+        refs.append(weakref.ref(out[4]))
+        return out
+
+    monkeypatch.setattr(gmod, "dgttrf", tracked_dgttrf)
     monkeypatch.setattr(bmod, "splu", tracked_splu)
     lam2 = spectral_gap(square32).eigenvalue
-    tr = trace_branch(square32, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
-    assert len(refs) == tr.factorizations > 0
-    assert alive_at_build == [0] * tr.factorizations
+    # on the gap mode's subspace grid (bands), then on the full grid
+    for full in (False, True):
+        if full:
+            full_grid_subspace()
+        refs.clear()
+        alive_at_build.clear()
+        tr = trace_branch(square32, p, 0.8 * lam2 / abs(p - 1.0),
+                          direction=1)
+        assert tr.unknowns == (square32.n_nodes if full else 32)
+        assert len(refs) == tr.factorizations > 0
+        assert alive_at_build == [0] * tr.factorizations
 
 
 def _scaled_steps(g, tr, p):
@@ -495,27 +600,26 @@ def _scaled_steps(g, tr, p):
     return out
 
 
-def test_trace_branch_sublinear_reaches_dead_core(square32, monkeypatch):
+def test_trace_branch_sublinear_reaches_dead_core(square32, monkeypatch,
+                                                  full_grid_subspace):
     g = square32
-    specs = []
-
-    def counting_splu(A, permc_spec=None, **kwargs):
-        specs.append(permc_spec)
-        return splu(A, permc_spec=permc_spec, **kwargs)
-
-    monkeypatch.setattr(bmod, "splu", counting_splu)
     p = 0.5
     lam2 = spectral_gap(g).eigenvalue
-    tr = trace_branch(g, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
-    assert tr.stop == "step_failures"
-    assert tr.truncated
-    assert tr.rejected_steps == 41
-    last = tr.points[-1].solution.values
-    assert last.min() / last.max() < 1e-10
-    assert len(specs) <= 200
-    assert specs.count("NATURAL") == tr.factorizations
-    assert tr.corrector_iterations > tr.factorizations
-    assert all(pt.newton_residual <= 1e-9 for pt in tr.points)
+    # on the gap mode's subspace grid (bands), then on the full grid
+    for kind in ("band", "NATURAL"):
+        if kind == "NATURAL":
+            full_grid_subspace()
+        specs = _counting_factors(monkeypatch)
+        tr = trace_branch(g, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
+        assert tr.stop == "step_failures"
+        assert tr.truncated
+        assert tr.rejected_steps == 41
+        last = tr.points[-1].solution.values
+        assert last.min() / last.max() < 1e-10
+        assert len(specs) <= 200
+        assert specs.count(kind) == tr.factorizations
+        assert tr.corrector_iterations > tr.factorizations
+        assert all(pt.newton_residual <= 1e-9 for pt in tr.points)
 
 
 def test_trace_branch_sublinear_interval_passes_budget_cap(interval256):

@@ -285,6 +285,14 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys):
     assert err.startswith("usage error:") and "'abc'" in err
 
 
+def test_flow_past_the_stage_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "flow", "nonlinear", "--domain", "interval",
+                         "--n", "16", "--p", "2", "--theta", "0.9",
+                         "--beta", "-0.6923", "--t-end", "1e300")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "t_end/n_store" in err
+
+
 def test_report_json(capsys):
     code, out, _ = run(capsys, "report", "--domain", "interval", "--n", "64",
                        "--p", "2", "--tol", "0.02")

@@ -132,6 +132,29 @@ def test_nonlinear_flow_guards(square32):
                            constant_field(square32, 1.0), 0.01, n_store=0)
 
 
+def test_nonlinear_flow_refuses_steps_past_the_stage_cap(monkeypatch):
+    # a sample interval that needs more than _MAX_STAGES RKL2 stages is
+    # refused before any stage is counted or taken
+    g = gmod.build_grid(Domain.box(1.0), 16)
+    v0 = Field(g, 1.0 + 0.3 * np.cos(np.pi * g.axes[0]))
+
+    def forbidden(*args):
+        raise AssertionError("no stage count past the cap")
+
+    monkeypatch.setattr(flow, "_rkl2_stages", forbidden)
+    with pytest.raises(RangeError, match="t_end/n_store"):
+        nonlinear_flow_run(g, 2.0, -0.6923, 0.9, v0, 1e300)
+    # the cap's span takes exactly _MAX_STAGES stages; a step 1% longer
+    # is refused
+    monkeypatch.undo()
+    dt_stage = 0.5 * g.h_min**2 / 2.0 * float(v0.values.max()) ** (
+        2.0 * -0.6923 - 2.0)
+    span = flow._MAX_STAGE_SPAN * dt_stage
+    assert flow._rkl2_stages(span, dt_stage) == flow._MAX_STAGES
+    with pytest.raises(RangeError, match="t_end/n_store"):
+        nonlinear_flow_run(g, 2.0, -0.6923, 0.9, v0, 1.01 * span, n_store=1)
+
+
 def test_demange_constant_and_random(interval128, square32):
     lhs, rhs = demange_check(constant_field(interval128, 2.0), 5.0 / 3.0, 2.0)
     assert lhs == pytest.approx(0.0, abs=1e-14)

@@ -138,6 +138,25 @@ def test_estimate_mu2_open_bracket(monkeypatch, interval128):
     assert br.open_upper
 
 
+def test_estimate_mu2_ends_at_adjacent_floats(monkeypatch):
+    # a tol below the float spacing of the bracket ends the halving when
+    # lo and hi are adjacent floats, whose midpoint rounds onto an end
+    g = build_grid(Domain.box(1.0), 16)
+    solve, solves = vmod.minimize_quotient, []
+
+    def counting(*args, **kwargs):
+        solves.append(args[1])
+        if len(solves) > 60:
+            raise AssertionError("the bisection did not end")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(vmod, "minimize_quotient", counting)
+    br = vmod.estimate_mu2(g, 2.0, tol=1e-300)
+    assert not br.open_upper
+    assert np.nextafter(br.mu2_lo, math.inf) == br.mu2_hi
+    assert len(solves) == len(set(solves))
+
+
 @pytest.mark.parametrize("grid_name,p,bracket", [
     ("interval256", 2.0, (9.85405850446222, 9.938874344484978)),
     ("interval256", 0.5, (19.70811700892444, 19.877748688969955)),
