@@ -129,8 +129,8 @@ class Grid:
     operator, sign K + diag(w c), comes from ``shifted_factor``: a LAPACK
     tridiagonal factor on one data axis, SuperLU on more. ``_cache``
     holds only memoized results (clearing it loses no grid data), keyed
-    by their maker: ``"K"``, ``"ordering"`` (``shifted_stiffness``, on
-    grids with more than one data axis), ``"heat_modes"``,
+    by their maker: ``"ordering"`` (``shifted_stiffness``, on grids with
+    more than one data axis), ``"heat_modes"``,
     ``"mode_eigenvalues"``, ``"gap"`` (``spectral_gap``),
     ``("subspace", ext)`` (``subspace``, ext the shape with 1 on each
     collapsed axis) and ``"flat_faces"`` (``_flat_faces``).
@@ -371,13 +371,11 @@ class Grid:
     def sparse_stiffness(self) -> sparse.csr_matrix:
         """K, the Kronecker sum of the axis stiffnesses: axis a's tridiagonal
         matrix, Kronecker-multiplied by the weight diagonals of the others."""
-        if "K" not in self._cache:
-            terms = [functools.reduce(sparse.kron, [
-                self._axis_tridiag(f, w.size) if b == a else sparse.diags(w)
-                for b, (f, w) in enumerate(self.pencils)])
-                for a in range(len(self.pencils))]
-            self._cache["K"] = functools.reduce(operator.add, terms).tocsr()
-        return self._cache["K"]
+        terms = [functools.reduce(sparse.kron, [
+            self._axis_tridiag(f, w.size) if b == a else sparse.diags(w)
+            for b, (f, w) in enumerate(self.pencils)])
+            for a in range(len(self.pencils))]
+        return functools.reduce(operator.add, terms).tocsr()
 
     def shifted_stiffness(self, sign: float, c: np.ndarray
                           ) -> Tuple[sparse.csc_matrix, np.ndarray]:

@@ -3,13 +3,13 @@
 The eigenproblems are the symmetric pencils K u = lambda M u (stiffness /
 mass) and (K + s*M_phi) u = lambda M u. The first is a Kronecker sum of
 1-D tridiagonal pencils (``Grid.heat_modes``), so its gap mode is the
-second mode of one axis times constants on the others; no sparse solve
-is needed. The Schrodinger pencil does not separate and is solved by
-shifted inverse iteration on one factorization of the shifted matrix,
-built by ``Grid.shifted_factor`` as the branch Jacobian's is: a LAPACK
-tridiagonal factor on a grid with one data axis, a SuperLU factor in
-the grid's cached order on one with more. Its Rayleigh quotient and
-residual take K u from the face kernels (``Grid.stiffness_apply``).
+second mode of one axis times constants on the others, and its gap is
+the mode's face energy (``Grid.energy``). The Schrodinger pencil does
+not separate and is solved by shifted inverse iteration on one factor
+of the shifted matrix from ``Grid.shifted_factor``, as the branch
+Jacobian's is: LAPACK's tridiagonal factor on a grid with one data axis,
+SuperLU in the grid's cached order on one with more. Its Rayleigh
+quotient and residual take K u from ``Grid.stiffness_apply``.
 
 The rules built on the gap live here too: the threshold scale
 lambda2/|p-1| (``_threshold_scale``) and the positive gap-mode datum
@@ -47,8 +47,8 @@ def spectral_gap(grid: Grid) -> EigenPair:
     multiple gap (equal axes) the mode of the first such axis is taken:
     it varies along that axis only. The eigenfunction is M-orthogonal to
     constants with ||u||_2 = 1 and is positive at the first node; the
-    eigenvalue is its Rayleigh quotient with the grid's K, and the
-    residual is measured with K too. Results are cached on the grid.
+    eigenvalue is its energy E(u, u), a sum of squares over the faces
+    that no box aspect rounds away. Results are cached on the grid.
 
     On a radial ball this is the second radial eigenvalue, not the
     ball's gap: that belongs to the l = 1 harmonic and is 4.3-4.7 times
@@ -71,17 +71,19 @@ def spectral_gap(grid: Grid) -> EigenPair:
     # orientation never rests on a round-off tie
     if u[0] < 0.0:
         u = -u
-    Ku = grid.sparse_stiffness() @ u
-    lam = float(np.dot(u, Ku))
-    res = _m_norm(w, Ku / w - lam * u)
+    u = u.reshape(grid.shape)
+    lam = grid.energy(u)  # the Rayleigh quotient, as u is M-normalised
+    res = _m_norm(w, (grid.laplacian(u) + lam * u).ravel())
 
-    pair = EigenPair(lam, Field(grid, u.reshape(grid.shape)), res, 0)
+    pair = EigenPair(lam, Field(grid, u), res, 0)
     grid._cache["gap"] = pair
     return pair
 
 
 def _threshold_scale(grid: Grid, p: float) -> float:
     """The rigidity threshold scale lambda2/|p-1| of the grid."""
+    if p == 1.0:
+        raise RangeError("p = 1 has no threshold scale lambda2/|p-1|")
     return spectral_gap(grid).eigenvalue / abs(p - 1.0)
 
 

@@ -401,10 +401,10 @@ def test_subspace_of_a_one_axis_grid_is_the_grid(grid_name, request):
 # _SQUARE32_TRACE is the trace on the full grid, _SQUARE32_REDUCED_TRACE
 # the default one on the gap mode's subspace. At p = 0.5 the two agree
 # for 15 points and then sample the dead-core end differently
-_SQUARE32_TRACE = {0.5: (74, 19.72232663250131, 26.92893908967355),
-                   2.0: (49, 9.861176864763076, 102.42052485915306)}
-_SQUARE32_REDUCED_TRACE = {0.5: (84, 19.72232663250131, 43.89143330327887),
-                           2.0: (49, 9.861176864763076, 102.42052485719286)}
+_SQUARE32_TRACE = {0.5: (86, 19.72232663250131, 43.910949441036365),
+                   2.0: (48, 9.861176864763076, 102.42052485915306)}
+_SQUARE32_REDUCED_TRACE = {0.5: (83, 19.72232663250131, 43.89143330327887),
+                           2.0: (48, 9.861176864763076, 102.42052485719286)}
 
 
 def _check_square32_pins(g, p, pins):

@@ -363,6 +363,17 @@ def test_inadmissible_exponent_is_usage_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("cmd", ["mu1", "klt"])
+def test_p1_threshold_scale_is_usage_error(tmp_path, capsys, cmd):
+    # the log-Sobolev case passes _validate, but lambda2/|p-1| has no
+    # value at p = 1, so mu1's start and klt's default sweep refuse it
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, cmd, "--domain", "interval", "--n", "16",
+                         "--p", "1", "--log-sobolev", "--out", str(out_path))
+    assert code == 2 and err.startswith("usage error:") and "p = 1" in err
+    assert out == "" and not out_path.exists()
+
+
 def _fail_with(exc):
     def solver(*args, **kwargs):
         raise exc

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.special import jn_zeros
 
+from neumann_rigidity import grid as gmod
 from neumann_rigidity import spectral
 
 from neumann_rigidity import (Domain, Field, RangeError, build_grid,
@@ -63,9 +64,9 @@ def test_gap_matches_dense_pencil(name):
     assert pair.residual <= 1e-10 * lam2
     assert pair.iterations == 0
     u = pair.eigenfunction.values
-    # the eigenvalue is the Rayleigh quotient with the grid's own K
+    # the eigenvalue is the Rayleigh quotient in the grid's face form
     flat = u.ravel()
-    assert pair.eigenvalue == float(np.dot(flat, g.sparse_stiffness() @ flat))
+    assert pair.eigenvalue == g.energy(u)
     assert abs(g.integrate(u)) <= 1e-12
     assert g.integrate(u * u) == pytest.approx(1.0, abs=1e-12)
     # oriented by the first node, an extremum of the mode, not by a tie
@@ -77,6 +78,28 @@ def test_gap_matches_dense_pencil(name):
         # the long side carries the simple gap
         assert np.ptp(u, axis=1).max() == 0.0
         assert np.ptp(u, axis=0).min() > 1.0
+
+
+@pytest.mark.parametrize("aspect, n", [
+    (None, 1024), (1.0, 64), (0.5, 40), (0.01, 32), (1e-6, 32), (1e-300, 8)],
+    ids=["interval1024", "square64", "rect0.5x1_40", "rect0.01x1_32",
+         "rect1e-6x1_32", "rect1e-300x1_8"])
+def test_gap_is_the_closed_form_on_any_aspect(aspect, n):
+    # the trapezoid pencil is the mirror-ghost difference operator, so
+    # the gap is (4/h^2) sin^2(pi h/(2L)) on the longest side L, however
+    # small the short side's share of a node's stiffness. The residual is
+    # bounded by 1e-10 lambda2 plus the round-off floor of the axis
+    # operator, whose spectrum reaches 4/h^2 (on interval1024 the
+    # residual is 2.6e-10 lambda2)
+    g = build_grid(Domain.box(1.0) if aspect is None
+                   else Domain.box(aspect, 1.0), n)
+    L = max(g.domain.extents)
+    h = L / (n - 1)
+    exact = 4.0 / h**2 * math.sin(math.pi * h / (2.0 * L)) ** 2
+    pair = spectral_gap(g)
+    assert pair.eigenvalue > 0.0
+    assert abs(pair.eigenvalue - exact) <= 2e-15 * exact
+    assert pair.residual <= 1e-10 * exact + 1e-14 * 4.0 / h**2
 
 
 def test_cube_gap_within_one_percent_of_pi_squared():
@@ -98,6 +121,10 @@ def test_gap_needs_no_factor_and_no_randomness(monkeypatch):
 
     monkeypatch.setattr(spectral, "splu", forbidden)
     monkeypatch.setattr(np.random, "default_rng", forbidden)
+    # nor a band factor, nor the assembled K: the gap is a face product
+    monkeypatch.setattr(gmod, "dgttrf", forbidden)
+    for name in ("shifted_factor", "sparse_stiffness"):
+        monkeypatch.setattr(gmod.Grid, name, forbidden)
     g = build_grid(Domain.box(1.2, 1.0), 24)
     pair = spectral_gap(g)
     assert spectral_gap(g) is pair

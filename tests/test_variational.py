@@ -578,6 +578,8 @@ def test_quotient_solve_makes_no_sparse_factorization(grid_name, request,
 
     for mod in (sla, gmod, spectral, branch):
         monkeypatch.setattr(mod, "splu", forbidden, raising=False)
+    monkeypatch.setattr(gmod, "dgttrf", forbidden)
+    monkeypatch.setattr(gmod.Grid, "shifted_factor", forbidden)
     g = request.getfixturevalue(grid_name)
     lam2 = spectral_gap(g).eigenvalue
     for p, lam in ((2.0, 1.05 * lam2), (0.5, 0.9 * lam2 / 0.5)):
