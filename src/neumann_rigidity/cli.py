@@ -7,9 +7,10 @@ produced it. All randomness flows from one 64-bit seed. Sweeps accept
 either a single value (``--lambda 3.5``) or a geometric range
 ``lo:hi:count`` (``--lambda 1:100:8``).
 
-``_validate`` refuses every non-finite float option and a negative
-``lambda2``, and sets the dimension ``d`` of ``bounds``. ``_DOMAINS``
-maps each ``--domain`` kind to its constructor.
+``_validate`` refuses every non-finite float option, a negative
+``lambda2`` and p = 1 outside ``bounds``, and sets the dimension ``d``
+of ``bounds``. ``_DOMAINS`` maps each ``--domain`` kind to its
+constructor.
 ``_emit`` writes every output, failure diagnostics included, as one
 finished string, and ``_sweep`` runs the ``quotient`` and ``klt`` sweeps.
 """
@@ -421,8 +422,8 @@ def _validate(cfg: RunConfig) -> None:
             raise RangeError(f"{key} must be finite, got {value!r}")
     if cfg.lambda2 < 0.0:
         raise RangeError("--lambda2 must be positive (0 computes it)")
-    if cfg.p == 1.0 and not cfg.log_sobolev:
-        raise RangeError("p = 1 requires --log-sobolev")
+    if cfg.p == 1.0 and (cfg.command != "bounds" or not cfg.log_sobolev):
+        raise RangeError("p = 1 is taken only by bounds, with --log-sobolev")
     if cfg.command == "bounds":
         # a computed lambda2 is the domain's, so d is its dimension; a
         # given one may belong to a domain of the larger dimension --d

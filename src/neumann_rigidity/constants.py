@@ -92,7 +92,8 @@ def _check_exponents(p: float, d: int, log_sobolev: bool) -> int:
         if p != 1.0:
             raise RangeError("the log-Sobolev flag fixes p = 1")
     elif p == 1.0:
-        raise RangeError("p = 1 requires the log-Sobolev flag")
+        raise RangeError("p = 1 is the log-Sobolev case, taken only by a "
+                         "call with log_sobolev=True")
     elif not p > 0.0:
         raise RangeError("p must be positive")
     elif d >= 3 and p >= critical_exponent(d) - 1.0:

@@ -81,8 +81,8 @@ def klt_duality_check(grid: Grid, p: float, mu: float,
     the ``QuotientSolve`` of ``lambda_of_mu`` records whether the descent
     converged.
     """
-    eps = epsilon(p)
     sol: QuotientSolve = lambda_of_mu(grid, mu, p, seed=seed)
+    eps = epsilon(p)
     u = sol.minimizer
     phi = optimal_potential(u, mu, p)
     pair = schrodinger_ground_state(grid, phi, sign=-eps)

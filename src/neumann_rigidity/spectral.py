@@ -87,12 +87,10 @@ def _threshold_scale(grid: Grid, p: float) -> float:
     return spectral_gap(grid).eigenvalue / abs(p - 1.0)
 
 
-def _gap_datum(grid: Grid, amp) -> np.ndarray:
-    """The positive datum max(1 + amp u2, 1e-3), u2 the gap eigenfunction;
-    for a sequence ``amp``, one datum per amplitude along a new first axis.
-    """
+def _gap_datum(grid: Grid, amp: float) -> np.ndarray:
+    """The positive datum max(1 + amp u2, 1e-3), u2 the gap eigenfunction."""
     u2 = spectral_gap(grid).eigenfunction.values
-    return np.maximum(1.0 + np.multiply.outer(amp, u2), 1e-3)
+    return np.maximum(1.0 + amp * u2, 1e-3)
 
 
 def schrodinger_ground_state(grid: Grid, potential, sign: int) -> EigenPair:

@@ -18,7 +18,7 @@ parameter), applied in the grid's modes without a factorization (see
 the newest pair (Shanno & Phua, Math. Program. 14 (1978) 149-160; Nocedal
 & Wright, Numerical Optimization, eq. 7.20), so that the unit step is
 mostly accepted. Armijo backtracking from the unit step and a small
-multi-start ladder (constant, eigenfunction perturbations, one seeded
+multi-start ladder (constant, one gap-mode perturbation, one seeded
 random field) complete it. Near the threshold the constant's curvature
 along the gap mode tends to 0, and the scalar step alone needs hundreds of
 iterations a start; the curvature pairs bring that to tens. Each objective
@@ -284,8 +284,10 @@ def _descend(grid: Grid, u0: np.ndarray, objective, scale: float, metric,
 
 
 def _starts(grid: Grid, seed: int) -> List[np.ndarray]:
+    """One start per symmetry orbit: the constant, max(1 + 0.2 u2, 1e-3)
+    and a seeded random field (on a box, -0.2 would mirror the +0.2 one)."""
     rng = SplitMix64(seed).spawn(17)
-    return [np.ones(grid.shape), *_gap_datum(grid, (0.2, -0.2)),
+    return [np.ones(grid.shape), _gap_datum(grid, 0.2),
             0.3 + rng.uniforms(grid.shape)]
 
 
@@ -337,17 +339,20 @@ def _quotient_l2(grid: Grid, c: float, p: float):
 
 
 def _run_multistart(grid: Grid, objective, starts: Sequence[np.ndarray],
-                    scale: float, below: Optional[float] = None):
+                    param: float, below: Optional[float] = None):
     """Best iterate, its record and the records of the starts that ran.
 
-    ``scale`` is both the shift of the metric (see ``_metric``), which the
-    starts share, and the scale of the gradient tolerance. The starts run
-    in order; with ``below`` set, the first one that reaches a value below
-    it is returned at once, and the starts after it do not run. Otherwise
-    the start of least value is returned, the first one at a tie, whether
-    it converged or stalled; its record says how it ended. If every start
-    stalled, ConvergenceError is raised.
+    The starts share the metric K + max(1, param) M (see ``_metric``),
+    whose shift is also the scale of the gradient tolerance; it tracks the
+    objective's zeroth-order term, without which the descent slows down at
+    large parameters. The starts run in order; with ``below`` set, the
+    first one that reaches a value below it is returned at once, and the
+    starts after it do not run. Otherwise the start of least value is
+    returned, the first one at a tie, whether it converged or stalled; its
+    record says how it ended. If every start stalled, ConvergenceError is
+    raised.
     """
+    scale = max(1.0, param)
     metric = _metric(grid, scale)
     runs = []
     for u0 in starts:
@@ -365,17 +370,12 @@ def _run_multistart(grid: Grid, objective, starts: Sequence[np.ndarray],
 
 def _solve(grid: Grid, param: float, objective, sign: float, seed: int,
            below: Optional[float] = None) -> QuotientSolve:
-    """Multistart solve in the metric K + max(1, param)*M; ``sign`` maps
-    the minimum to ``mu_out``.
-
-    The shift follows the parameter so that the metric tracks the
-    zeroth-order term of the objective; with a unit shift the descent
-    slows down at large parameters. ``below`` is a witness threshold on
-    the objective's value, before ``sign`` (see ``_run_multistart``).
+    """Multistart solve at parameter ``param``; ``sign`` maps the minimum
+    to ``mu_out``. ``below`` is a witness threshold on the objective's
+    value, before ``sign`` (see ``_run_multistart``).
     """
-    scale = max(1.0, param)
     u, best, records = _run_multistart(grid, objective, _starts(grid, seed),
-                                       scale, below=below)
+                                       param, below=below)
     u = np.maximum(u, 1e-300)
     return QuotientSolve(
         lambda_in=param, mu_out=sign * best.value, minimizer=Field(grid, u),
@@ -529,7 +529,7 @@ def fit_scaling_exponent(grid: Grid, p: float,
     for lam in lams:
         starts = base if prev is None else [prev] + base
         prev, best, _ = _run_multistart(
-            grid, _quotient_p_gt1(grid, lam, p), starts, max(1.0, lam))
+            grid, _quotient_p_gt1(grid, lam, p), starts, lam)
         mus.append(best.value)
     slope = np.polyfit(np.log(lams), np.log(np.asarray(mus)), 1)[0]
     return float(slope)

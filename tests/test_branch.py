@@ -546,6 +546,23 @@ def test_arc_correct_refreshes_stale_factor(square32):
     assert jac.lu is not None
 
 
+def test_arc_correct_meets_its_constraint(interval128):
+    # from a converged branch point whose constraint is off by ds = 1e-6 at
+    # entry, the corrector returns only once it holds to 1e-10 max(1, |ds|)
+    # (4.6e-17 here, after 2 iterations), not at entry
+    g = interval128
+    tr = trace_branch(g, 2.0, 0.8 * spectral_gap(g).eigenvalue, direction=1)
+    pt = [pt for pt in tr.points if pt.deviation > 0.0][5]
+    u = pt.solution.values
+    tu = u / math.sqrt(g.integrate(u * u))
+    ds = 1e-6
+    u1, _, res, _ = bmod._arc_correct(bmod._Jacobian(g, 2.0), u, 1.0, tu,
+                                      0.0, ds, pt.lam, u, 1.0)
+    assert res <= 1e-9
+    con = g.integrate(tu * (u1 - u)) - ds
+    assert abs(con) <= 1e-10 * max(1.0, abs(ds))
+
+
 @pytest.mark.parametrize("p", [0.5, 2.0])
 def test_trace_branch_keeps_one_factor_alive(square32, monkeypatch, p,
                                              full_grid_subspace):

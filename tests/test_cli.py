@@ -363,14 +363,20 @@ def test_inadmissible_exponent_is_usage_error(capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("cmd", ["mu1", "klt"])
+@pytest.mark.parametrize("cmd", [
+    ("mu1",), ("klt",), ("klt", "--mu", "5"), ("mu2",),
+    ("quotient", "--lambda", "5"), ("report",), ("flow", "nonlinear"),
+], ids=["mu1", "klt", "klt_mu", "mu2", "quotient", "report",
+        "flow_nonlinear"])
 def test_p1_threshold_scale_is_usage_error(tmp_path, capsys, cmd):
-    # the log-Sobolev case passes _validate, but lambda2/|p-1| has no
-    # value at p = 1, so mu1's start and klt's default sweep refuse it
+    # lambda2/|p-1| has no value at p = 1, and only bounds takes the
+    # log-Sobolev case: every other command refuses it, flag or not, and
+    # names bounds rather than asking for the flag it was given
     out_path = tmp_path / "out.csv"
-    code, out, err = run(capsys, cmd, "--domain", "interval", "--n", "16",
+    code, out, err = run(capsys, *cmd, "--domain", "interval", "--n", "16",
                          "--p", "1", "--log-sobolev", "--out", str(out_path))
     assert code == 2 and err.startswith("usage error:") and "p = 1" in err
+    assert "requires the log-Sobolev flag" not in err and "bounds" in err
     assert out == "" and not out_path.exists()
 
 

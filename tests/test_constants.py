@@ -222,7 +222,7 @@ def test_every_solver_applies_the_exponent_rule(ball3_32, entry, p):
         assert call(ball3_32, p) == pytest.approx(0.0, abs=1e-12)
         return
     with pytest.raises(RangeError, match="p must be positive|"
-                       "p = 1 requires|not sub-critical"):
+                       "p = 1 is the log-Sobolev case|not sub-critical"):
         call(ball3_32, p)
 
 

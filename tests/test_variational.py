@@ -196,7 +196,7 @@ def test_witness_exit_stops_at_first_start_below(interval128, p):
     x = 0.5 * (1.0 - theta_star(p, g.dim)) * scale
     sol = minimize_quotient(g, x, p, below=x * (1.0 - 1e-6))
     full = minimize_quotient(g, x, p)
-    assert sol.restarts_used == len(sol.starts) == 4
+    assert sol.restarts_used == len(sol.starts) == 3
     assert not any(rec.witness for rec in sol.starts)
     assert np.array_equal(sol.minimizer.values, full.minimizer.values)
     for field in ("mu_out", "constant_deviation", "iterations", "converged",
@@ -326,23 +326,25 @@ def test_rounding_floor_exit_gives_up_only_rounding_noise(interval128, p,
 
 
 @pytest.mark.parametrize("grid_name,x,ks,converged", [
-    ("interval256", 0.5, (3,), True),
-    ("square64", 2.0, (1, 2), True),
-    ("interval128", 3.0, (1, 2, 3), False),
+    ("interval256", 0.5, (2,), True),
+    ("square64", 2.0, (1, 3), True),
+    ("interval128", 3.0, (1, 2), False),
 ], ids=["rounding_floor", "gap_modes", "dead_core"])
 def test_one_stopping_rule_in_the_dual_norm(grid_name, x, ks, converged,
                                             request):
     # p = 0.5 at x times the scale. A start converges once <g, R g> is at
     # most 16 ulp of f: the random interval256 start ends there with an L2
-    # gradient norm above the old 100x cut, and the two gap-mode starts on
-    # square64 read 11 and 17 ulp one step before. A start whose search
-    # fails in the Riesz direction stalls: past the dead-core onset its
-    # <g, R g> is thousands of times the floor
+    # gradient norm above the old 100x cut, and the gap-mode start on
+    # square64 and its mirror image, the datum with -0.2 that the ladder
+    # leaves out (index 3 here), read 11 and 17 ulp one step before and end
+    # on the same value. A start whose search fails in the Riesz direction
+    # stalls: past the dead-core onset its <g, R g> is thousands of times
+    # the floor
     g = request.getfixturevalue(grid_name)
     lam = x * spectral_gap(g).eigenvalue / 0.5
     objective = _objective(g, lam, 0.5)
     metric = vmod._metric(g, lam)
-    starts = vmod._starts(g, 0)
+    starts = [*vmod._starts(g, 0), spectral._gap_datum(g, -0.2)]
     values = []
     for k in ks:
         u, rec = vmod._descend(g, starts[k], objective, lam, metric)
@@ -451,7 +453,7 @@ def test_descent_converges_quickly_just_below_the_threshold(interval256):
     g = interval256
     lam = 0.9984375 * spectral_gap(g).eigenvalue
     sol = minimize_quotient(g, lam, 2.0, seed=0)
-    assert len(sol.starts) == 4
+    assert len(sol.starts) == 3
     for rec in sol.starts[1:]:
         assert rec.converged and not rec.stalled
         assert rec.iterations <= 100
@@ -525,6 +527,32 @@ def test_estimate_lambda_star_interval(interval256, monkeypatch):
         assert est == abs(p - 1.0) * estimate_mu2(g, p).mu2_hi
 
 
+def test_lambda_star_bracket_is_a_hundredth_of_the_gap(monkeypatch):
+    # at p = 1 the bisection narrows to 0.01 lambda2 (0.0086 lambda2 here),
+    # and the estimate is the bracket's witnessed upper end
+    g = build_grid(Domain.box(1.0), 64)
+    bracket, brackets = vmod._threshold_bracket, []
+
+    def recording(*args, **kwargs):
+        brackets.append(bracket(*args, **kwargs))
+        return brackets[-1]
+
+    monkeypatch.setattr(vmod, "_threshold_bracket", recording)
+    est = estimate_lambda_star(g, 1.0)
+    (lo, hi, open_upper), = brackets
+    assert not open_upper and hi == est
+    assert hi - lo <= 0.01 * spectral_gap(g).eigenvalue
+
+
+def test_lsi_floor_only_keeps_the_logarithm_finite(interval128):
+    # the floor at 1e-12 of the maximum leaves a field whose least value is
+    # 1e-6 of its largest as it is: normalize is the plain sphere projection
+    g = interval128
+    u = np.linspace(1e-6, 1.0, g.shape[0])
+    normalize = vmod._lsi_deficit(g, 5.0)[0]
+    assert np.array_equal(normalize(u), vmod._sphere(g)(u))
+
+
 def test_estimate_lambda_star_open_bracket(monkeypatch, interval128):
     # an open mu2 bracket has no witness at its cap, so there is no estimate
     def open_bracket(grid, p, seed=0):
@@ -533,6 +561,29 @@ def test_estimate_lambda_star_open_bracket(monkeypatch, interval128):
     with pytest.raises(ConvergenceError) as info:
         estimate_lambda_star(interval128, 0.5)
     assert (info.value.stage, info.value.lam) == ("lambda_star bracket", 30.0)
+
+
+@pytest.mark.parametrize("dom,n", [(Domain.ball(2), 128),
+                                   (Domain.ball(3), 64)],
+                         ids=["disk128", "ball3_64"])
+def test_mirrored_gap_mode_start_never_ends_below_the_kept_starts(dom, n):
+    # the ladder runs one start per symmetry orbit and leaves out the datum
+    # max(1 - 0.2 u2, 1e-3), on a box the mirror image of the +0.2 start.
+    # On a ball the radial mode is not odd, so that datum is no mirror
+    # image; its descent still ends above the least kept start (0.8% to
+    # 2.5x above it here), never below
+    g = build_grid(dom, n)
+    u0 = spectral._gap_datum(g, -0.2)
+    for p in (0.5, 2.0, 3.0):
+        scale = spectral_gap(g).eigenvalue / abs(p - 1.0)
+        for x in (1.02, 1.05, 1.5, 2.0, 4.0):
+            lam = x * scale
+            sol = minimize_quotient(g, lam, p)
+            assert len(sol.starts) == 3
+            _, rec = vmod._descend(g, u0, _objective(g, lam, p), lam,
+                                   vmod._metric(g, lam))
+            kept = min(r.value for r in sol.starts)
+            assert rec.value >= kept * (1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("grid_name", ["interval256", "square32", "ball256"])
@@ -613,7 +664,7 @@ def test_sobolev_descent_converges_past_threshold(interval256):
     assert sol.converged
     assert sol.mu_out <= 10.355994998230598 * (1.0 + 1e-12)
     # one record per start; the best one is what the solve reports
-    assert len(sol.starts) == sol.restarts_used == 4
+    assert len(sol.starts) == sol.restarts_used == 3
     best = min(sol.starts, key=lambda rec: rec.value)
     assert best.value == sol.mu_out
     assert (best.iterations, best.converged) == (sol.iterations, True)
