@@ -7,10 +7,10 @@ The equation solved nodewise is
 with eps(p) the sign of p - 1. Constants u = lam^(1/(p-1)) solve it for
 every lam; non-constant solutions branch off at lam = lambda2/|p-1| where
 the linearization around the constant loses definiteness on the gap mode.
-One Newton-chord core (``_arc_correct``) does both jobs: bordered with the
-arclength constraint it traces the non-constant branch after switching
-along the gap eigenfunction, and without the border it is the single
-solve at fixed lam (``newton_solve``).
+One damped Newton core (``_arc_correct``) does both jobs: bordered with
+the arclength constraint it traces the non-constant branch after
+switching along the gap eigenfunction, and without the border it is the
+single solve at fixed lam (``newton_solve``).
 
 The continuation measures the branch in the dimensionless pair
 (u/c*, ell), with c* = lam_bif^(1/(p-1)) the constant at the bifurcation
@@ -22,20 +22,27 @@ iterations, 1.3x after five or six, and halves after each rejected step.
 The trace allows 40 rejected steps in all, not 40 in a row, and ends at
 the next one or once the step falls below 1e-8.
 
-The corrector is a Newton-chord (simplified Newton) iteration: it
-solves every (bordered) step with the Jacobian factor it holds, and a
-contraction monitor decides when that factor is too old. After a step
-taken with a factor built at an earlier iterate, the scaled residual must
-have fallen at least 4x; otherwise the step is taken back and the factor
-rebuilt at the iterate the step started from. The step right after a
-fresh factor is a full Newton step and is not judged. Taking a failed
-chord step back keeps the corrector on the branch it was following: at
-the double lambda2 of the square, a chord step kept in place drifted
-along the second eigenfunction onto the diagonal branch. The factor of
-each accepted point is handed to the next corrector call, and a rejected
-step drops it. Chord iterations converge linearly, hence the growth
-thresholds above count more iterations than a full Newton corrector
-would need.
+The corrector is full Newton (Deuflhard, *Newton Methods for Nonlinear
+Problems*, 2004, sec. 2.1): every iteration factors the Jacobian at its
+own iterate and solves the (bordered) step with that factor, so it
+converges quadratically once close. On the one-axis subspace grid of
+every trace the factor is a tridiagonal band that costs about as much as
+a solve, so reusing one factor over several iterations would save
+almost nothing and would converge only linearly.
+
+Where the branch turns back in lam it has a fold, and the least lam of a
+subcritical branch is that fold, not a sampled point. A fold is located
+when the lam component of the secant changes sign between two accepted
+steps, P0 -> P1 -> P2. The three points lie on the hyperplanes
+<t, x - P1> = s of the secant t from P0 to P1, at s = -|P1 - P0|, 0 and
+the step length, and ell(s) has its extreme inside. Successive parabolic
+interpolation finds the zero of dell/ds there: each new s is the vertex
+of the parabola through the three samples of most extreme lam, and one
+corrector call puts a branch point on that hyperplane (``_fold``). ell
+is quadratic in s at the fold, so s to 1e-7 gives ell to round-off. The
+fold is kept in ``BranchTrace.folds``, not among the points, and the
+trace goes on from P2. A trace whose lam never turns makes no extra
+corrector call.
 
 The equation commutes with the grid's symmetries, so a branch that
 leaves the constant along the gap eigenfunction stays in the fixed-point
@@ -50,9 +57,9 @@ balls) the subspace grid is that grid. A trace on the subspace says
 nothing about stability off it, so a Morse index of its points has to
 be taken on the full grid, where ``newton_solve`` solves.
 
-One ``_Jacobian`` per trace (or per ``newton_solve``) holds the factor,
-and its ``refresh`` drops the held one before it builds the next, so
-only one is alive at a time. ``Grid.shifted_factor`` builds it: a LAPACK
+Each corrector call owns one ``_Jacobian``, whose ``refresh`` drops the
+held factor before it builds the next, so only one is alive at a time
+and none outlives the call. ``Grid.shifted_factor`` builds it: a LAPACK
 tridiagonal factor on a grid with one data axis, as the gap mode's
 subspace grid of every trace is, and a SuperLU factor in the grid's
 cached order on a grid with more (``newton_solve`` on a rectangle or a
@@ -62,7 +69,7 @@ cuboid).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -76,6 +83,8 @@ from .spectral import _threshold_scale, spectral_gap
 
 _NEWTON_TOL = 1e-9
 _LAM_CAP_FACTOR = 10.0
+_FOLD_TOL = 1e-7
+_FOLD_CALLS = 20
 
 
 @dataclass
@@ -88,16 +97,29 @@ class BranchPoint:
 
 
 @dataclass
+class Fold:
+    """A turning point of lam on a traced branch, and the corrector
+    calls its location took."""
+
+    point: BranchPoint
+    corrector_calls: int
+
+
+@dataclass
 class BranchTrace:
-    """Ordered branch points, bookkeeping flags and the work of the trace.
+    """Ordered branch points, located folds, bookkeeping flags and the
+    work of the trace.
 
     ``factorizations`` counts every Jacobian factor the arclength
-    corrector built, fresh or refreshed, tridiagonal or sparse (a
-    multi-axis grid's one ordering probe is not among them),
-    ``refactorizations`` those of them forced by its
-    contraction monitor, ``corrector_iterations`` its iterations over all
-    calls, accepted or not, and ``rejected_steps`` the continuation steps
-    it rejected.
+    corrector built, tridiagonal or sparse (a multi-axis grid's one
+    ordering probe is not among them), ``corrector_iterations`` its
+    iterations over all calls, accepted or not, and ``rejected_steps``
+    the continuation steps it rejected. Every iteration that does not
+    converge builds one factor, so the iterations are the factors plus
+    the corrector calls that converged.
+    ``folds`` holds the turning points of lam located between accepted
+    points (module docstring), in trace order; they are not in
+    ``points``.
     ``stop`` names why the trace ended: ``"no_crossing"`` (the constant
     walk never crossed lambda2/|p-1|), ``"no_first_point"`` (no
     non-constant point found off the bifurcation), ``"lam_cap"``,
@@ -114,8 +136,8 @@ class BranchTrace:
     corrector_iterations: int = 0
     rejected_steps: int = 0
     stop: str = ""
-    refactorizations: int = 0
     unknowns: int = 0
+    folds: List[Fold] = field(default_factory=list)
 
 
 def _residual(grid: Grid, p: float, lam: float, u: np.ndarray) -> np.ndarray:
@@ -156,13 +178,12 @@ class _Jacobian:
 
 def newton_solve(grid: Grid, p: float, lam: float,
                  initial: Field) -> BranchPoint:
-    """Newton-chord iteration for F(u) = 0 at fixed lam from a positive field.
+    """Damped Newton iteration for F(u) = 0 at fixed lam from a positive
+    field.
 
     This is the arclength corrector ``_arc_correct`` without its bordering
-    row: each step solves with the Jacobian factor it holds, and a step
-    taken with a factor built at an earlier iterate must cut the scaled
-    residual at least 4x, or it is taken back and the factor rebuilt
-    there. A step that would leave the positive cone is halved until it
+    row: each iteration factors the Jacobian at its iterate and solves,
+    and a step that would leave the positive cone is halved until it
     stays inside. Converges when the scaled residual is at most 1e-9.
 
     At a bifurcation point the Jacobian of the constant is singular, yet
@@ -180,8 +201,8 @@ def newton_solve(grid: Grid, p: float, lam: float,
     u = np.asarray(initial.values, dtype=float)
     if u.min() <= 0.0:
         raise PositivityError("the initial field must be positive")
-    u, _, res, _ = _arc_correct(_Jacobian(grid, p), u, 1.0, tu=None, tl=0.0,
-                                ds=0.0, lam_ref=lam, base_u=u, base_ell=1.0,
+    u, _, res, _ = _arc_correct(grid, p, u, 1.0, tu=None, tl=0.0, ds=0.0,
+                                lam_ref=lam, base_u=u, base_ell=1.0,
                                 max_iter=60)
     return BranchPoint(lam, Field(grid, u), grid.deviation(u), res, 0.0)
 
@@ -197,7 +218,7 @@ def constant_solution(grid: Grid, p: float, lam: float) -> BranchPoint:
 
 # ----------------------------------------------------------------------
 # pseudo-arclength machinery
-def _arc_correct(jac: _Jacobian, u0: np.ndarray, ell0: float,
+def _arc_correct(grid: Grid, p: float, u0: np.ndarray, ell0: float,
                  tu: Optional[np.ndarray], tl: float, ds: float,
                  lam_ref: float, base_u: np.ndarray, base_ell: float,
                  max_iter: int = 30, work: Optional[BranchTrace] = None):
@@ -207,51 +228,37 @@ def _arc_correct(jac: _Jacobian, u0: np.ndarray, ell0: float,
     <tu, u - base_u> + tl (ell - base_ell) = ds in the quadrature metric.
     With ``tu`` None there is no bordering row: ell stays at ell0 and the
     iteration solves F(u) = 0 alone (``newton_solve``).
-    The iteration is Newton-chord on the grid and p of ``jac``: each
-    bordered step solves with the factor ``jac`` holds, built fresh at the
-    current iterate when it holds none. After a step taken with a factor
-    built at an earlier iterate, a scaled residual above 1/4 of the one
-    before the step takes the step back and refreshes the factor where it
-    started; the step after a fresh factor is not judged. The factor left
-    in ``jac`` is the one the last step used. Converges when the scaled
-    residual is at most 1e-9 and the constraint holds to 1e-10 max(1, ds).
-    Returns (u, ell, residual, n_iter) or raises. Iterations, factors
-    built and the refreshes among them are added to the counts of
-    ``work`` when given.
+    The iteration is full Newton on ``grid`` at exponent p: each
+    iteration that has not converged factors the Jacobian at its iterate,
+    dropping the factor of the iteration before, and solves the bordered
+    step with it; a step that would leave the positive cone is halved
+    until it stays inside. No factor outlives the call. Converges when
+    the scaled residual is at most 1e-9 and the constraint holds to
+    1e-10 max(1, ds). Returns (u, ell, residual, n_iter) or raises.
+    Iterations and factors built are added to the counts of ``work``
+    when given.
     """
-    grid, p = jac.grid, jac.p
     w = grid.weights
+    jac = _Jacobian(grid, p)
     u = u0.copy()
     if u.min() <= 0.0:
         raise DampingError("predictor left the positive cone")
     ell = ell0
-    judge = False
-    last = None
     for it in range(1, max_iter + 1):
-        if work is not None:
-            work.corrector_iterations += 1
         lam = lam_ref * ell
         if lam <= 0.0:
             raise DampingError("corrector left lam > 0")
+        if work is not None:
+            work.corrector_iterations += 1
         F = _residual(grid, p, lam, u)
         res = _scaled_norm(grid, lam, u, F)
         con = 0.0 if tu is None else (
             _inner(w, tu, u - base_u) + tl * (ell - base_ell) - ds)
         if res <= _NEWTON_TOL and abs(con) <= 1e-10 * max(1.0, abs(ds)):
             return u, ell, res, it
-        stale = judge and res > 0.25 * last[3]
-        if stale:
-            # too little contraction: take the chord step back and refresh
-            # the factor at the iterate it started from
-            u, ell, F, res, con = last
-            lam = lam_ref * ell
-        refresh = stale or jac.lu is None
-        if refresh:
-            if work is not None:
-                work.factorizations += 1
-                work.refactorizations += stale
-            jac.refresh(lam, u)
-        judge, last = not refresh, (u, ell, F, res, con)
+        if work is not None:
+            work.factorizations += 1
+        jac.refresh(lam, u)
         x1 = jac.solve(F)
         if tu is None:
             dell, du = 0.0, -x1
@@ -266,11 +273,48 @@ def _arc_correct(jac: _Jacobian, u0: np.ndarray, ell0: float,
         while alpha >= 1e-10 and (u + alpha * du).min() <= 0.0:
             alpha *= 0.5
         if alpha < 1e-10:
-            raise DampingError("positivity lost in Newton-chord corrector")
+            raise DampingError("positivity lost in Newton corrector")
         u = u + alpha * du
         ell = ell + alpha * dell
-    raise ConvergenceError("Newton-chord corrector did not converge", res,
+    raise ConvergenceError("Newton corrector did not converge", res,
                            max_iter)
+
+
+def _fold(at, s, f, best):
+    """The least f between three samples, by successive parabolic
+    interpolation.
+
+    ``s`` are arclengths s0 < s1 < s2 along one direction and ``f`` the
+    values there, f1 below both ends; ``best`` belongs to s1. ``at(x)``
+    corrects onto the branch at arclength x and returns (f, data), or
+    None when the corrector fails. Each new x is the vertex of the
+    parabola through the three least samples, where its derivative
+    vanishes, or the midpoint of the wider side of the least sample when
+    that vertex falls outside its neighbours. The search ends once x lies
+    within 1e-7 of the least sample, at a failed call or after 20 calls.
+    Returns (data of the least sample, calls made).
+    """
+    samples = dict(zip(s, f))
+    calls = 0
+    while calls < _FOLD_CALLS:
+        (fb, b), (fv, v), (fw, w) = sorted(
+            (fx, x) for x, fx in samples.items())[:3]
+        lo = max(x for x in samples if x < b)
+        hi = min(x for x in samples if x > b)
+        r, q = (b - v) * (fb - fw), (b - w) * (fb - fv)
+        x = b - 0.5 * ((b - v) * r - (b - w) * q) / (r - q) if r != q else lo
+        if not lo < x < hi:
+            x = 0.5 * (b + (lo if b - lo > hi - b else hi))
+        if abs(x - b) <= _FOLD_TOL:
+            break
+        calls += 1
+        out = at(x)
+        if out is None:
+            break
+        samples[x] = out[0]
+        if out[0] < fb:
+            best = out[1]
+    return best, calls
 
 
 def trace_branch(grid: Grid, p: float, lambda_start: float,
@@ -296,13 +340,14 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
     rejection overall (not the 41st in a row) or a step below 1e-8 ends
     the trace. ``arclength`` accumulates the steps times c*, in u's units.
 
-    The corrector is Newton-chord (see ``_arc_correct``). One
-    ``_Jacobian`` is carried through the trace: the first corrector call
-    starts without a factor, each accepted point hands its factor to the
-    next call, and a failed call drops it, so no two factors are ever
-    alive together. Everything after the constant walk runs on the gap
-    mode's subspace grid (module docstring), of ``unknowns`` nodes;
-    stability off the subspace is not tested.
+    The corrector is full Newton (see ``_arc_correct``), and each call
+    builds and drops its own factors. When an accepted step reverses the
+    sign of the secant's lam component, the fold between the last three
+    points is located (module docstring) and added to ``folds`` before
+    the trace goes on; its ``arclength`` is that of the middle point plus
+    its offset along the secant. Everything after the constant walk runs
+    on the gap mode's subspace grid (module docstring), of ``unknowns``
+    nodes; stability off the subspace is not tested.
     """
     _check_exponents(p, grid.dim, False)
     if direction not in (-1, 1):
@@ -333,7 +378,6 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
     c_star = bif ** (1.0 / (p - 1.0))
     scale = max(c_star, 1e-6)
     sub, ext, u2 = grid.subspace(u2)
-    jac = _Jacobian(sub, p)
     trace.unknowns = sub.n_nodes
 
     def point(ell, u, res, arclen):
@@ -343,10 +387,9 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
 
     def step(u, ell, tu, tl, ds):
         try:
-            return _arc_correct(jac, u + ds * scale * tu, ell + ds * tl,
+            return _arc_correct(sub, p, u + ds * scale * tu, ell + ds * tl,
                                 tu / scale, tl, ds, bif, u, ell, work=trace)
         except (ConvergenceError, DampingError, SingularJacobianError):
-            jac.lu = None
             return None
 
     # the switch: the first step off the constant, along the gap mode
@@ -376,7 +419,8 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
         if nrm == 0.0:
             trace.truncated, trace.stop = True, "step_failures"
             break
-        out = step(u, ell, dm / nrm, dl / nrm, ds)
+        tu, tl = dm / nrm, dl / nrm
+        out = step(u, ell, tu, tl, ds)
         if out is None:
             ds *= 0.5
             trace.rejected_steps += 1
@@ -384,6 +428,18 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
                 trace.truncated, trace.stop = True, "step_failures"
                 break
             continue
+        sign = math.copysign(1.0, out[1] - ell)
+        if sign * dl < 0.0:
+            # lam turned between the last three points: sign * ell is
+            # least at the middle one, the point at (u, ell)
+            def at(x):
+                got = step(u, ell, tu, tl, x)
+                return None if got is None else (sign * got[1], point(
+                    got[1], got[0], got[2], arclen + x * scale))
+
+            trace.folds.append(Fold(*_fold(
+                at, (-nrm, 0.0, ds),
+                (sign * prev_ell, sign * ell, sign * out[1]), points[-1])))
         prev_u, prev_ell = u, ell
         u, ell, res, nit = out
         arclen += ds * scale
@@ -398,14 +454,18 @@ def trace_branch(grid: Grid, p: float, lambda_start: float,
 def estimate_mu1(branches: Union[BranchTrace, Sequence]) -> Optional[float]:
     """Smallest lam carrying a genuinely non-constant branch point.
 
-    Points count as non-constant when their deviation exceeds 1e-4 times
-    the solution norm. Returns None when no trace contains such a point.
+    A trace contributes its points and its located folds, so on a branch
+    that turns back the answer is the fold's lam, wherever the steps fell
+    around it; a plain sequence contributes its points. Points count as
+    non-constant when their deviation exceeds 1e-4 times the solution
+    norm. Returns None when no trace contains such a point.
     """
     if isinstance(branches, BranchTrace):
         branches = [branches]
     best: Optional[float] = None
     for trace in branches:
-        pts = trace.points if isinstance(trace, BranchTrace) else trace
+        pts = trace.points + [f.point for f in trace.folds] if isinstance(
+            trace, BranchTrace) else trace
         for pt in pts:
             norm = math.sqrt(pt.solution.grid.integrate(pt.solution.values**2))
             if pt.deviation > 1e-4 * max(norm, 1e-300):

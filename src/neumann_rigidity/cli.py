@@ -251,10 +251,13 @@ def cmd_mu1(cfg: RunConfig) -> None:
                          "bifurcation_lambda": trace.bifurcation_lambda,
                          "truncated": trace.truncated,
                          "n_points": len(trace.points),
-                         "solver": {k: getattr(trace, k) for k in (
-                             "factorizations", "refactorizations",
-                             "corrector_iterations", "rejected_steps",
-                             "stop", "unknowns")}})
+                         "solver": {
+                             **{k: getattr(trace, k) for k in (
+                                 "factorizations", "corrector_iterations",
+                                 "rejected_steps", "stop", "unknowns")},
+                             "folds": [{"lambda": f.point.lam,
+                                        "corrector_calls": f.corrector_calls}
+                                       for f in trace.folds]}})
 
 
 def cmd_flow(cfg: RunConfig) -> None:

@@ -397,14 +397,14 @@ def test_subspace_of_a_one_axis_grid_is_the_grid(grid_name, request):
 # from 0.8 * lambda2/|p-1|. The first non-constant lam comes from the
 # branch switch alone; the point counts and last lam record the step
 # sequence of the continuation in the scaled metric (u/c*, ell) under the
-# Newton-chord corrector and its growth thresholds
+# full Newton corrector and its growth thresholds
 # _SQUARE32_TRACE is the trace on the full grid, _SQUARE32_REDUCED_TRACE
-# the default one on the gap mode's subspace. At p = 0.5 the two agree
-# for 15 points and then sample the dead-core end differently
-_SQUARE32_TRACE = {0.5: (86, 19.72232663250131, 43.910949441036365),
-                   2.0: (48, 9.861176864763076, 102.42052485915306)}
-_SQUARE32_REDUCED_TRACE = {0.5: (83, 19.72232663250131, 43.89143330327887),
-                           2.0: (48, 9.861176864763076, 102.42052485719286)}
+# the default one on the gap mode's subspace. The two take the same steps
+# and end 2e-14 apart at p = 0.5
+_SQUARE32_TRACE = {0.5: (60, 19.72232663250131, 41.954926538884756),
+                   2.0: (41, 9.861176864763076, 98.92867954648024)}
+_SQUARE32_REDUCED_TRACE = {0.5: (60, 19.72232663250131, 41.95492653888396),
+                           2.0: (41, 9.861176864763076, 98.92867954648024)}
 
 
 def _check_square32_pins(g, p, pins):
@@ -478,21 +478,43 @@ def _counting_factors(monkeypatch):
     return specs
 
 
-@pytest.mark.parametrize("p, budget", [(2.0, 50), (0.5, 90)])
-def test_trace_branch_square32_factor_budget(square32, monkeypatch, p,
-                                             budget, full_grid_subspace):
-    # the default trace factors bands on the gap mode's subspace grid,
-    # the full-grid trace sparse matrices through splu
-    lam2 = spectral_gap(square32).eigenvalue
-    for kind in ("band", "NATURAL"):
+def _counting_converged(monkeypatch):
+    # the corrector calls that return a converged point
+    calls = []
+    correct = bmod._arc_correct
+
+    def counting(*args, **kwargs):
+        out = correct(*args, **kwargs)
+        calls.append(out[3])
+        return out
+
+    monkeypatch.setattr(bmod, "_arc_correct", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p, budget", [(2.0, 100), (0.5, 190)])
+@pytest.mark.parametrize("grid_name", ["square32", "square64"])
+def test_trace_branch_corrector_iteration_budget(grid_name, p, budget,
+                                                 monkeypatch, request,
+                                                 full_grid_subspace):
+    # the corrector's iterations are the trace's cost (94 at p = 2 and
+    # 176-177 at p = 0.5 on both squares); each iteration that does not
+    # converge builds one factor: a band on the gap mode's subspace grid,
+    # a sparse matrix through splu on the full grid (square32 only)
+    g = request.getfixturevalue(grid_name)
+    lam2 = spectral_gap(g).eigenvalue
+    kinds = ("band", "NATURAL") if grid_name == "square32" else ("band",)
+    for kind in kinds:
         if kind == "NATURAL":
             full_grid_subspace()
         specs = _counting_factors(monkeypatch)
-        tr = trace_branch(square32, p, 0.8 * lam2 / abs(p - 1.0),
-                          direction=1)
-        assert len(specs) <= budget
+        converged = _counting_converged(monkeypatch)
+        tr = trace_branch(g, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
+        assert tr.corrector_iterations <= budget
         assert specs.count(kind) == len(specs) == tr.factorizations
-        assert 0 < tr.refactorizations < tr.factorizations
+        assert tr.factorizations + len(converged) == tr.corrector_iterations
+        assert not hasattr(tr, "refactorizations")
+        assert tr.folds == []
 
 
 def test_trace_branch_square64_stays_on_axis_branch(square64):
@@ -522,42 +544,47 @@ def _corrector_problem(g, p, k=10):
     nrm = math.sqrt(g.integrate(dm * dm) + dl * dl)
     tu, tl = dm / nrm, dl / nrm
     ds = 0.5 * nrm
-    return (bmod._Jacobian(g, p), u + ds * scale * tu, ell + ds * tl,
-            tu / scale, tl, ds, bif, u, ell)
+    return (g, p, u + ds * scale * tu, ell + ds * tl, tu / scale, tl, ds,
+            bif, u, ell)
 
 
-def test_arc_correct_refreshes_stale_factor(square32):
-    # at p = 2 such a factor still contracts 4x per step; at p = 0.5 the
-    # monitor has to refresh it
-    jac, u0, ell0, *rest = _corrector_problem(square32, 0.5)
-    lam_ref = rest[3]
-    fresh = bmod.BranchTrace([], None)
-    _, ell_fresh, res_fresh, _ = bmod._arc_correct(jac, u0, ell0, *rest,
-                                                   work=fresh)
-    # a factor built at a lam 20% away from the predictor's
-    jac = bmod._Jacobian(jac.grid, jac.p)
-    jac.refresh(1.2 * lam_ref * ell0, u0)
-    stale = bmod.BranchTrace([], None)
-    _, ell_stale, res_stale, _ = bmod._arc_correct(jac, u0, ell0, *rest,
-                                                   work=stale)
-    assert ell_stale == pytest.approx(ell_fresh, rel=1e-8)
-    assert max(res_fresh, res_stale) <= 1e-9
-    assert stale.refactorizations >= 1
-    assert jac.lu is not None
+def test_arc_correct_converges_quadratically(square32, monkeypatch):
+    # from a half-length step of the p = 0.5 trace, every iteration after
+    # the first at least squares the scaled residual, up to a constant:
+    # the observed order is 2 (1.95 and 2.0 here, from 2.1e-4 to 3.5e-13
+    # in four residuals); the iterations each build one factor
+    residuals = []
+    scaled_norm = bmod._scaled_norm
+
+    def recording(*args):
+        residuals.append(scaled_norm(*args))
+        return residuals[-1]
+
+    problem = _corrector_problem(square32, 0.5)
+    monkeypatch.setattr(bmod, "_scaled_norm", recording)
+    work = bmod.BranchTrace([], None)
+    _, _, res, n_iter = bmod._arc_correct(*problem, work=work)
+    assert residuals[-1] == res <= 1e-9
+    assert n_iter == len(residuals) >= 4
+    assert (work.corrector_iterations, work.factorizations) == (
+        n_iter, n_iter - 1)
+    logs = np.log(residuals)
+    orders = np.diff(logs)[1:] / np.diff(logs)[:-1]
+    assert np.all(orders >= 1.8)
 
 
 def test_arc_correct_meets_its_constraint(interval128):
     # from a converged branch point whose constraint is off by ds = 1e-6 at
     # entry, the corrector returns only once it holds to 1e-10 max(1, |ds|)
-    # (4.6e-17 here, after 2 iterations), not at entry
+    # (1.4e-17 here, after 2 iterations), not at entry
     g = interval128
     tr = trace_branch(g, 2.0, 0.8 * spectral_gap(g).eigenvalue, direction=1)
     pt = [pt for pt in tr.points if pt.deviation > 0.0][5]
     u = pt.solution.values
     tu = u / math.sqrt(g.integrate(u * u))
     ds = 1e-6
-    u1, _, res, _ = bmod._arc_correct(bmod._Jacobian(g, 2.0), u, 1.0, tu,
-                                      0.0, ds, pt.lam, u, 1.0)
+    u1, _, res, _ = bmod._arc_correct(g, 2.0, u, 1.0, tu, 0.0, ds, pt.lam,
+                                      u, 1.0)
     assert res <= 1e-9
     con = g.integrate(tu * (u1 - u)) - ds
     assert abs(con) <= 1e-10 * max(1.0, abs(ds))
@@ -589,8 +616,18 @@ def test_trace_branch_keeps_one_factor_alive(square32, monkeypatch, p,
         refs.append(weakref.ref(out[4]))
         return out
 
+    correct = bmod._arc_correct
+    alive_after_call = []
+
+    def checked(*args, **kwargs):
+        # no factor outlives a converged corrector call
+        out = correct(*args, **kwargs)
+        alive_after_call.append(sum(r() is not None for r in refs))
+        return out
+
     monkeypatch.setattr(gmod, "dgttrf", tracked_dgttrf)
     monkeypatch.setattr(bmod, "splu", tracked_splu)
+    monkeypatch.setattr(bmod, "_arc_correct", checked)
     lam2 = spectral_gap(square32).eigenvalue
     # on the gap mode's subspace grid (bands), then on the full grid
     for full in (False, True):
@@ -598,11 +635,70 @@ def test_trace_branch_keeps_one_factor_alive(square32, monkeypatch, p,
             full_grid_subspace()
         refs.clear()
         alive_at_build.clear()
+        alive_after_call.clear()
         tr = trace_branch(square32, p, 0.8 * lam2 / abs(p - 1.0),
                           direction=1)
         assert tr.unknowns == (square32.n_nodes if full else 32)
         assert len(refs) == tr.factorizations > 0
         assert alive_at_build == [0] * tr.factorizations
+        assert len(alive_after_call) > 10
+        assert alive_after_call == [0] * len(alive_after_call)
+
+
+def _dense_fold(g, p, lam, u):
+    # the fold of F = 0 from (lam, u) by Newton on the Moore-Spence system
+    # M F(u, lam) = 0, A(u, lam) phi = 0, <l, phi> = 1 in dense matrices,
+    # A = K + diag(w (lam - p u^(p-1))) with K the assembled stiffness;
+    # phi starts as the eigenvector of A with the least |eigenvalue|
+    K = g.sparse_stiffness().toarray()
+    w = g.mass_vector()
+    n = w.size
+    u = u.ravel().copy()
+    A = K + np.diag(w * (lam - p * u ** (p - 1.0)))
+    vals, vecs = np.linalg.eigh(A)
+    phi = vecs[:, np.argmin(np.abs(vals))]
+    ell = phi / (phi @ phi)
+    for _ in range(30):
+        A = K + np.diag(w * (lam - p * u ** (p - 1.0)))
+        G = np.concatenate([K @ u + w * (lam * u - u**p), A @ phi,
+                            [ell @ phi - 1.0]])
+        D = np.zeros((2 * n + 1, 2 * n + 1))
+        D[:n, :n] = A
+        D[:n, n] = w * u
+        D[n:2 * n, :n] = np.diag(-w * p * (p - 1.0) * u ** (p - 2.0) * phi)
+        D[n:2 * n, n] = w * phi
+        D[n:2 * n, n + 1:] = A
+        D[2 * n, n + 1:] = ell
+        dx = np.linalg.solve(D, -G)
+        u, lam, phi = u + dx[:n], lam + dx[n], phi + dx[n + 1:]
+        if abs(dx[n]) <= 1e-12 * lam:
+            return lam
+    raise AssertionError("the dense fold did not converge")
+
+
+@pytest.mark.parametrize("d, n, p", [(2, 64, 2.0), (2, 64, 3.0),
+                                     (3, 64, 2.0)],
+                         ids=["disk64-2", "disk64-3", "ball3_64-2"])
+def test_mu1_is_the_located_fold(d, n, p, monkeypatch):
+    # the radial branch leaves the bifurcation subcritically and turns
+    # back: mu1 is its fold, located between accepted points, not the
+    # least sampled lam (which lay 4.5e-4 above it on the disk and 1.4e-2
+    # on the 3-ball); the location's calls are corrector calls like any
+    g = build_grid(Domain.ball(d, 1.0), n)
+    lam2 = spectral_gap(g).eigenvalue
+    converged = _counting_converged(monkeypatch)
+    tr = trace_branch(g, p, 0.8 * lam2 / abs(p - 1.0), direction=1)
+    assert tr.factorizations + len(converged) == tr.corrector_iterations
+    assert len(tr.folds) == 1
+    fold = tr.folds[0]
+    sampled = [pt for pt in tr.points if pt.deviation > 0.0]
+    least = min(sampled, key=lambda pt: pt.lam)
+    assert fold.point.lam < least.lam
+    assert 0 < fold.corrector_calls <= 20
+    assert fold.point.newton_residual <= 1e-9
+    reference = _dense_fold(g, p, least.lam, least.solution.values)
+    assert estimate_mu1(tr) == fold.point.lam
+    assert fold.point.lam == pytest.approx(reference, rel=1e-8)
 
 
 def _scaled_steps(g, tr, p):
@@ -680,9 +776,9 @@ def test_trace_branch_steps_in_the_scaled_metric(monkeypatch):
     calls = []
     correct = bmod._arc_correct
 
-    def recording(jac, u0, ell0, tu, tl, ds, *args, **kwargs):
+    def recording(sub, p, u0, ell0, tu, tl, ds, *args, **kwargs):
         calls.append((tu, tl, ds))
-        return correct(jac, u0, ell0, tu, tl, ds, *args, **kwargs)
+        return correct(sub, p, u0, ell0, tu, tl, ds, *args, **kwargs)
 
     monkeypatch.setattr(bmod, "_arc_correct", recording)
     p = 0.5

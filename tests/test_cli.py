@@ -216,17 +216,31 @@ def test_mu1_json_solver_block(capsys):
     assert doc["mu1_estimate"] is not None
     solver = doc["solver"]
     assert sorted(solver) == ["corrector_iterations", "factorizations",
-                              "refactorizations", "rejected_steps", "stop",
-                              "unknowns"]
+                              "folds", "rejected_steps", "stop", "unknowns"]
     assert solver["unknowns"] == 64
+    assert solver["folds"] == []
     assert solver["stop"] in ("lam_cap", "n_max", "step_failures")
     assert 0 < solver["factorizations"] < solver["corrector_iterations"]
     assert doc["truncated"] == (solver["stop"] == "step_failures")
 
 
+def test_mu1_json_records_the_fold(capsys):
+    # the disk's radial branch turns back once: mu1 is that fold's lambda,
+    # and the fold is not one of the counted points
+    code, out, _ = run(capsys, "mu1", "--domain", "radial_ball", "--d", "2",
+                       "--n", "64", "--p", "2")
+    assert code == 0
+    doc = json.loads(out)
+    (fold,) = doc["solver"]["folds"]
+    assert sorted(fold) == ["corrector_calls", "lambda"]
+    assert fold["lambda"] == doc["mu1_estimate"]
+    assert fold["lambda"] / doc["bifurcation_lambda"] == pytest.approx(
+        0.8887613179, rel=1e-8)
+    assert 0 < fold["corrector_calls"] <= 20
+
+
 def test_mu1_csv_is_deterministic(tmp_path, capsys):
-    # the corrector carries a Jacobian factor from point to point; none of
-    # that state may survive into a second run
+    # no state of one trace (grid caches, factors) may change a second run
     outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for out in outs:
         code, _, _ = run(capsys, "mu1", "--domain", "rectangle", "--n", "32",
